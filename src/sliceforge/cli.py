@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import (
     AugmentConfig,
+    DatasetManifest,
     generate_synthetic,
     load_manifest,
     load_slice_set,
@@ -71,19 +72,30 @@ class ExperimentConfig:
     split_granularity: str = "subject"
 
     @classmethod
-    def from_json(cls, path, manifest=None) -> "ExperimentConfig":
+    def from_json(cls, path, manifest_path=None) -> tuple["ExperimentConfig", DatasetManifest]:
+        """Parse the config file once and load the manifest it names.
+
+        ``manifest_path`` (the --manifest flag) wins over the file's
+        ``manifest_path``; the manifest's slice size fills in the model's
+        input size when the file gives none.
+        """
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: unreadable config: {exc}") from exc
-        model_doc = dict(doc.get("model", {}))
-        if manifest is not None:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        manifest_path = manifest_path or doc.get("manifest_path")
+        if not manifest_path or not isinstance(manifest_path, str):
+            raise ConfigError(f"{path}: no manifest_path string in the config and no --manifest given")
+        manifest = load_manifest(manifest_path, check_files=True)
+        try:
+            model_doc = dict(doc.get("model", {}))
             model_doc.setdefault("input_height", manifest.slice_height)
             model_doc.setdefault("input_width", manifest.slice_width)
-        split_doc = doc.get("split", {})
-        try:
-            return cls(
-                manifest_path=doc["manifest_path"],
+            split_doc = doc.get("split", {})
+            config = cls(
+                manifest_path=manifest_path,
                 output_dir=doc["output_dir"],
                 model=ModelConfig(**model_doc),
                 train=TrainConfig(**doc.get("train", {})),
@@ -93,8 +105,9 @@ class ExperimentConfig:
                 split_stratified=bool(split_doc.get("stratified", True)),
                 split_granularity=split_doc.get("granularity", "subject"),
             )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: bad config: {exc}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{path}: bad config: {exc!r}") from exc
+        return config, manifest
 
 
 def _resolve_seed(args, config_seed: int) -> int:
@@ -183,13 +196,7 @@ def _write_fold_artifacts(fold_dir: Path, result, counts, mean_loss, subject_cou
 
 
 def cmd_run(args) -> int:
-    pre = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    manifest = load_manifest(
-        args.manifest if args.manifest else pre["manifest_path"], check_files=True
-    )
-    config = ExperimentConfig.from_json(args.config, manifest=manifest)
-    if args.manifest:
-        config.manifest_path = args.manifest
+    config, manifest = ExperimentConfig.from_json(args.config, args.manifest)
     if args.output_dir:
         config.output_dir = args.output_dir
     seed = _resolve_seed(args, config.train.seed)
@@ -239,8 +246,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = load_manifest(args.manifest, check_files=True)
-    config = ExperimentConfig.from_json(args.config, manifest=manifest)
+    config, manifest = ExperimentConfig.from_json(args.config, args.manifest)
     plan = SplitPlan.load(args.split)
     seed = _resolve_seed(args, config.train.seed)
     config.train.seed = seed
@@ -306,11 +312,15 @@ def cmd_report(args) -> int:
     summary_path = run_dir / "summary.json"
     if not summary_path.is_file():
         raise DataError(f"{run_dir}: not a completed run directory (missing summary.json)")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    aggregate = {
-        name: (v["mean"], v["std"]) for name, v in summary["aggregate"].items()
-    }
-    _write_report_files(run_dir, aggregate, summary["fold_best_val_accuracy"])
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        aggregate = {
+            name: (float(v["mean"]), float(v["std"])) for name, v in summary["aggregate"].items()
+        }
+        fold_best_acc = [float(a) for a in summary["fold_best_val_accuracy"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{summary_path}: corrupt or incomplete summary: {exc!r}") from exc
+    _write_report_files(run_dir, aggregate, fold_best_acc)
     print((run_dir / "report.md").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 

@@ -2,9 +2,16 @@
 
 Every layer comes in a pair: ``<layer>(...)`` returns ``(output, cache)`` and
 ``<layer>_backward(upstream, cache)`` consumes the cache to produce the input
-gradient (plus parameter gradients where the layer has parameters). Arrays
-flow in the caller's dtype so the same code serves float32 training and
-float64 finite-difference shadowing; reductions always accumulate in float64.
+gradient (plus parameter gradients where the layer has parameters).
+
+Dtype policy: every output and gradient has the dtype of the array passed in,
+so the same code serves float32 training and float64 finite-difference
+shadowing. Separable convolution, batch normalization, ReLU and dropout
+compute elementwise work and matmuls in that dtype, casting parameters to it;
+only their per-channel reductions (batchnorm mean and variance; bias, gamma,
+beta and depthwise gradient sums) accumulate in float64. Pooling sums,
+the dense layers and the sigmoid compute in float64 and cast back; their
+arrays are [N, C] or smaller.
 
 Parameter containers are mutated only by the optimizer, with one exception:
 batch normalization updates its running statistics during train-mode forward.
@@ -24,6 +31,9 @@ BN_EPSILON = 1e-3
 # 0.9 keeps running statistics usable within the first few dozen updates;
 # 0.99 needs ~100x more steps than a desk-scale run performs.
 BN_MOMENTUM = 0.9
+# bytes of padded input per batch chunk of sepconv's depthwise stage; with its
+# tap and output buffers a chunk stays in a core's L2 across the 9 taps
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -77,24 +87,24 @@ class DenseParams:
 
 @dataclass
 class SepConvCache:
-    x_padded: np.ndarray
+    x: np.ndarray
     mid: np.ndarray
     params: SepConvParams
     pad: tuple[int, int]
-    in_hw: tuple[int, int]
 
 
 @dataclass
 class BatchNormCache:
-    x_hat: np.ndarray
-    inv_std: np.ndarray
+    x: np.ndarray
+    mean: np.ndarray  # float64 [C]: batch mean (train) or running mean (infer)
+    inv_std: np.ndarray  # float64 [C]
     gamma: np.ndarray
     train: bool
 
 
 @dataclass
 class ReluCache:
-    mask: np.ndarray
+    out: np.ndarray  # the gradient passes where out > 0, i.e. where x > 0
 
 
 @dataclass
@@ -128,11 +138,42 @@ def _out_dims(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     return ho, wo, 0, 0
 
 
+def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
+    """A [C] vector cast to ``dtype`` and shaped to broadcast over [N,C,H,W]."""
+    return v.astype(dtype, copy=False)[None, :, None, None]
+
+
+def _padded_chunks(x: np.ndarray, ph: int, pw: int):
+    """Split the batch of x into chunks small enough to stay in cache while
+    the depthwise taps re-read them. Returns the rows per chunk and an
+    iterator of (batch slice, chunk zero-padded by (ph, pw)); every chunk is
+    a view of one reused buffer."""
+    n, c, h, w = x.shape
+    rows = max(1, _CHUNK_BYTES // (x.itemsize * c * (h + 2 * ph) * (w + 2 * pw)))
+    buf = np.zeros((min(rows, n), c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+
+    def chunks():
+        for b in range(0, n, rows):
+            chunk = buf[:min(rows, n - b)]
+            chunk[:, :, ph:ph + h, pw:pw + w] = x[b:b + rows]
+            yield slice(b, b + len(chunk)), chunk
+
+    return rows, chunks()
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an [N,C,H,W] array, accumulated in float64."""
+    return a.sum(axis=(0, 2, 3), dtype=np.float64)
+
+
 def sepconv2d(x: np.ndarray, p: SepConvParams, mode: str = "train"):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias.
 
     No nonlinearity between the two stages. "same" padding is symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
+    Everything is computed in ``x.dtype`` (parameters are cast to it). Per
+    cache-sized batch chunk, the depthwise taps accumulate in place into
+    ``mid`` and the pointwise stage is a batched matmul over [N, C_in, H*W].
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -142,59 +183,70 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, mode: str = "train"):
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
     ho, wo, ph, pw = _out_dims(h, w, kh, kw, s, p.padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    dw = p.depthwise[:, 0].astype(x.dtype, copy=False)
+    pw_mat = p.pointwise[:, :, 0, 0].astype(x.dtype, copy=False)
+    bias = p.bias.astype(x.dtype, copy=False)[:, None]
+    mid = np.zeros((n, c_in, ho, wo), dtype=x.dtype)
+    out = np.empty((n, pw_mat.shape[0], ho * wo), dtype=x.dtype)
+    rows, chunks = _padded_chunks(x, ph, pw)
+    tap = np.empty_like(mid[:rows])
+    for b, xb in chunks:
+        m, t = mid[b], tap[:len(xb)]
+        for i in range(kh):
+            for j in range(kw):
+                np.multiply(xb[:, :, i:i + s * ho:s, j:j + s * wo:s], dw[:, i, j][None, :, None, None], out=t)
+                m += t
+        m3 = m.reshape(len(m), c_in, ho * wo)
+        if c_in == 1:
+            # numpy's matmul does not call BLAS for an outer product (inner dim 1)
+            np.multiply(pw_mat, m3, out=out[b])
+        else:
+            np.matmul(pw_mat, m3, out=out[b])
+        out[b] += bias
 
-    dw = p.depthwise[:, 0].astype(np.float64, copy=False)
-    mid = np.zeros((n, c_in, ho, wo), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            mid += dw[:, i, j][None, :, None, None] * xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
-
-    pw_mat = p.pointwise[:, :, 0, 0].astype(np.float64, copy=False)
-    out = np.einsum("oc,nchw->nohw", pw_mat, mid)
-    out += p.bias.astype(np.float64, copy=False)[None, :, None, None]
-
-    cache = SepConvCache(
-        x_padded=xp,
-        mid=mid.astype(x.dtype, copy=False),
-        params=p,
-        pad=(ph, pw),
-        in_hw=(h, w),
-    )
-    return out.astype(x.dtype, copy=False), cache
+    cache = SepConvCache(x=x, mid=mid, params=p, pad=(ph, pw))
+    return out.reshape(n, -1, ho, wo), cache
 
 
 def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
-    """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias)."""
-    p = cache.params
-    xp = cache.x_padded
-    mid = cache.mid.astype(np.float64, copy=False)
-    g = dout.astype(np.float64, copy=False)
+    """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias).
+
+    The pointwise gradients are batched matmuls over [N, C, H*W] in
+    ``dout.dtype``; the bias and depthwise sums accumulate in float64.
+    """
+    p, x, mid = cache.params, cache.x, cache.mid
+    dtype = dout.dtype
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
+    ph, pw = cache.pad
     n, c_out, ho, wo = dout.shape
+    c_in, h, w = x.shape[1:]
+    g = dout.reshape(n, c_out, ho * wo)
 
-    d_bias = g.sum(axis=(0, 2, 3))
-    pw_mat = p.pointwise[:, :, 0, 0].astype(np.float64, copy=False)
-    d_pw = np.einsum("nohw,nchw->oc", g, mid)
-    dmid = np.einsum("oc,nohw->nchw", pw_mat, g)
+    d_bias = g.sum(axis=(0, 2), dtype=np.float64)
+    d_pw = np.matmul(g, mid.reshape(n, c_in, ho * wo).transpose(0, 2, 1)).sum(axis=0)
+    pw_t = p.pointwise[:, :, 0, 0].astype(dtype, copy=False).T
+    dw = p.depthwise[:, 0].astype(dtype, copy=False)
+    d_dw = np.zeros((c_in, 1, kh, kw), dtype=np.float64)
+    dx = np.empty(x.shape, dtype=dtype)
+    rows, chunks = _padded_chunks(x, ph, pw)
+    dmid, tap = np.empty_like(mid[:rows]), np.empty_like(mid[:rows])
+    dxpad = np.empty((len(dmid), c_in, h + 2 * ph, w + 2 * pw), dtype=dtype)
+    for b, xb in chunks:
+        k = len(xb)
+        dm, t, dxb = dmid[:k], tap[:k], dxpad[:k]
+        np.matmul(pw_t, g[b], out=dm.reshape(k, c_in, ho * wo))
+        dxb.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                window = (slice(None), slice(None), slice(i, i + s * ho, s), slice(j, j + s * wo, s))
+                d_dw[:, 0, i, j] += np.einsum("nchw,nchw->c", dm, xb[window], dtype=np.float64)
+                np.multiply(dm, dw[:, i, j][None, :, None, None], out=t)
+                dxb[window] += t
+        dx[b] = dxb[:, :, ph:ph + h, pw:pw + w]
 
-    dw = p.depthwise[:, 0].astype(np.float64, copy=False)
-    d_dw = np.zeros((dw.shape[0], 1, kh, kw), dtype=np.float64)
-    dxp = np.zeros(xp.shape, dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
-            d_dw[:, 0, i, j] = np.einsum("nchw,nchw->c", dmid, window.astype(np.float64, copy=False))
-            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dw[:, i, j][None, :, None, None] * dmid
-
-    ph, pw_ = cache.pad
-    h, w = cache.in_hw
-    dx = dxp[:, :, ph:ph + h, pw_:pw_ + w]
-
-    dtype = dout.dtype
     return (
-        dx.astype(dtype, copy=False),
+        dx,
         d_dw.astype(dtype, copy=False),
         d_pw.reshape(p.pointwise.shape).astype(dtype, copy=False),
         d_bias.astype(dtype, copy=False),
@@ -208,22 +260,21 @@ def batchnorm(x: np.ndarray, p: BatchNormParams, mode: str = "train"):
     (biased variance) and folds them into the running statistics via
     ``running = momentum * running + (1 - momentum) * batch``. Infer mode
     uses the running statistics only and performs no update.
+
+    The statistics and the per-channel scale ``gamma / sqrt(var + eps)`` and
+    shift ``beta - mean * scale`` are float64 [C] vectors; the output
+    ``x * scale + shift`` is computed in ``x.dtype``.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    x64 = x.astype(np.float64, copy=False)
-    gamma = p.gamma.astype(np.float64, copy=False)[None, :, None, None]
-    beta = p.beta.astype(np.float64, copy=False)[None, :, None, None]
-
     if mode == "train":
         n, _, h, w = x.shape
         m = n * h * w
         if m < 2:
             raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m}")
-        mean = x64.mean(axis=(0, 2, 3))
-        var = ((x64 - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + p.epsilon)
-        x_hat = (x64 - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        centered = x - _per_channel(mean, x.dtype)
+        var = _channel_sum(np.square(centered, out=centered)) / m
         mom = p.momentum
         p.running_mean[...] = (mom * p.running_mean.astype(np.float64) + (1 - mom) * mean).astype(
             p.running_mean.dtype
@@ -231,56 +282,55 @@ def batchnorm(x: np.ndarray, p: BatchNormParams, mode: str = "train"):
         p.running_var[...] = (mom * p.running_var.astype(np.float64) + (1 - mom) * var).astype(
             p.running_var.dtype
         )
-        train = True
     elif mode == "infer":
-        inv_std = 1.0 / np.sqrt(p.running_var.astype(np.float64) + p.epsilon)
-        x_hat = (x64 - p.running_mean.astype(np.float64)[None, :, None, None]) * inv_std[None, :, None, None]
-        train = False
+        mean = p.running_mean.astype(np.float64)
+        var = p.running_var.astype(np.float64)
     else:
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
 
-    out = gamma * x_hat + beta
-    cache = BatchNormCache(
-        x_hat=x_hat.astype(x.dtype, copy=False),
-        inv_std=inv_std,
-        gamma=p.gamma,
-        train=train,
-    )
-    return out.astype(x.dtype, copy=False), cache
+    inv_std = 1.0 / np.sqrt(var + p.epsilon)
+    scale = p.gamma.astype(np.float64) * inv_std
+    out = x * _per_channel(scale, x.dtype)
+    out += _per_channel(p.beta.astype(np.float64) - mean * scale, x.dtype)
+    cache = BatchNormCache(x=x, mean=mean, inv_std=inv_std, gamma=p.gamma, train=mode == "train")
+    return out, cache
 
 
 def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
-    """Gradients of batchnorm: returns (dx, d_gamma, d_beta)."""
-    g = dout.astype(np.float64, copy=False)
-    x_hat = cache.x_hat.astype(np.float64, copy=False)
-    gamma = cache.gamma.astype(np.float64, copy=False)[None, :, None, None]
-    inv_std = cache.inv_std[None, :, None, None]
+    """Gradients of batchnorm: returns (dx, d_gamma, d_beta).
 
-    d_gamma = (g * x_hat).sum(axis=(0, 2, 3))
-    d_beta = g.sum(axis=(0, 2, 3))
-    dx_hat = g * gamma
+    Elementwise work is in ``dout.dtype``; the gamma and beta sums
+    accumulate in float64.
+    """
+    dtype = dout.dtype
+    x_hat = np.subtract(cache.x, _per_channel(cache.mean, dtype), dtype=dtype)
+    x_hat *= _per_channel(cache.inv_std, dtype)
+    d_beta = _channel_sum(dout)
+    d_gamma = _channel_sum(dout * x_hat)
+    scale = cache.gamma.astype(np.float64) * cache.inv_std
 
     if cache.train:
         n, _, h, w = dout.shape
         m = n * h * w
-        sum_dx_hat = dx_hat.sum(axis=(0, 2, 3))[None, :, None, None]
-        sum_dx_hat_xhat = (dx_hat * x_hat).sum(axis=(0, 2, 3))[None, :, None, None]
-        dx = (inv_std / m) * (m * dx_hat - sum_dx_hat - x_hat * sum_dx_hat_xhat)
+        # dx = scale * (dout - d_beta/m - x_hat * d_gamma/m), reusing x_hat's buffer
+        dx = np.multiply(x_hat, _per_channel(d_gamma / m, dtype), out=x_hat)
+        np.subtract(dout, dx, out=dx)
+        dx -= _per_channel(d_beta / m, dtype)
+        dx *= _per_channel(scale, dtype)
     else:
-        dx = dx_hat * inv_std
+        dx = dout * _per_channel(scale, dtype)
 
-    dtype = dout.dtype
-    return dx.astype(dtype, copy=False), d_gamma.astype(dtype, copy=False), d_beta.astype(dtype, copy=False)
+    return dx, d_gamma.astype(dtype, copy=False), d_beta.astype(dtype, copy=False)
 
 
 def relu(x: np.ndarray):
     """max(0, x); the gradient passes only where x > 0 (subgradient 0 at 0)."""
-    mask = x > 0
-    return np.where(mask, x, x.dtype.type(0)), ReluCache(mask=mask)
+    out = np.maximum(x, x.dtype.type(0))
+    return out, ReluCache(out=out)
 
 
 def relu_backward(dout: np.ndarray, cache: ReluCache):
-    return np.where(cache.mask, dout, dout.dtype.type(0))
+    return dout * (cache.out > 0)
 
 
 def global_avg_pool(x: np.ndarray):

@@ -215,8 +215,14 @@ class ForwardCaches:
     probs: np.ndarray
 
 
-def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = None):
-    """Run the conv stack through block ``upto`` (inclusive; None = all)."""
+def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = None,
+                    keep_caches: bool = True):
+    """Run the conv stack through block ``upto`` (inclusive; None = all).
+
+    With ``keep_caches`` false each block's caches are dropped as soon as the
+    next block has run, so only one block's activations are alive at a time
+    and the returned cache list is empty.
+    """
     last = len(model.blocks) - 1 if upto is None else upto
     caches = []
     out = x
@@ -224,7 +230,8 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
         out, conv_cache = layers.sepconv2d(out, blk.conv, mode)
         out, bn_cache = layers.batchnorm(out, blk.norm, mode)
         out, relu_cache = layers.relu(out)
-        caches.append((conv_cache, bn_cache, relu_cache))
+        if keep_caches:
+            caches.append((conv_cache, bn_cache, relu_cache))
     return out, caches
 
 
@@ -249,7 +256,9 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
 
     ``dropout_rng`` feeds the single dropout layer and is required in train
-    mode when the configured rate is positive.
+    mode when the configured rate is positive. Infer mode keeps no per-block
+    caches (``block_caches`` is empty), so it cannot be backpropagated
+    through the conv stack; ``backward`` needs a train-mode pass.
     """
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (
@@ -260,7 +269,7 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
             f"batch shape {batch.shape} does not match configured input "
             f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
         )
-    out, block_caches = _forward_blocks(model, batch, mode)
+    out, block_caches = _forward_blocks(model, batch, mode, keep_caches=mode == "train")
     out, pool_cache = layers.global_avg_pool(out)
     out, hidden_cache = layers.dense(out, model.hidden)
     out, hidden_relu_cache = layers.relu(out)
@@ -366,7 +375,7 @@ def extract_activation(model: Model, image: np.ndarray, block_index: int, channe
     _check_block_channel(model, block_index, channel)
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
-    out, _ = _forward_blocks(model, image, "infer", upto=block_index)
+    out, _ = _forward_blocks(model, image, "infer", upto=block_index, keep_caches=False)
     return out[0, channel]
 
 

@@ -179,8 +179,6 @@ class AuditReport:
             lines.append("Leakage: none (subject-disjoint folds)")
         lines.append(f"Imbalance ratio (majority:minority): {self.imbalance_ratio:g}:1")
         lines.append("")
-        lines.append(f"{'':24}{'Non-positive (label 0)':30}{'Positive (label 1)':30}")
-        rows = [("No. of Subjects", lambda d: str(d.count))]
 
         def span(stats):
             if stats is None:
@@ -190,13 +188,21 @@ class AuditReport:
                 f"Mean: {stats['mean']:.2f} Std: {stats['std']:.2f}"
             )
 
-        rows.append(("Age", lambda d: span(d.age)))
-        rows.append(("Gender", lambda d: f"Male: {d.sex_counts['M']} Female: {d.sex_counts['F']}"))
-        rows.append(("MMSE", lambda d: span(d.mmse)))
-        for title, render in rows:
-            lines.append(
-                f"{title:24}{render(self.demographics[0]):30}{render(self.demographics[1]):30}"
-            )
+        def gender(d):
+            return f"Male: {d.sex_counts['M']} Female: {d.sex_counts['F']}"
+
+        neg, pos = self.demographics[0], self.demographics[1]
+        table = [
+            ("", "Non-positive (label 0)", "Positive (label 1)"),
+            ("No. of Subjects", str(neg.count), str(pos.count)),
+            ("Age", span(neg.age), span(pos.age)),
+            ("Gender", gender(neg), gender(pos)),
+            ("MMSE", span(neg.mmse), span(pos.mmse)),
+        ]
+        # each column is as wide as its widest cell plus a two-space gap
+        widths = [max(len(row[i]) for row in table) + 2 for i in range(2)]
+        for title, left, right in table:
+            lines.append(f"{title:{widths[0]}}{left:{widths[1]}}{right}")
         return "\n".join(lines) + "\n"
 
 

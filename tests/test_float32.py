@@ -1,0 +1,115 @@
+"""Float32 computation against the float64 shadow of the same model, and the
+dtype policy of every layer: float32 in gives float32 out and float32
+gradients."""
+
+import numpy as np
+import pytest
+
+from sliceforge import layers
+from sliceforge import model as M
+from sliceforge import training as T
+from sliceforge.rng import TAG_DROPOUT, SplitMixStream
+
+LOGIT_ATOL = 1e-5
+GRAD_REL_TOL = 1e-4
+# conv biases feed train-mode batchnorm, so their true gradient is 0; float32
+# rounding of the batchnorm input gradient leaves about 1e-5 at block 0, where
+# N*H*W = 16384 terms are summed
+ZERO_GRAD_ATOL = 1e-4
+BATCH = 4
+
+
+def _run(model, x, labels):
+    """Train-mode forward and backward, then an infer-mode forward."""
+    streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(len(x))]
+    _, caches = M.forward(model, x, "train", streams)
+    _, dlogits = T.bce_loss(caches.logits, labels)
+    grads = M.backward(model, caches, dlogits.astype(x.dtype))
+    probs, infer_caches = M.forward(model, x, "infer")
+    return caches, grads, probs, infer_caches
+
+
+@pytest.fixture(scope="module")
+def shadow_runs():
+    # the full default model at 64x64; a nonzero head lets gradients reach
+    # every block (the built head is all zeros)
+    model32 = M.build_model(M.ModelConfig(input_height=64, input_width=64), seed=3)
+    model32.output.weight[...] = np.random.default_rng(1).normal(0.0, 0.5, model32.output.weight.shape)
+    model64 = model32.astype(np.float64)
+    x32 = np.random.default_rng(2).uniform(size=(BATCH, 1, 64, 64)).astype(np.float32)
+    labels = np.array([0, 1] * (BATCH // 2))
+    return _run(model32, x32, labels), _run(model64, x32.astype(np.float64), labels)
+
+
+class TestFloat64Shadow:
+    def test_train_logits_agree(self, shadow_runs):
+        (c32, _, _, _), (c64, _, _, _) = shadow_runs
+        assert c32.logits.dtype == np.float32
+        assert np.abs(c32.logits - c64.logits).max() <= LOGIT_ATOL
+
+    def test_infer_logits_agree(self, shadow_runs):
+        (_, _, p32, i32), (_, _, _, i64) = shadow_runs
+        assert p32.dtype == np.float32
+        assert np.abs(i32.logits - i64.logits).max() <= LOGIT_ATOL
+
+    def test_gradients_agree(self, shadow_runs):
+        (_, g32, _, _), (_, g64, _, _) = shadow_runs
+        assert g32.keys() == g64.keys()
+        for name, want in g64.items():
+            got = g32[name]
+            assert got.dtype == np.float32, name
+            if name.endswith(".bias") and name.startswith("block"):
+                assert np.abs(got - want).max() <= ZERO_GRAD_ATOL, name
+                continue
+            norm = np.linalg.norm(want)
+            assert norm > 0, f"{name} gets no gradient"
+            assert np.linalg.norm(got - want) <= GRAD_REL_TOL * norm, name
+
+    def test_infer_keeps_no_block_caches(self, shadow_runs):
+        (c32, _, _, i32), _ = shadow_runs
+        assert len(c32.block_caches) == M.N_BLOCKS
+        assert i32.block_caches == []
+
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+class TestLayerDtypes:
+    def test_sepconv(self):
+        rng = np.random.default_rng(0)
+        p = layers.SepConvParams(_f32(rng, 3, 1, 3, 3), _f32(rng, 4, 3, 1, 1), _f32(rng, 4), stride=2)
+        out, cache = layers.sepconv2d(_f32(rng, 2, 3, 7, 6), p)
+        assert out.dtype == np.float32
+        grads = layers.sepconv2d_backward(_f32(rng, *out.shape), cache)
+        assert [g.dtype for g in grads] == [np.float32] * 4
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_batchnorm(self, mode):
+        rng = np.random.default_rng(1)
+        p = layers.BatchNormParams(
+            gamma=_f32(rng, 3), beta=_f32(rng, 3),
+            running_mean=_f32(rng, 3), running_var=np.ones(3, np.float32),
+        )
+        out, cache = layers.batchnorm(_f32(rng, 2, 3, 4, 4), p, mode)
+        assert out.dtype == np.float32
+        grads = layers.batchnorm_backward(_f32(rng, *out.shape), cache)
+        assert [g.dtype for g in grads] == [np.float32] * 3
+        assert p.running_mean.dtype == p.running_var.dtype == np.float32
+
+    def test_elementwise_and_head(self):
+        rng = np.random.default_rng(2)
+        x = _f32(rng, 2, 3, 4, 4)
+        out, cache = layers.relu(x)
+        assert out.dtype == layers.relu_backward(x, cache).dtype == np.float32
+        out, cache = layers.global_avg_pool(x)
+        assert out.dtype == layers.global_avg_pool_backward(out, cache).dtype == np.float32
+        p = layers.DenseParams(weight=_f32(rng, 5, 3), bias=_f32(rng, 5))
+        dense_out, cache = layers.dense(out, p)
+        assert dense_out.dtype == np.float32
+        assert [g.dtype for g in layers.dense_backward(dense_out, cache)] == [np.float32] * 3
+        streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(2)]
+        drop_out, cache = layers.dropout(dense_out, 0.5, "train", streams)
+        assert drop_out.dtype == layers.dropout_backward(drop_out, cache).dtype == np.float32
+        sig_out, cache = layers.sigmoid(drop_out)
+        assert sig_out.dtype == layers.sigmoid_backward(sig_out, cache).dtype == np.float32

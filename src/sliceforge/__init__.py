@@ -36,7 +36,6 @@ from .model import (
     save_model,
 )
 from .splits import AuditReport, SplitPlan, audit_split, kfold_split, slice_kfold_split
-from .tensor import Tensor, create, map_zip, matmul, read_tensor, write_tensor
 from .training import (
     FitResult,
     History,
@@ -47,5 +46,6 @@ from .training import (
     evaluate_subject_vote,
     fit,
     lr_for_epoch,
+    predict,
     sgd_step,
 )

@@ -51,7 +51,7 @@ from .model import (
 )
 from .splits import SplitPlan, audit_split, kfold_split, slice_kfold_split
 from .tensor import read_array, write_array, write_pgm
-from .training import TrainConfig, evaluate, evaluate_subject_vote, fit
+from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -171,8 +171,10 @@ def _run_fold(manifest, plan, fold_index, config, seed):
     val_set = load_slice_set(manifest, fold.val)
     model = build_model(config.model, seed=seed + fold_index)
     result = fit(model, train_set, val_set, config.train, config.augment)
-    counts, mean_loss = evaluate(result.best, val_set)
-    subject_counts = evaluate_subject_vote(result.best, val_set)
+    # fit's best-epoch validation logits came from result.best; no pass reruns them
+    threshold = result.best.config.threshold
+    counts, mean_loss = score(result.val_logits, val_set.labels, threshold)
+    subject_counts = evaluate_subject_vote(val_set, logit_labels(result.val_logits, threshold))
     return result, counts, mean_loss, subject_counts
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,20 @@ class ConfusionCounts:
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise DataError("confusion counts must be nonnegative")
+
+    @classmethod
+    def from_pairs(cls, labels, preds) -> "ConfusionCounts":
+        """Counts over paired 0/1 true labels and predictions."""
+        y = np.asarray(labels)
+        p = np.asarray(preds)
+        if y.shape != p.shape:
+            raise ShapeError(f"labels shape {y.shape} != predictions shape {p.shape}")
+        return cls(
+            tp=int(np.sum((p == 1) & (y == 1))),
+            fp=int(np.sum((p == 1) & (y == 0))),
+            tn=int(np.sum((p == 0) & (y == 0))),
+            fn=int(np.sum((p == 0) & (y == 1))),
+        )
 
     @property
     def total(self) -> int:

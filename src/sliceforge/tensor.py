@@ -1,15 +1,16 @@
-"""Dense float32 tensors and the "TSR1" binary file format.
+"""The "TSR1" binary array format and 8-bit PGM export.
 
-Layout convention is batch x channels x height x width, row-major, rank 1..4.
-Tensors are immutable once constructed; reductions and matrix products
-accumulate in float64 before storing back to float32.
+A TSR1 file holds one finite float32 array of rank 1..4, row-major, in the
+layout batch x channels x height x width: the magic ``TSR1``, a u32 rank, one
+u32 per dim, then the little-endian float32 payload. The model format (SFM1)
+embeds TSR1 records through ``_encode_array`` and ``_decode_array``.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,84 +33,6 @@ def _validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
     if count > _MAX_ELEMENTS:
         raise ShapeError(f"element count {count} exceeds limit {_MAX_ELEMENTS}")
     return dims
-
-
-class Tensor:
-    """Immutable dense array of 32-bit reals with explicit shape."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        arr = np.ascontiguousarray(data, dtype=np.float32)
-        _validate_dims(arr.shape)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("tensor contains NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def tolist(self):
-        return self.data.tolist()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-
-def create(shape: Sequence[int], fill: float | Sequence[float] = 0.0) -> Tensor:
-    """Build a tensor from a scalar fill or a flat value list."""
-    dims = _validate_dims(shape)
-    if np.isscalar(fill):
-        return Tensor(np.full(dims, float(fill), dtype=np.float32))
-    values = np.asarray(fill, dtype=np.float32).reshape(-1)
-    count = int(np.prod(dims))
-    if values.size != count:
-        raise ShapeError(
-            f"value list has {values.size} elements, shape {dims} needs {count}"
-        )
-    return Tensor(values.reshape(dims))
-
-
-def map_zip(a: Tensor, b: Tensor | None, fn: Callable) -> Tensor:
-    """Apply ``fn`` elementwise over one tensor, or zip it over two.
-
-    ``fn`` receives ndarrays and must act pointwise; the result keeps the
-    input shape.
-    """
-    if b is None:
-        out = fn(a.data)
-    else:
-        if a.shape != b.shape:
-            raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-        out = fn(a.data, b.data)
-    out = np.asarray(out)
-    if out.shape != a.shape:
-        raise ShapeError(f"fn changed shape {a.shape} -> {out.shape}")
-    return Tensor(out)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, accumulated in float64."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims disagree: {a.shape} x {b.shape}")
-    out = matmul_f64(a.data, b.data)
-    return Tensor(out.astype(np.float32))
-
-
-def matmul_f64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 matrix product of 2-D arrays; result stays float64."""
-    return np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
 
 
 def write_array(path, arr: np.ndarray) -> None:
@@ -159,14 +82,6 @@ def _decode_array(blob: bytes, label) -> tuple[np.ndarray, int]:
         raise FormatError(f"{label}: truncated payload ({len(blob) - need} of {4 * count} bytes)")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=need)
     return arr.reshape(dims).copy(), end
-
-
-def write_tensor(path, t: Tensor) -> None:
-    write_array(path, t.data)
-
-
-def read_tensor(path) -> Tensor:
-    return Tensor(read_array(path))
 
 
 def read_header(path) -> tuple[int, ...]:

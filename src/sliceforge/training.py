@@ -1,9 +1,15 @@
 """Loss, gradient clipping, the SGD/step-decay recipe, the epoch loop and
-confusion-count evaluation.
+evaluation.
 
 The recipe: binary cross-entropy on logits, plain SGD, learning rate decayed
 by a fixed factor every epoch, and two-stage clipping (elementwise clamp,
 then a rescale of the global L2 norm across all parameter gradients).
+
+Evaluation has one inference pass: ``predict`` runs a slice set through the
+model in infer mode and returns its logits. Loss, accuracy, slice-level
+confusion counts and the subject vote are pure functions of those logits, so
+the logits ``fit`` computed for the best epoch's history row serve again for
+the final fold metrics.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from . import model as model_mod
 from .data import SliceSet, augment, scale_normalize
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -75,11 +82,6 @@ class History:
                 writer.writerow([r.epoch, repr(r.lr), repr(r.train_loss), repr(r.train_acc),
                                  repr(r.val_loss), repr(r.val_acc)])
 
-    def best_val_epoch(self) -> int:
-        """1-based epoch with the highest val accuracy; ties go to the earliest."""
-        best = max(range(len(self.records)), key=lambda i: (self.records[i].val_acc, -i))
-        return best + 1
-
 
 def bce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy computed in logit space.
@@ -136,6 +138,7 @@ class FitResult:
     best: Model
     best_epoch: int  # 1-based
     history: History
+    val_logits: np.ndarray  # infer-mode logits of ``best`` over the validation set
 
 
 def _batched(indices, size):
@@ -159,30 +162,58 @@ def _prepare_batch(dataset: SliceSet, idx, train: bool, aug, seed: int, epoch: i
     return x, y
 
 
+def predict(model: Model, dataset: SliceSet, batch_size: int = 64) -> np.ndarray:
+    """Infer-mode logits for every slice of ``dataset``, in dataset order.
+
+    Infer mode uses the batchnorm running statistics and no dropout, so a
+    slice's logit does not depend on the batch it shares.
+    """
+    if len(dataset) == 0:
+        raise DataError("cannot evaluate an empty dataset")
+    chunks = []
+    for idx in _batched(np.arange(len(dataset)), batch_size):
+        x, _ = _prepare_batch(dataset, idx, train=False, aug=None, seed=0, epoch=0)
+        _, caches = forward(model, x, "infer")
+        chunks.append(caches.logits)
+    return np.concatenate(chunks)
+
+
+def logit_labels(logits: np.ndarray, threshold: float) -> np.ndarray:
+    """0/1 predictions: label 1 iff sigmoid(logit) >= threshold.
+
+    Uses the forward pass's own float32 sigmoid, which rounds logits within
+    about 3e-8 of 0 to exactly 0.5; ``logits >= 0`` would disagree there.
+    """
+    probs, _ = layers.sigmoid(logits)
+    return predict_labels(probs, threshold)
+
+
+def score(logits: np.ndarray, labels, threshold: float) -> tuple[ConfusionCounts, float]:
+    """Slice-level confusion counts and mean loss of infer-mode logits."""
+    loss, _ = bce_loss(logits, labels)
+    return ConfusionCounts.from_pairs(labels, logit_labels(logits, threshold)), loss
+
+
 def _eval_pass(model: Model, dataset: SliceSet, batch_size: int):
-    """Infer-mode loss and accuracy over a whole slice set."""
-    total_loss = 0.0
-    correct = 0
-    n = len(dataset)
-    for idx in _batched(np.arange(n), batch_size):
-        x, y = _prepare_batch(dataset, idx, train=False, aug=None, seed=0, epoch=0)
-        probs, caches = forward(model, x, "infer")
-        loss, _ = bce_loss(caches.logits, y)
-        total_loss += loss * len(idx)
-        correct += int(np.sum(predict_labels(probs, model.config.threshold) == y))
-    return total_loss / n, correct / n
+    """Infer-mode logits over a whole slice set, with their mean loss and accuracy."""
+    logits = predict(model, dataset, batch_size)
+    counts, loss = score(logits, dataset.labels, model.config.threshold)
+    return logits, loss, (counts.tp + counts.tn) / counts.total
 
 
 def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfig,
         aug=None) -> FitResult:
     """Run the epoch loop and return the final model, the best-validation
-    snapshot (ties broken by earliest epoch) and the per-epoch history.
+    snapshot (ties broken by earliest epoch), the per-epoch history and the
+    validation logits of the best epoch.
 
     Per epoch: seeded shuffle, batches (last partial batch kept), train-mode
     forward with augmentation, loss, backprop, two-stage clip, SGD step; then
     full infer-mode passes over the train and validation sets for the history
-    row. Raises NumericError with an epoch/batch diagnostic if the loss goes
-    non-finite.
+    row. The validation pass of the best epoch ran on exactly the weights
+    snapshotted into ``best``, so its logits are returned as ``val_logits``
+    and equal ``predict(best, val_set)``. Raises NumericError with an
+    epoch/batch diagnostic if the loss goes non-finite.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise DataError("train and validation sets must be nonempty")
@@ -198,6 +229,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     best_model = model.copy()
     best_acc = -1.0
     best_epoch = 0
+    best_logits = None
     n = len(train_set)
 
     for epoch in range(config.epochs):
@@ -216,64 +248,41 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
 
-        train_loss, train_acc = _eval_pass(model, train_set, config.batch_size)
-        val_loss, val_acc = _eval_pass(model, val_set, config.batch_size)
+        _, train_loss, train_acc = _eval_pass(model, train_set, config.batch_size)
+        val_logits, val_loss, val_acc = _eval_pass(model, val_set, config.batch_size)
         history.append(EpochRecord(epoch + 1, lr, train_loss, train_acc, val_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch + 1
             best_model = model.copy()
+            best_logits = val_logits
 
-    return FitResult(final=model, best=best_model, best_epoch=best_epoch, history=history)
+    return FitResult(final=model, best=best_model, best_epoch=best_epoch, history=history,
+                     val_logits=best_logits)
 
 
 def evaluate(model: Model, dataset: SliceSet, threshold: float | None = None,
              batch_size: int = 64) -> tuple[ConfusionCounts, float]:
-    """Slice-level confusion counts and mean loss in infer mode."""
-    if len(dataset) == 0:
-        raise DataError("cannot evaluate an empty dataset")
+    """Slice-level confusion counts and mean loss of ``predict(model, dataset)``."""
     if threshold is None:
         threshold = model.config.threshold
-    tp = fp = tn = fn = 0
-    total_loss = 0.0
-    n = len(dataset)
-    for idx in _batched(np.arange(n), batch_size):
-        x, y = _prepare_batch(dataset, idx, train=False, aug=None, seed=0, epoch=0)
-        probs, caches = forward(model, x, "infer")
-        loss, _ = bce_loss(caches.logits, y)
-        total_loss += loss * len(idx)
-        pred = predict_labels(probs, threshold)
-        tp += int(np.sum((pred == 1) & (y == 1)))
-        fp += int(np.sum((pred == 1) & (y == 0)))
-        tn += int(np.sum((pred == 0) & (y == 0)))
-        fn += int(np.sum((pred == 0) & (y == 1)))
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), total_loss / n
+    return score(predict(model, dataset, batch_size), dataset.labels, threshold)
 
 
-def evaluate_subject_vote(model: Model, dataset: SliceSet, threshold: float | None = None,
-                          batch_size: int = 64) -> ConfusionCounts:
+def evaluate_subject_vote(dataset: SliceSet, pred) -> ConfusionCounts:
     """Subject-level confusion via majority vote over each subject's slices.
 
-    Vote ties go to the positive class, mirroring the >= threshold rule.
+    ``pred[i]`` is the 0/1 prediction for slice ``i`` of ``dataset``; a
+    subject's slices need not be contiguous. Vote ties go to the positive
+    class, mirroring the >= threshold rule.
     """
-    if threshold is None:
-        threshold = model.config.threshold
+    pred = np.asarray(pred)
+    if pred.shape != (len(dataset),):
+        raise ShapeError(f"predictions shape {pred.shape} does not match {len(dataset)} slices")
     votes: dict[str, list] = {}
     truth: dict[str, int] = {}
-    n = len(dataset)
-    for idx in _batched(np.arange(n), batch_size):
-        x, y = _prepare_batch(dataset, idx, train=False, aug=None, seed=0, epoch=0)
-        probs, _ = forward(model, x, "infer")
-        pred = predict_labels(probs, threshold)
-        for j, i in enumerate(idx):
-            sid = dataset.subject_ids[int(i)]
-            votes.setdefault(sid, []).append(int(pred[j]))
-            truth[sid] = int(y[j])
-    tp = fp = tn = fn = 0
-    for sid, v in votes.items():
-        label = 1 if sum(v) * 2 >= len(v) else 0
-        if truth[sid] == 1:
-            tp, fn = (tp + 1, fn) if label == 1 else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if label == 1 else (fp, tn + 1)
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    for sid, label, p in zip(dataset.subject_ids, dataset.labels, pred):
+        votes.setdefault(sid, []).append(int(p))
+        truth[sid] = int(label)
+    voted = [1 if 2 * sum(v) >= len(v) else 0 for v in votes.values()]
+    return ConfusionCounts.from_pairs([truth[sid] for sid in votes], voted)

@@ -70,21 +70,6 @@ def naive_sepconv2d(x, depthwise, pointwise, bias, stride, padding):
     return out
 
 
-def naive_matmul(a, b):
-    """Triple-loop matrix product in float64."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
 def metrics_from_pairs(labels, preds):
     """Brute-force metric recomputation from raw (label, prediction) pairs,
     written independently of the library implementation."""

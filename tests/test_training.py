@@ -6,7 +6,7 @@ import pytest
 from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.data import AugmentConfig, SliceSet
-from sliceforge.errors import ConfigError, DataError, NumericError
+from sliceforge.errors import ConfigError, DataError, NumericError, ShapeError
 from sliceforge.metrics import ConfusionCounts
 
 
@@ -197,6 +197,17 @@ class TestFit:
         accs = [r.val_acc for r in res.history.records]
         assert res.best_epoch == accs.index(max(accs)) + 1
 
+    def test_val_logits_are_predict_of_best(self):
+        # history batches of 4 split the 6 validation slices 4 + 2; predict's
+        # default batch takes them in one, and infer logits must not notice
+        train = make_slice_set(12, seed=17)
+        val = make_slice_set(6, seed=18, prefix="v")
+        cfg = T.TrainConfig(initial_lr=1e-3, epochs=3, batch_size=4, seed=5)
+        res = T.fit(self.small_model(), train, val, cfg, AugmentConfig())
+        fresh = T.predict(res.best, val)
+        assert res.val_logits.dtype == fresh.dtype and res.val_logits.shape == (6,)
+        assert res.val_logits.tobytes() == fresh.tobytes()
+
 
 class TestHistoryCsv:
     def test_exact_header_and_rows(self, tmp_path):
@@ -238,6 +249,11 @@ class TestEvaluate:
         assert counts.fn == 0 and counts.tn == 0
         assert counts.tp + counts.fp == 10
 
+    def test_labels_follow_float32_sigmoid(self):
+        # float32 sigmoid rounds a logit this close to 0 up to exactly 0.5
+        logits = np.array([-3e-8, -1e-3, 0.0], dtype=np.float32)
+        assert T.logit_labels(logits, 0.5).tolist() == [1, 0, 1]
+
     def test_empty_dataset_rejected(self):
         ds = make_slice_set(4, seed=15)
         empty = SliceSet(
@@ -255,7 +271,27 @@ class TestSubjectVote:
         model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=7)
         for _, arr in model.named_parameters():
             arr[...] = 0.0
-        counts = T.evaluate_subject_vote(model, ds)
+        pred = T.logit_labels(T.predict(model, ds), model.config.threshold)
+        counts = T.evaluate_subject_vote(ds, pred)
         # all probs 0.5 -> all votes positive -> positives correct, negatives wrong
         assert counts.fn == 0 and counts.tn == 0
         assert counts.tp + counts.fp == 6
+
+    def test_hand_built_predictions(self):
+        # a (label 1): 2 of 3 slices positive -> positive vote, tp
+        # b (label 0): 2 of 4, a tie -> positive vote, fp
+        # c (label 1): 1 of 3, its slices interleaved with d's -> negative, fn
+        # d (label 0): 0 of 2 -> negative, tn
+        sids = ["a", "a", "a", "b", "b", "b", "b", "c", "d", "c", "d", "c"]
+        label_of = {"a": 1, "b": 0, "c": 1, "d": 0}
+        ds = SliceSet(
+            slices=np.zeros((len(sids), 2, 2), dtype=np.float32),
+            labels=np.array([label_of[s] for s in sids], dtype=np.int64),
+            subject_ids=sids,
+            slice_keys=[f"{s}#{i}" for i, s in enumerate(sids)],
+            ceiling=255.0,
+        )
+        pred = [1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0]
+        assert T.evaluate_subject_vote(ds, pred) == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
+        with pytest.raises(ShapeError):
+            T.evaluate_subject_vote(ds, pred[:-1])

@@ -14,7 +14,6 @@ from .data import (
     load_slice_set,
     save_manifest,
     scale_normalize,
-    select_slices,
 )
 from .metrics import (
     ConfusionCounts,

@@ -1,5 +1,5 @@
-"""Subject/slice data model, slice selection, augmentation, manifest I/O and
-the synthetic dataset generator.
+"""Subject/slice data model, augmentation, manifest I/O and the synthetic
+dataset generator.
 
 A manifest is UTF-8 JSON naming subjects (id, CDR, label, demographics) and
 their slice files (TSR1, shape [H,W], raw intensities in [0, ceiling]).
@@ -93,20 +93,6 @@ class DatasetManifest:
         return keys
 
 
-def select_slices(volume: np.ndarray, target: int = 96, skip: int = 40) -> np.ndarray:
-    """Central block of a [D,H,W] volume after dropping ``skip`` planes from
-    each end, truncated to at most ``target`` planes centered in the residue."""
-    if volume.ndim != 3:
-        raise DataError(f"expected a [D,H,W] volume, got shape {volume.shape}")
-    d = volume.shape[0]
-    if d <= 2 * skip:
-        raise DataError(f"volume depth {d} leaves no slices after skipping {skip} per end")
-    remaining = d - 2 * skip
-    count = min(target, remaining)
-    start = skip + (remaining - count) // 2
-    return volume[start:start + count]
-
-
 def scale_normalize(slice_arr: np.ndarray, ceiling: float = 255.0) -> np.ndarray:
     """Divide by the intensity ceiling so values land in [0,1].
 
@@ -126,7 +112,6 @@ class AugmentConfig:
     width_shift_frac: float = 0.1
     height_shift_frac: float = 0.1
     horizontal_flip: bool = True
-    normalize: bool = True
 
     def __post_init__(self):
         for name in ("width_shift_frac", "height_shift_frac"):
@@ -151,8 +136,8 @@ def _shift2d(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
 def augment(slice_arr: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream,
             ceiling: float = 255.0) -> np.ndarray:
     """Random integer shift (zero-filled), coin-flip horizontal mirror, then
-    optional scale normalization. Draw order is fixed: width shift, height
-    shift, flip."""
+    scale normalization, as ``predict`` applies it. Draw order is fixed: width
+    shift, height shift, flip."""
     if slice_arr.ndim != 2:
         raise DataError(f"expected a [H,W] slice, got shape {slice_arr.shape}")
     h, w = slice_arr.shape
@@ -164,9 +149,7 @@ def augment(slice_arr: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream,
     out = _shift2d(out, dy, dx)
     if cfg.horizontal_flip and stream.bernoulli(0.5):
         out = out[:, ::-1]
-    if cfg.normalize:
-        out = scale_normalize(out, ceiling)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(scale_normalize(out, ceiling))
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -222,8 +205,10 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
             subjects=subjects,
             root=path.parent,
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DataError(f"{path}: malformed manifest: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if check_files:
         expect = (manifest.slice_height, manifest.slice_width)
         for s in manifest.subjects:

@@ -73,8 +73,8 @@ class BatchNormParams:
     def __post_init__(self):
         if not 0.0 < self.momentum < 1.0:
             raise ConfigError(f"momentum must be in (0,1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if np.any(self.running_var < 0):
             raise ConfigError("running_var must be nonnegative")
 

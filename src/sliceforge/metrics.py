@@ -52,14 +52,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            tn=self.tn + other.tn,
-            fn=self.fn + other.fn,
-        )
-
     def to_json_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 

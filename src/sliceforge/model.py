@@ -4,6 +4,12 @@ serialization ("SFM1" files) and feature introspection.
 Per-sample path: (sepconv -> batchnorm -> ReLU) x 9, global average pool,
 dense -> ReLU -> dropout, dense to one unit, sigmoid. The decision rule is
 probability >= threshold for the positive class.
+
+The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
+the model and so defines the SFM1 record order: for each block b = 0..8
+``block{b}.depthwise``, ``.pointwise``, ``.bias``, ``.gamma``, ``.beta``,
+``.running_mean`` and ``.running_var``, then ``hidden.weight``,
+``hidden.bias``, ``output.weight`` and ``output.bias``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import copy
 import json
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +35,32 @@ MODEL_VERSION = 1
 DEFAULT_CHANNEL_PLAN = (8, 8, 16, 16, 32, 32, 64, 64, 128)
 DEFAULT_STRIDE_PLAN = (1, 2, 1, 2, 1, 2, 1, 2, 1)
 N_BLOCKS = 9
+
+# The slot table, in SFM1 record order: rows (owner, attribute, trainable,
+# shape, init). The owner is a field of Block (rows repeat per block, named
+# "block{b}.<attribute>") or of Model ("<owner>.<attribute>"). Shapes use the
+# block's c_in and c_out (the head's c_in is the last c_out), k (kernel),
+# kk = k*k and hidden (units). init is a fill value or (stream, fan_in, fan_out)
+# of a fan-scaled uniform draw. A layer's backward returns its gradients in the
+# order of its trainable rows.
+BLOCK_SLOTS = (
+    ("conv", "depthwise", True, ("c_in", 1, "k", "k"), (0, "kk", "kk")),
+    ("conv", "pointwise", True, ("c_out", "c_in", 1, 1), (1, "c_in", "c_out")),
+    ("conv", "bias", True, ("c_out",), 0.0),
+    ("norm", "gamma", True, ("c_out",), 1.0),
+    ("norm", "beta", True, ("c_out",), 0.0),
+    ("norm", "running_mean", False, ("c_out",), 0.0),
+    ("norm", "running_var", False, ("c_out",), 1.0),
+)
+HEAD_SLOTS = (
+    ("hidden", "weight", True, ("hidden", "c_in"), (0, "c_in", "hidden")),
+    ("hidden", "bias", True, ("hidden",), 0.0),
+    # the single-unit classifier starts at zero so every probability is exactly
+    # 0.5 and the first gradient step already points along the class contrast;
+    # fan-scaled noise here only adds a random offset to undo
+    ("output", "weight", True, (1, "hidden"), 0.0),
+    ("output", "bias", True, (1,), 0.0),
+)
 
 
 @dataclass
@@ -85,6 +119,41 @@ class ModelConfig:
         return cls(**d)
 
 
+class Slot(NamedTuple):
+    """One row of the slot table for one block (``block`` None: the head)."""
+
+    name: str
+    block: int | None
+    owner: str
+    attr: str
+    trainable: bool
+    shape: tuple
+    init: object
+
+
+def slot_table(config: ModelConfig) -> list:
+    """Every array of a model with this config, in SFM1 record order."""
+    channels = (config.input_channels, *config.channel_plan)
+    sizes = {"k": config.kernel, "kk": config.kernel ** 2, "hidden": config.hidden_units}
+    groups = [(f"block{b}", b, BLOCK_SLOTS, dict(sizes, c_in=c_in, c_out=c_out))
+              for b, (c_in, c_out) in enumerate(zip(channels, channels[1:]))]
+    groups.append((None, None, HEAD_SLOTS, dict(sizes, c_in=channels[-1])))
+    return [
+        Slot(f"{prefix or owner}.{attr}", b, owner, attr, trainable,
+             tuple(dims.get(d, d) for d in shape),
+             tuple(dims.get(d, d) for d in init) if isinstance(init, tuple) else init)
+        for prefix, b, rows, dims in groups
+        for owner, attr, trainable, shape, init in rows
+    ]
+
+
+def _grad_names(owner: str, prefix: str | None = None) -> list:
+    """Slot names of ``owner``'s gradients, in the order its layer's backward
+    returns them; ``prefix`` is the block's, and the owner's for the head."""
+    return [f"{prefix or owner}.{attr}" for o, attr, trainable, _, _ in BLOCK_SLOTS + HEAD_SLOTS
+            if o == owner and trainable]
+
+
 @dataclass
 class Block:
     conv: SepConvParams
@@ -98,37 +167,18 @@ class Model:
     hidden: DenseParams
     output: DenseParams
 
+    def slots(self) -> list:
+        """(slot, the params object that holds its array), in SFM1 record order."""
+        return [(s, getattr(self if s.block is None else self.blocks[s.block], s.owner))
+                for s in slot_table(self.config)]
+
     def named_parameters(self):
-        """Trainable parameter arrays in fixed traversal order."""
-        out = []
-        for b, blk in enumerate(self.blocks):
-            out.append((f"block{b}.depthwise", blk.conv.depthwise))
-            out.append((f"block{b}.pointwise", blk.conv.pointwise))
-            out.append((f"block{b}.bias", blk.conv.bias))
-            out.append((f"block{b}.gamma", blk.norm.gamma))
-            out.append((f"block{b}.beta", blk.norm.beta))
-        out.append(("hidden.weight", self.hidden.weight))
-        out.append(("hidden.bias", self.hidden.bias))
-        out.append(("output.weight", self.output.weight))
-        out.append(("output.bias", self.output.bias))
-        return out
+        """Trainable parameter arrays in SFM1 record order."""
+        return [(s.name, getattr(owner, s.attr)) for s, owner in self.slots() if s.trainable]
 
     def state_arrays(self):
-        """All persisted arrays (trainable plus running stats), fixed order."""
-        out = []
-        for b, blk in enumerate(self.blocks):
-            out.append((f"block{b}.depthwise", blk.conv.depthwise))
-            out.append((f"block{b}.pointwise", blk.conv.pointwise))
-            out.append((f"block{b}.bias", blk.conv.bias))
-            out.append((f"block{b}.gamma", blk.norm.gamma))
-            out.append((f"block{b}.beta", blk.norm.beta))
-            out.append((f"block{b}.running_mean", blk.norm.running_mean))
-            out.append((f"block{b}.running_var", blk.norm.running_var))
-        out.append(("hidden.weight", self.hidden.weight))
-        out.append(("hidden.bias", self.hidden.bias))
-        out.append(("output.weight", self.output.weight))
-        out.append(("output.bias", self.output.bias))
-        return out
+        """All persisted arrays (trainable plus running stats), in SFM1 record order."""
+        return [(s.name, getattr(owner, s.attr)) for s, owner in self.slots()]
 
     def parameter_count(self) -> int:
         """Stored parameter count: conv weights/bias plus 4 stats per BN channel."""
@@ -140,67 +190,39 @@ class Model:
     def astype(self, dtype) -> "Model":
         """Clone with every array cast to ``dtype`` (float64 shadow for checks)."""
         clone = self.copy()
-        for blk in clone.blocks:
-            blk.conv.depthwise = blk.conv.depthwise.astype(dtype)
-            blk.conv.pointwise = blk.conv.pointwise.astype(dtype)
-            blk.conv.bias = blk.conv.bias.astype(dtype)
-            blk.norm.gamma = blk.norm.gamma.astype(dtype)
-            blk.norm.beta = blk.norm.beta.astype(dtype)
-            blk.norm.running_mean = blk.norm.running_mean.astype(dtype)
-            blk.norm.running_var = blk.norm.running_var.astype(dtype)
-        clone.hidden.weight = clone.hidden.weight.astype(dtype)
-        clone.hidden.bias = clone.hidden.bias.astype(dtype)
-        clone.output.weight = clone.output.weight.astype(dtype)
-        clone.output.bias = clone.output.bias.astype(dtype)
+        for s, owner in clone.slots():
+            setattr(owner, s.attr, getattr(owner, s.attr).astype(dtype))
         return clone
 
 
-def _glorot(stream: SplitMixStream, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return ((stream.uniform(shape) * 2.0 - 1.0) * limit).astype(np.float32)
+def _assemble(config: ModelConfig, take, **bn) -> Model:
+    """A model holding ``take(slot)`` for every slot, built through the params
+    constructors, which validate it; ``bn`` goes to every BatchNormParams."""
+    parts = {}
+    for slot in slot_table(config):
+        parts.setdefault((slot.block, slot.owner), {})[slot.attr] = take(slot)
+    blocks = [
+        Block(conv=SepConvParams(**parts[b, "conv"], stride=stride, padding="same"),
+              norm=BatchNormParams(**parts[b, "norm"], **bn))
+        for b, stride in enumerate(config.stride_plan)
+    ]
+    return Model(config=config, blocks=blocks, hidden=DenseParams(**parts[None, "hidden"]),
+                 output=DenseParams(**parts[None, "output"]))
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
-    """Deterministic fan-scaled uniform init; BN gamma=1, beta=0, biases 0."""
-    k = config.kernel
-    blocks = []
-    c_in = config.input_channels
-    for b, (c_out, stride) in enumerate(zip(config.channel_plan, config.stride_plan)):
-        depthwise = _glorot(SplitMixStream(seed, TAG_INIT, b, 0), (c_in, 1, k, k), k * k, k * k)
-        pointwise = _glorot(SplitMixStream(seed, TAG_INIT, b, 1), (c_out, c_in, 1, 1), c_in, c_out)
-        conv = SepConvParams(
-            depthwise=depthwise,
-            pointwise=pointwise,
-            bias=np.zeros(c_out, dtype=np.float32),
-            stride=stride,
-            padding="same",
-        )
-        norm = BatchNormParams(
-            gamma=np.ones(c_out, dtype=np.float32),
-            beta=np.zeros(c_out, dtype=np.float32),
-            running_mean=np.zeros(c_out, dtype=np.float32),
-            running_var=np.ones(c_out, dtype=np.float32),
-        )
-        blocks.append(Block(conv=conv, norm=norm))
-        c_in = c_out
+    """Deterministic init from the slot table: a fill, or a fan-scaled uniform
+    draw from SplitMixStream(seed, TAG_INIT, block, stream), the head being
+    block N_BLOCKS."""
+    def init(slot):
+        if not isinstance(slot.init, tuple):
+            return np.full(slot.shape, slot.init, dtype=np.float32)
+        stream, fan_in, fan_out = slot.init
+        key = N_BLOCKS if slot.block is None else slot.block
+        uniform = SplitMixStream(seed, TAG_INIT, key, stream).uniform(slot.shape)
+        return ((uniform * 2.0 - 1.0) * np.sqrt(6.0 / (fan_in + fan_out))).astype(np.float32)
 
-    hidden = DenseParams(
-        weight=_glorot(
-            SplitMixStream(seed, TAG_INIT, N_BLOCKS, 0),
-            (config.hidden_units, c_in),
-            c_in,
-            config.hidden_units,
-        ),
-        bias=np.zeros(config.hidden_units, dtype=np.float32),
-    )
-    # the single-unit classifier head starts at zero so every probability is
-    # exactly 0.5 and the first gradient step already points along the class
-    # contrast; fan-scaled noise here only adds a random offset to undo
-    output = DenseParams(
-        weight=np.zeros((1, config.hidden_units), dtype=np.float32),
-        bias=np.zeros(1, dtype=np.float32),
-    )
-    return Model(config=config, blocks=blocks, hidden=hidden, output=output)
+    return _assemble(config, init)
 
 
 @dataclass
@@ -241,14 +263,11 @@ def _backward_blocks(dout: np.ndarray, caches, grads: dict | None = None):
     for b in range(len(caches) - 1, -1, -1):
         conv_cache, bn_cache, relu_cache = caches[b]
         g = layers.relu_backward(g, relu_cache)
-        g, d_gamma, d_beta = layers.batchnorm_backward(g, bn_cache)
-        g, d_dw, d_pw, d_bias = layers.sepconv2d_backward(g, conv_cache)
+        g, *d_norm = layers.batchnorm_backward(g, bn_cache)
+        g, *d_conv = layers.sepconv2d_backward(g, conv_cache)
         if grads is not None:
-            grads[f"block{b}.depthwise"] = d_dw
-            grads[f"block{b}.pointwise"] = d_pw
-            grads[f"block{b}.bias"] = d_bias
-            grads[f"block{b}.gamma"] = d_gamma
-            grads[f"block{b}.beta"] = d_beta
+            grads.update(zip(_grad_names("conv", f"block{b}"), d_conv, strict=True))
+            grads.update(zip(_grad_names("norm", f"block{b}"), d_norm, strict=True))
     return g
 
 
@@ -294,15 +313,12 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
 
 def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
     """Parameter gradients for a loss whose gradient w.r.t. the logits is given."""
-    grads: dict[str, np.ndarray] = {}
-    g, d_w, d_b = layers.dense_backward(dlogits[:, None], caches.output_cache)
-    grads["output.weight"] = d_w
-    grads["output.bias"] = d_b
+    g, *d_output = layers.dense_backward(dlogits[:, None], caches.output_cache)
+    grads = dict(zip(_grad_names("output"), d_output, strict=True))
     g = layers.dropout_backward(g, caches.dropout_cache)
     g = layers.relu_backward(g, caches.hidden_relu_cache)
-    g, d_w, d_b = layers.dense_backward(g, caches.hidden_cache)
-    grads["hidden.weight"] = d_w
-    grads["hidden.bias"] = d_b
+    g, *d_hidden = layers.dense_backward(g, caches.hidden_cache)
+    grads.update(zip(_grad_names("hidden"), d_hidden, strict=True))
     g = layers.global_avg_pool_backward(g, caches.pool_cache)
     _backward_blocks(g, caches.block_caches, grads)
     return grads
@@ -333,7 +349,8 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> Model:
-    blob = open(path, "rb").read()
+    """Read an SFM1 file into a model whose array shapes come from its config."""
+    blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise FormatError(f"{path}: truncated header")
     if blob[:4] != MODEL_MAGIC:
@@ -347,27 +364,27 @@ def load_model(path) -> Model:
     try:
         header = json.loads(blob[12:12 + json_len].decode("utf-8"))
         config = ModelConfig.from_json_dict(header["config"])
+        bn = {"epsilon": float(header.get("bn_epsilon", layers.BN_EPSILON)),
+              "momentum": float(header.get("bn_momentum", layers.BN_MOMENTUM))}
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad config section: {exc}") from exc
 
-    model = build_model(config, seed=0)
-    for blk in model.blocks:
-        blk.norm.epsilon = float(header.get("bn_epsilon", layers.BN_EPSILON))
-        blk.norm.momentum = float(header.get("bn_momentum", layers.BN_MOMENTUM))
     offset = 12 + json_len
-    for name, arr in model.state_arrays():
-        loaded, offset = _decode_at(blob, offset, f"{path}[{name}]")
-        if loaded.shape != arr.shape:
-            raise FormatError(f"{path}: {name} has shape {loaded.shape}, expected {arr.shape}")
-        arr[...] = loaded
+
+    def decode(slot):
+        nonlocal offset
+        arr, offset = _decode_array(blob, f"{path}[{slot.name}]", offset)
+        if arr.shape != slot.shape:
+            raise FormatError(f"{path}: {slot.name} has shape {arr.shape}, expected {slot.shape}")
+        return arr
+
+    try:
+        model = _assemble(config, decode, **bn)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return model
-
-
-def _decode_at(blob: bytes, offset: int, label: str):
-    arr, used = _decode_array(blob[offset:], label)
-    return arr, offset + used
 
 
 def extract_activation(model: Model, image: np.ndarray, block_index: int, channel: int) -> np.ndarray:

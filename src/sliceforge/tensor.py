@@ -60,18 +60,19 @@ def read_array(path) -> np.ndarray:
     return arr
 
 
-def _decode_array(blob: bytes, label) -> tuple[np.ndarray, int]:
-    if len(blob) < 8:
+def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode the TSR1 record at ``offset``; returns it and the offset past it."""
+    if len(blob) < offset + 8:
         raise FormatError(f"{label}: truncated header")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{label}: bad magic {blob[:4]!r}")
-    (rank,) = struct.unpack_from("<I", blob, 4)
+    if blob[offset:offset + 4] != MAGIC:
+        raise FormatError(f"{label}: bad magic {blob[offset:offset + 4]!r}")
+    (rank,) = struct.unpack_from("<I", blob, offset + 4)
     if not 1 <= rank <= MAX_RANK:
         raise FormatError(f"{label}: rank {rank} outside 1..{MAX_RANK}")
-    need = 8 + 4 * rank
+    need = offset + 8 + 4 * rank
     if len(blob) < need:
         raise FormatError(f"{label}: truncated dim list")
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    dims = struct.unpack_from(f"<{rank}I", blob, offset + 8)
     try:
         dims = _validate_dims(dims)
     except ShapeError as exc:

@@ -1,6 +1,9 @@
 """Shared test utilities: finite-difference oracles and naive reference
 implementations, kept independent of the library's gradient/conv code paths."""
 
+import json
+import struct
+
 import numpy as np
 
 
@@ -104,3 +107,13 @@ def pairs_for_counts(tp, fp, tn, fn):
     labels = [1] * tp + [0] * fp + [0] * tn + [1] * fn
     preds = [1] * tp + [1] * fp + [0] * tn + [0] * fn
     return labels, preds
+
+
+def rewrite_sfm_header(path, **changes):
+    """Replace keys of a saved model's JSON header, keeping its records."""
+    blob = path.read_bytes()
+    (json_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + json_len])
+    header.update(changes)
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + json_len:])

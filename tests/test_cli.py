@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from helpers import rewrite_sfm_header
 from sliceforge import cli
 from sliceforge.data import load_manifest
+from sliceforge.model import ModelConfig, build_model, save_model
 from sliceforge.splits import audit_split, kfold_split
 
 
@@ -60,6 +62,23 @@ def test_run_without_manifest_path(tmp_path, manifest_path, capsys):
     del doc["manifest_path"]
     config = _write(tmp_path / "c.json", json.dumps(doc))
     assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    _assert_one_line_error(capsys)
+
+
+def test_run_rejects_augment_normalize(tmp_path, manifest_path, capsys):
+    doc = _config(tmp_path, manifest_path, augment={"normalize": False})
+    config = _write(tmp_path / "c.json", json.dumps(doc))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("epsilon", ["abc", -1])
+def test_evaluate_corrupt_model_header(tmp_path, manifest_path, capsys, epsilon):
+    path = tmp_path / "m.sfm"
+    save_model(path, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
+    rewrite_sfm_header(path, bn_epsilon=epsilon)
+    rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path)])
+    assert rc == cli.EXIT_IO
     _assert_one_line_error(capsys)
 
 

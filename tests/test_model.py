@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err
+from helpers import central_difference, max_rel_err, rewrite_sfm_header
 from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.errors import ConfigError, FormatError
@@ -160,6 +162,91 @@ class TestSaveLoad:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             M.load_model(path)
+
+
+class TestCorruptModelFile:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.sfm"
+        M.save_model(path, M.build_model(small_config(), seed=8))
+        return path
+
+    @pytest.mark.parametrize("key, value", [
+        ("bn_epsilon", "abc"),
+        ("bn_epsilon", -1),
+        ("bn_epsilon", float("nan")),
+        ("bn_momentum", 1.5),
+    ])
+    def test_bad_batchnorm_header(self, saved, key, value):
+        rewrite_sfm_header(saved, **{key: value})
+        with pytest.raises(FormatError):
+            M.load_model(saved)
+
+    def test_record_with_wrong_shape(self, saved):
+        # a header that asks for 16 hidden units no longer fits hidden.weight
+        header_cfg = small_config(hidden_units=16).to_json_dict()
+        rewrite_sfm_header(saved, config=header_cfg)
+        with pytest.raises(FormatError, match="hidden.weight has shape"):
+            M.load_model(saved)
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00" * 4)
+        with pytest.raises(FormatError, match="4 trailing bytes"):
+            M.load_model(saved)
+
+    def test_negative_running_var(self, saved):
+        model = M.load_model(saved)
+        model.blocks[3].norm.running_var[0] = -1.0
+        M.save_model(saved, model)
+        with pytest.raises(FormatError, match="running_var"):
+            M.load_model(saved)
+
+
+class TestSlotTable:
+    def test_sfm1_bytes_golden(self, tmp_path):
+        path = tmp_path / "m.sfm"
+        M.save_model(path, M.build_model(M.ModelConfig(input_height=16, input_width=16), seed=7))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e10a813ddbc1005b9e46188b59cc960112c6f41cd27449c66a795254b8555da2"
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.sfm"
+        M.save_model(path, M.build_model(small_config(), seed=7))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("load_model constructed a SplitMixStream")
+
+        monkeypatch.setattr(SplitMixStream, "__init__", refuse)
+        loaded = M.load_model(path)
+        assert loaded.parameter_count() == 28658
+
+    def test_astype_casts_every_array_and_leaves_source(self):
+        model = M.build_model(small_config(), seed=7)
+        shadow = model.astype(np.float64)
+        assert [n for n, _ in shadow.state_arrays()] == [n for n, _ in model.state_arrays()]
+        for (_, a64), (_, a32) in zip(shadow.state_arrays(), model.state_arrays()):
+            assert a64.dtype == np.float64
+            assert a32.dtype == np.float32
+            np.testing.assert_array_equal(a64, a32)
+
+    def test_backward_names_every_parameter(self):
+        model = M.build_model(small_config(dropout_rate=0.0), seed=7)
+        x = np.random.default_rng(0).uniform(size=(2, 1, 16, 16)).astype(np.float32)
+        _, caches = M.forward(model, x, "train")
+        grads = M.backward(model, caches, np.full(2, 0.25, dtype=np.float32))
+        params = dict(model.named_parameters())
+        # backward fills the head first and the blocks last to first
+        assert set(grads) == set(params)
+        for name, g in grads.items():
+            assert g.shape == params[name].shape, name
+
+    def test_table_matches_the_model(self):
+        model = M.build_model(small_config(hidden_units=32), seed=2)
+        slots = M.slot_table(model.config)
+        assert [s.name for s in slots] == [n for n, _ in model.state_arrays()]
+        assert [s.shape for s in slots] == [a.shape for _, a in model.state_arrays()]
+        assert [s.name for s in slots if s.trainable] == [n for n, _ in model.named_parameters()]
+        assert len(slots) == 7 * M.N_BLOCKS + 4
 
 
 class TestActivations:

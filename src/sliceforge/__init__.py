@@ -31,7 +31,6 @@ from .model import (
     forward,
     load_model,
     maximize_activation,
-    predict_labels,
     save_model,
 )
 from .splits import AuditReport, SplitPlan, audit_split, kfold_split, slice_kfold_split

@@ -4,6 +4,11 @@ dataset generator.
 A manifest is UTF-8 JSON naming subjects (id, CDR, label, demographics) and
 their slice files (TSR1, shape [H,W], raw intensities in [0, ceiling]).
 The label rule is fixed: label 1 (positive) iff CDR > 0.
+
+``load_slice_set`` is the only place raw slices become model input: it
+scale-normalizes each slice by the manifest's intensity ceiling as it reads
+it, so a ``SliceSet`` holds the [M,1,H,W] tensor ``forward`` takes, and
+``augment`` works on slices that are already normalized.
 """
 
 from __future__ import annotations
@@ -133,23 +138,20 @@ def _shift2d(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def augment(slice_arr: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream,
-            ceiling: float = 255.0) -> np.ndarray:
-    """Random integer shift (zero-filled), coin-flip horizontal mirror, then
-    scale normalization, as ``predict`` applies it. Draw order is fixed: width
-    shift, height shift, flip."""
+def augment(slice_arr: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np.ndarray:
+    """Random integer shift (zero-filled) and coin-flip horizontal mirror of a
+    normalized slice. Draw order is fixed: width shift, height shift, flip."""
     if slice_arr.ndim != 2:
         raise DataError(f"expected a [H,W] slice, got shape {slice_arr.shape}")
     h, w = slice_arr.shape
-    out = slice_arr
     max_dx = int(math.floor(cfg.width_shift_frac * w))
     max_dy = int(math.floor(cfg.height_shift_frac * h))
     dx = stream.randint(-max_dx, max_dx) if max_dx else 0
     dy = stream.randint(-max_dy, max_dy) if max_dy else 0
-    out = _shift2d(out, dy, dx)
+    out = _shift2d(slice_arr, dy, dx)
     if cfg.horizontal_flip and stream.bernoulli(0.5):
         out = out[:, ::-1]
-    return np.ascontiguousarray(scale_normalize(out, ceiling))
+    return np.ascontiguousarray(out)
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -226,49 +228,46 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
 
 @dataclass
 class SliceSet:
-    """In-memory stack of raw slices with labels and subject provenance."""
+    """Model input with labels and subject provenance.
 
-    slices: np.ndarray  # [M,H,W] float32, raw intensities
+    ``x`` holds every slice scale-normalized into [0, 1] by its manifest's
+    intensity ceiling, already shaped as the model's input.
+    """
+
+    x: np.ndarray  # [M,1,H,W] float32 in [0, 1]
     labels: np.ndarray  # [M] int64
     subject_ids: list  # length M
     slice_keys: list  # length M, "subject#index"
-    ceiling: float
 
     def __len__(self):
         return len(self.slice_keys)
 
 
 def load_slice_set(manifest: DatasetManifest, members) -> SliceSet:
-    """Load the slices selected by ``members``: subject ids or slice keys."""
-    slices, labels, sids, keys = [], [], [], []
-    wanted = list(members)
-    if not wanted:
+    """Load the slices selected by ``members`` (subject ids or slice keys)
+    and scale-normalize each by the manifest's intensity ceiling."""
+    keys = list(members)
+    if not keys:
         raise DataError("empty member list")
-    if SLICE_KEY_SEP in wanted[0]:
-        for key in wanted:
-            sid, _, idx = key.rpartition(SLICE_KEY_SEP)
-            rec = manifest.subject(sid)
-            i = int(idx)
-            if not 0 <= i < len(rec.slice_paths):
-                raise DataError(f"slice index {i} out of range for subject {sid}")
-            slices.append(read_array(manifest.resolve(rec.slice_paths[i])))
-            labels.append(rec.label)
-            sids.append(sid)
-            keys.append(key)
-    else:
-        for sid in wanted:
-            rec = manifest.subject(sid)
-            for i, rel in enumerate(rec.slice_paths):
-                slices.append(read_array(manifest.resolve(rel)))
-                labels.append(rec.label)
-                sids.append(sid)
-                keys.append(f"{sid}{SLICE_KEY_SEP}{i}")
+    if SLICE_KEY_SEP not in keys[0]:
+        keys = [f"{sid}{SLICE_KEY_SEP}{i}" for sid in keys
+                for i in range(len(manifest.subject(sid).slice_paths))]
+    rows, labels, sids = [], [], []
+    for key in keys:
+        sid, _, idx = key.rpartition(SLICE_KEY_SEP)
+        rec = manifest.subject(sid)
+        i = int(idx) if idx.isdigit() else -1
+        if not 0 <= i < len(rec.slice_paths):
+            raise DataError(f"slice index {idx!r} out of range for subject {sid}")
+        raw = read_array(manifest.resolve(rec.slice_paths[i]))
+        rows.append(scale_normalize(raw, manifest.intensity_ceiling))
+        labels.append(rec.label)
+        sids.append(sid)
     return SliceSet(
-        slices=np.stack(slices),
+        x=np.stack(rows)[:, None],
         labels=np.asarray(labels, dtype=np.int64),
         subject_ids=sids,
         slice_keys=keys,
-        ceiling=manifest.intensity_ceiling,
     )
 
 

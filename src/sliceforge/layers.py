@@ -2,7 +2,9 @@
 
 Every layer comes in a pair: ``<layer>(...)`` returns ``(output, cache)`` and
 ``<layer>_backward(upstream, cache)`` consumes the cache to produce the input
-gradient (plus parameter gradients where the layer has parameters).
+gradient (plus parameter gradients where the layer has parameters). The
+sigmoid is the exception: it returns only its output and has no backward,
+because the loss is computed on logits and nothing backpropagates through it.
 
 Dtype policy: every output and gradient has the dtype of the array passed in,
 so the same code serves float32 training and float64 finite-difference
@@ -19,13 +21,11 @@ batch normalization updates its running statistics during train-mode forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .rng import SplitMixStream
 
 BN_EPSILON = 1e-3
 # 0.9 keeps running statistics usable within the first few dozen updates;
@@ -44,7 +44,6 @@ class SepConvParams:
     pointwise: np.ndarray
     bias: np.ndarray
     stride: int = 1
-    padding: str = "same"
 
     def __post_init__(self):
         kh, kw = self.depthwise.shape[2], self.depthwise.shape[3]
@@ -52,8 +51,6 @@ class SepConvParams:
             raise ConfigError(f"kernel dims must be odd, got {kh}x{kw}")
         if self.stride not in (1, 2):
             raise ConfigError(f"stride must be 1 or 2, got {self.stride}")
-        if self.padding not in ("same", "valid"):
-            raise ConfigError(f"padding must be 'same' or 'valid', got {self.padding!r}")
         if self.pointwise.shape[1] != self.depthwise.shape[0]:
             raise ShapeError(
                 f"pointwise expects {self.pointwise.shape[1]} input channels, "
@@ -90,7 +87,6 @@ class SepConvCache:
     x: np.ndarray
     mid: np.ndarray
     params: SepConvParams
-    pad: tuple[int, int]
 
 
 @dataclass
@@ -123,21 +119,6 @@ class DropoutCache:
     scaled_mask: np.ndarray | None  # None means identity (infer or rate 0)
 
 
-@dataclass
-class SigmoidCache:
-    out: np.ndarray
-
-
-def _out_dims(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
-    if padding == "same":
-        return (h + stride - 1) // stride, (w + stride - 1) // stride, kh // 2, kw // 2
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"valid conv of {kh}x{kw} kernel over {h}x{w} input is empty")
-    return ho, wo, 0, 0
-
-
 def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     """A [C] vector cast to ``dtype`` and shaped to broadcast over [N,C,H,W]."""
     return v.astype(dtype, copy=False)[None, :, None, None]
@@ -166,10 +147,10 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=(0, 2, 3), dtype=np.float64)
 
 
-def sepconv2d(x: np.ndarray, p: SepConvParams, mode: str = "train"):
+def sepconv2d(x: np.ndarray, p: SepConvParams):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias.
 
-    No nonlinearity between the two stages. "same" padding is symmetric
+    No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it). Per
     cache-sized batch chunk, the depthwise taps accumulate in place into
@@ -182,7 +163,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, mode: str = "train"):
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
-    ho, wo, ph, pw = _out_dims(h, w, kh, kw, s, p.padding)
+    ho, wo, ph, pw = -(-h // s), -(-w // s), kh // 2, kw // 2
     dw = p.depthwise[:, 0].astype(x.dtype, copy=False)
     pw_mat = p.pointwise[:, :, 0, 0].astype(x.dtype, copy=False)
     bias = p.bias.astype(x.dtype, copy=False)[:, None]
@@ -204,7 +185,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, mode: str = "train"):
             np.matmul(pw_mat, m3, out=out[b])
         out[b] += bias
 
-    cache = SepConvCache(x=x, mid=mid, params=p, pad=(ph, pw))
+    cache = SepConvCache(x=x, mid=mid, params=p)
     return out.reshape(n, -1, ho, wo), cache
 
 
@@ -218,7 +199,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     dtype = dout.dtype
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
-    ph, pw = cache.pad
+    ph, pw = kh // 2, kw // 2
     n, c_out, ho, wo = dout.shape
     c_in, h, w = x.shape[1:]
     g = dout.reshape(n, c_out, ho * wo)
@@ -374,7 +355,7 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
     """Inverted dropout: zero each element with probability ``rate`` and scale
     survivors by 1/(1-rate) so inference is exactly the identity.
 
-    ``rng`` is a SplitMixStream, or a sequence of per-row streams so each
+    ``rng`` is a sequence of SplitMixStreams, one per row of ``x``, so each
     sample's mask depends only on its own key.
     """
     if not 0.0 <= rate < 1.0:
@@ -384,14 +365,10 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
     if mode != "train":
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if rng is None:
-        raise ConfigError("train-mode dropout with rate > 0 needs an rng stream")
-    if isinstance(rng, SplitMixStream):
-        u = rng.uniform(x.shape)
-    else:
-        streams: Sequence[SplitMixStream] = rng
-        if len(streams) != x.shape[0]:
-            raise ShapeError(f"{len(streams)} streams for {x.shape[0]} rows")
-        u = np.stack([s.uniform(x.shape[1:]) for s in streams])
+        raise ConfigError("train-mode dropout with rate > 0 needs per-row rng streams")
+    if len(rng) != x.shape[0]:
+        raise ShapeError(f"{len(rng)} streams for {x.shape[0]} rows")
+    u = np.stack([s.uniform(x.shape[1:]) for s in rng])
     scaled_mask = (u >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
     return x * scaled_mask, DropoutCache(scaled_mask=scaled_mask)
 
@@ -402,15 +379,12 @@ def dropout_backward(dout: np.ndarray, cache: DropoutCache):
     return dout * cache.scaled_mask
 
 
-def sigmoid(x: np.ndarray):
-    """Numerically stable logistic function, branch form on the sign of x."""
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, branch form on the sign of x.
+
+    Returns the output only: there is no cache and no backward (see the
+    module docstring)."""
     x64 = x.astype(np.float64, copy=False)
     t = np.exp(-np.abs(x64))
     out = np.where(x64 >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    out = out.astype(x.dtype, copy=False)
-    return out, SigmoidCache(out=out)
-
-
-def sigmoid_backward(dout: np.ndarray, cache: SigmoidCache):
-    s = cache.out.astype(np.float64, copy=False)
-    return (dout.astype(np.float64, copy=False) * s * (1.0 - s)).astype(dout.dtype, copy=False)
+    return out.astype(x.dtype, copy=False)

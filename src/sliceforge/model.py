@@ -27,7 +27,7 @@ from . import layers
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .layers import BatchNormParams, DenseParams, SepConvParams
 from .rng import TAG_INIT, TAG_MAXIMIZE, SplitMixStream
-from .tensor import _decode_array, _encode_array, _validate_dims
+from .tensor import _decode_array, _encode_array
 
 MODEL_MAGIC = b"SFM1"
 MODEL_VERSION = 1
@@ -202,7 +202,7 @@ def _assemble(config: ModelConfig, take, **bn) -> Model:
     for slot in slot_table(config):
         parts.setdefault((slot.block, slot.owner), {})[slot.attr] = take(slot)
     blocks = [
-        Block(conv=SepConvParams(**parts[b, "conv"], stride=stride, padding="same"),
+        Block(conv=SepConvParams(**parts[b, "conv"], stride=stride),
               norm=BatchNormParams(**parts[b, "norm"], **bn))
         for b, stride in enumerate(config.stride_plan)
     ]
@@ -249,7 +249,7 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
     caches = []
     out = x
     for blk in model.blocks[: last + 1]:
-        out, conv_cache = layers.sepconv2d(out, blk.conv, mode)
+        out, conv_cache = layers.sepconv2d(out, blk.conv)
         out, bn_cache = layers.batchnorm(out, blk.norm, mode)
         out, relu_cache = layers.relu(out)
         if keep_caches:
@@ -295,7 +295,7 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     out, dropout_cache = layers.dropout(out, cfg.dropout_rate, mode, dropout_rng)
     logits2d, output_cache = layers.dense(out, model.output)
     logits = logits2d[:, 0]
-    probs, _ = layers.sigmoid(logits)
+    probs = layers.sigmoid(logits)
     if not np.all(np.isfinite(probs)):
         raise NumericError("forward pass produced non-finite probabilities")
     caches = ForwardCaches(
@@ -324,12 +324,6 @@ def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
     return grads
 
 
-def predict_labels(probs: np.ndarray, threshold: float) -> np.ndarray:
-    """Label 1 (positive class) iff probability >= threshold."""
-    probs = np.asarray(probs)
-    return (probs >= threshold).astype(np.int64)
-
-
 def save_model(path, model: Model) -> None:
     """SFM1 file: magic, u32 version, length-prefixed config JSON, TSR1 records."""
     header = {
@@ -338,14 +332,11 @@ def save_model(path, model: Model) -> None:
         "bn_momentum": model.blocks[0].norm.momentum,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    # encoded before the file is opened: a non-finite array leaves no file behind
+    records = [_encode_array(arr, f"{path}[{name}]") for name, arr in model.state_arrays()]
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for _, arr in model.state_arrays():
-            arr32 = np.ascontiguousarray(arr, dtype=np.float32)
-            fh.write(_encode_array(arr32, _validate_dims(arr32.shape)))
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(payload)) + payload)
+        fh.writelines(records)
 
 
 def load_model(path) -> Model:

@@ -3,7 +3,9 @@
 A TSR1 file holds one finite float32 array of rank 1..4, row-major, in the
 layout batch x channels x height x width: the magic ``TSR1``, a u32 rank, one
 u32 per dim, then the little-endian float32 payload. The model format (SFM1)
-embeds TSR1 records through ``_encode_array`` and ``_decode_array``.
+embeds TSR1 records through ``_encode_array`` and ``_decode_array``, which
+enforce finiteness for both formats: encoding a NaN or infinity raises
+NumericError, and decoding one raises FormatError.
 """
 
 from __future__ import annotations
@@ -37,17 +39,16 @@ def _validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
 
 def write_array(path, arr: np.ndarray) -> None:
     """Serialize an array in TSR1 form: magic, u32 rank, u32 dims, f32 payload."""
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    Path(path).write_bytes(_encode_array(arr, path))
+
+
+def _encode_array(arr: np.ndarray, label) -> bytes:
+    """One TSR1 record of ``arr`` as float32; ``label`` names it in errors."""
+    arr = np.asarray(arr, dtype=np.float32)
     dims = _validate_dims(arr.shape)
     if not np.all(np.isfinite(arr)):
-        raise NumericError(f"refusing to write non-finite values to {path}")
-    with open(path, "wb") as fh:
-        fh.write(_encode_array(arr, dims))
-
-
-def _encode_array(arr: np.ndarray, dims: tuple[int, ...]) -> bytes:
-    header = MAGIC + struct.pack("<I", len(dims))
-    header += struct.pack(f"<{len(dims)}I", *dims)
+        raise NumericError(f"refusing to write non-finite values to {label}")
+    header = MAGIC + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims)
     return header + arr.astype("<f4", copy=False).tobytes()
 
 
@@ -82,6 +83,8 @@ def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]
     if len(blob) < end:
         raise FormatError(f"{label}: truncated payload ({len(blob) - need} of {4 * count} bytes)")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=need)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{label}: non-finite values in payload")
     return arr.reshape(dims).copy(), end
 
 

@@ -5,6 +5,10 @@ The recipe: binary cross-entropy on logits, plain SGD, learning rate decayed
 by a fixed factor every epoch, and two-stage clipping (elementwise clamp,
 then a rescale of the global L2 norm across all parameter gradients).
 
+Slice sets arrive already normalized (``data.load_slice_set`` scales each
+slice once, at load), so training only copies and augments batch rows and
+evaluation forwards views of ``SliceSet.x``.
+
 Evaluation has one inference pass: ``predict`` runs a slice set through the
 model in infer mode and returns its logits. Loss, accuracy, slice-level
 confusion counts and the subject vote are pure functions of those logits, so
@@ -21,10 +25,11 @@ import numpy as np
 
 from . import layers
 from . import model as model_mod
-from .data import SliceSet, augment, scale_normalize
+from .data import SliceSet, augment
+from .data import scale_normalize  # noqa: F401  (unused; benchmarks/tracer.py patches this name)
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import ConfusionCounts
-from .model import Model, forward, predict_labels
+from .model import Model, forward
 from .rng import TAG_AUGMENT, TAG_DROPOUT, TAG_SHUFFLE, SplitMixStream
 
 HISTORY_HEADER = ("epoch", "lr", "train_loss", "train_acc", "val_loss", "val_acc")
@@ -146,22 +151,6 @@ def _batched(indices, size):
         yield indices[start:start + size]
 
 
-def _prepare_batch(dataset: SliceSet, idx, train: bool, aug, seed: int, epoch: int):
-    """Stack slices into [N,1,H,W]; training samples get augmented, otherwise
-    only scale normalization is applied."""
-    rows = []
-    for i in idx:
-        raw = dataset.slices[i]
-        if train and aug is not None:
-            stream = SplitMixStream(seed, TAG_AUGMENT, epoch, int(i))
-            rows.append(augment(raw, aug, stream, ceiling=dataset.ceiling))
-        else:
-            rows.append(scale_normalize(raw, dataset.ceiling))
-    x = np.stack(rows)[:, None, :, :]
-    y = dataset.labels[list(idx)]
-    return x, y
-
-
 def predict(model: Model, dataset: SliceSet, batch_size: int = 64) -> np.ndarray:
     """Infer-mode logits for every slice of ``dataset``, in dataset order.
 
@@ -171,9 +160,8 @@ def predict(model: Model, dataset: SliceSet, batch_size: int = 64) -> np.ndarray
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
     chunks = []
-    for idx in _batched(np.arange(len(dataset)), batch_size):
-        x, _ = _prepare_batch(dataset, idx, train=False, aug=None, seed=0, epoch=0)
-        _, caches = forward(model, x, "infer")
+    for b in range(0, len(dataset), batch_size):
+        _, caches = forward(model, dataset.x[b:b + batch_size], "infer")
         chunks.append(caches.logits)
     return np.concatenate(chunks)
 
@@ -184,8 +172,7 @@ def logit_labels(logits: np.ndarray, threshold: float) -> np.ndarray:
     Uses the forward pass's own float32 sigmoid, which rounds logits within
     about 3e-8 of 0 to exactly 0.5; ``logits >= 0`` would disagree there.
     """
-    probs, _ = layers.sigmoid(logits)
-    return predict_labels(probs, threshold)
+    return (layers.sigmoid(logits) >= threshold).astype(np.int64)
 
 
 def score(logits: np.ndarray, labels, threshold: float) -> tuple[ConfusionCounts, float]:
@@ -236,7 +223,12 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
         lr = lr_for_epoch(config, epoch)
         order = SplitMixStream(config.seed, TAG_SHUFFLE, epoch).permutation(n)
         for batch_no, idx in enumerate(_batched(order, config.batch_size)):
-            x, y = _prepare_batch(train_set, idx, True, aug, config.seed, epoch)
+            x = train_set.x[idx]  # a copy, so augmenting its rows leaves train_set as loaded
+            if aug is not None:
+                for row, i in zip(x, idx):
+                    stream = SplitMixStream(config.seed, TAG_AUGMENT, epoch, int(i))
+                    row[0] = augment(row[0], aug, stream)
+            y = train_set.labels[idx]
             dropout_rng = [
                 SplitMixStream(config.seed, TAG_DROPOUT, epoch, int(i)) for i in idx
             ]

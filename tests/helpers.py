@@ -35,19 +35,15 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     return float((np.abs(a - n) / denom).max())
 
 
-def naive_sepconv2d(x, depthwise, pointwise, bias, stride, padding):
-    """Direct-summation separable convolution: six explicit nested loops."""
+def naive_sepconv2d(x, depthwise, pointwise, bias, stride):
+    """Direct-summation separable convolution with "same" zero-padding of
+    floor(k/2): six explicit nested loops."""
     n, c_in, h, w = x.shape
     c_out = pointwise.shape[0]
     kh, kw = depthwise.shape[2], depthwise.shape[3]
-    if padding == "same":
-        ph, pw = kh // 2, kw // 2
-        ho = -(-h // stride)
-        wo = -(-w // stride)
-    else:
-        ph = pw = 0
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
+    ph, pw = kh // 2, kw // 2
+    ho = -(-h // stride)
+    wo = -(-w // stride)
     xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=np.float64)
     xp[:, :, ph:ph + h, pw:pw + w] = x
 
@@ -117,3 +113,24 @@ def rewrite_sfm_header(path, **changes):
     header.update(changes)
     payload = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + json_len:])
+
+
+def tsr1_bytes(arr):
+    """A TSR1 file's bytes, written without the codec's finiteness check."""
+    arr = np.asarray(arr, dtype="<f4")
+    return b"TSR1" + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
+
+
+def set_sfm_value(path, model, name, value):
+    """Overwrite the first element of record ``name`` of a model saved from
+    ``model``, bypassing the codec's finiteness check."""
+    blob = bytearray(path.read_bytes())
+    (json_len,) = struct.unpack_from("<I", blob, 8)
+    offset = 12 + json_len
+    for record, arr in model.state_arrays():
+        if record == name:
+            struct.pack_into("<f", blob, offset + 8 + 4 * arr.ndim, value)
+            path.write_bytes(bytes(blob))
+            return
+        offset += 8 + 4 * arr.ndim + 4 * arr.size
+    raise KeyError(name)

@@ -3,13 +3,15 @@ column layout of the audit table."""
 
 import json
 
+import numpy as np
 import pytest
 
-from helpers import rewrite_sfm_header
+from helpers import rewrite_sfm_header, set_sfm_value, tsr1_bytes
 from sliceforge import cli
 from sliceforge.data import load_manifest
 from sliceforge.model import ModelConfig, build_model, save_model
 from sliceforge.splits import audit_split, kfold_split
+from sliceforge.tensor import write_array
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,48 @@ def test_evaluate_corrupt_model_header(tmp_path, manifest_path, capsys, epsilon)
     rewrite_sfm_header(path, bn_epsilon=epsilon)
     rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path)])
     assert rc == cli.EXIT_IO
+    _assert_one_line_error(capsys)
+
+
+def test_evaluate_non_finite_model(tmp_path, manifest_path, capsys):
+    path = tmp_path / "m.sfm"
+    model = build_model(ModelConfig(input_height=16, input_width=16), seed=0)
+    save_model(path, model)
+    set_sfm_value(path, model, "hidden.weight", float("nan"))
+    rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path)])
+    assert rc == cli.EXIT_IO
+    _assert_one_line_error(capsys)
+
+
+@pytest.fixture
+def own_manifest_path(tmp_path):
+    """A generated dataset this test may corrupt."""
+    root = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(root), "--subjects-per-class", "3", "--slices", "2",
+                     "--height", "16", "--width", "16", "--seed", "1"]) == cli.EXIT_OK
+    return root / "manifest.json"
+
+
+def _bad_slice(kind, path):
+    if kind == "nan":
+        path.write_bytes(tsr1_bytes(np.full((16, 16), np.nan)))
+    else:
+        write_array(path, np.full((16, 16), -1.0, dtype=np.float32))
+
+
+@pytest.mark.parametrize("kind", ["nan", "negative"])
+@pytest.mark.parametrize("command", ["evaluate", "run"])
+def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
+    _bad_slice(kind, own_manifest_path.parent / "slices" / "nc-001" / "s001.tsr")
+    if command == "evaluate":
+        model = tmp_path / "m.sfm"
+        save_model(model, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
+        argv = ["evaluate", "--model", str(model), "--manifest", str(own_manifest_path)]
+    else:
+        config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, own_manifest_path)))
+        argv = ["run", "--config", config]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
     _assert_one_line_error(capsys)
 
 

@@ -1,5 +1,6 @@
 """Manifest save/load round trip, each rejection path of ``load_manifest``,
-and the CLI's exit code on a bad manifest."""
+the CLI's exit code on a bad manifest, ``load_slice_set``'s normalized
+tensor and ``augment`` on normalized slices."""
 
 import json
 
@@ -13,6 +14,7 @@ from sliceforge.data import (
     SubjectRecord,
     augment,
     load_manifest,
+    load_slice_set,
     save_manifest,
 )
 from sliceforge.errors import DataError
@@ -27,17 +29,23 @@ def _subject(sid, cdr, n_slices=2, **kw):
     return SubjectRecord(**fields)
 
 
+def _raw_slice(k):
+    return (np.arange(30, dtype=np.float32) * (5 * (k + 1))).reshape(6, 5)
+
+
 @pytest.fixture
 def manifest_path(tmp_path):
-    """A saved two-subject manifest whose 6x5 slice files all exist."""
+    """A saved two-subject manifest whose 6x5 slice files all exist; slice k
+    (in manifest order) holds 5 * (k + 1) * [0, 1, ..., 29], so slices 1 and 2
+    rise above the 200 ceiling."""
     manifest = DatasetManifest(
         name="tiny", slice_height=6, slice_width=5, intensity_ceiling=200.0,
         subjects=[_subject("nc-0", 0.0), _subject("ad-0", 0.5, n_slices=1, sex="M", mmse=None)],
     )
-    for s in manifest.subjects:
-        for rel in s.slice_paths:
-            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-            write_array(tmp_path / rel, np.full((6, 5), 100.0, dtype=np.float32))
+    rels = [rel for s in manifest.subjects for rel in s.slice_paths]
+    for k, rel in enumerate(rels):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        write_array(tmp_path / rel, _raw_slice(k))
     path = tmp_path / "manifest.json"
     save_manifest(path, manifest)
     return path
@@ -118,13 +126,44 @@ def test_cli_bad_manifest_exits_2(manifest_path, tmp_path, capsys, change):
     assert "Traceback" not in err
 
 
-def test_augment_always_scale_normalizes():
-    raw = np.full((8, 8), 300.0, dtype=np.float32)
-    raw[0, 0] = 51.0
+def test_load_slice_set_by_subject_equals_by_key(manifest_path):
+    manifest = load_manifest(manifest_path)
+    by_subject = load_slice_set(manifest, ["nc-0", "ad-0"])
+    by_key = load_slice_set(manifest, ["nc-0#0", "nc-0#1", "ad-0#0"])
+    assert by_subject.x.tobytes() == by_key.x.tobytes()
+    assert by_subject.labels.tolist() == by_key.labels.tolist() == [0, 0, 1]
+    assert by_subject.slice_keys == by_key.slice_keys == ["nc-0#0", "nc-0#1", "ad-0#0"]
+    assert by_subject.subject_ids == by_key.subject_ids == ["nc-0", "nc-0", "ad-0"]
+
+
+def test_load_slice_set_is_normalized_model_input(manifest_path):
+    manifest = load_manifest(manifest_path)
+    ds = load_slice_set(manifest, ["ad-0#0", "nc-0#1"])
+    assert ds.x.dtype == np.float32 and ds.x.shape == (2, 1, 6, 5)
+    for row, k in zip(ds.x, (2, 1)):
+        raw = _raw_slice(k)
+        np.testing.assert_array_equal(row[0], np.minimum(raw / np.float32(200.0), 1.0))
+        # raw values above the ceiling load as exactly 1.0
+        assert (row[0][raw > 200.0] == 1.0).all() and (raw > 200.0).any()
+    assert 0.0 <= ds.x.min() and ds.x.max() == 1.0
+
+
+@pytest.mark.parametrize("members, message", [
+    (["nc-0#2"], "out of range"),
+    (["nc-0#x"], "out of range"),
+    (["nobody"], "unknown subject_id"),
+    ([], "empty member list"),
+])
+def test_load_slice_set_rejections(manifest_path, members, message):
+    with pytest.raises(DataError, match=message):
+        load_slice_set(load_manifest(manifest_path), members)
+
+
+def test_augment_without_shift_or_flip_returns_input():
+    x = np.linspace(0.0, 1.0, 64, dtype=np.float32).reshape(8, 8)
     still = AugmentConfig(width_shift_frac=0.0, height_shift_frac=0.0, horizontal_flip=False)
-    out = augment(raw, still, SplitMixStream(0, TAG_AUGMENT, 0, 0), ceiling=255.0)
+    out = augment(x, still, SplitMixStream(0, TAG_AUGMENT, 0, 0))
     assert out.dtype == np.float32
-    assert out[0, 0] == np.float32(0.2)
-    assert out.max() == 1.0
+    assert out.tobytes() == x.tobytes()
     with pytest.raises(TypeError):
         AugmentConfig(normalize=False)

@@ -111,5 +111,4 @@ class TestLayerDtypes:
         streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(2)]
         drop_out, cache = layers.dropout(dense_out, 0.5, "train", streams)
         assert drop_out.dtype == layers.dropout_backward(drop_out, cache).dtype == np.float32
-        sig_out, cache = layers.sigmoid(drop_out)
-        assert sig_out.dtype == layers.sigmoid_backward(sig_out, cache).dtype == np.float32
+        assert layers.sigmoid(drop_out).dtype == np.float32

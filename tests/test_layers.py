@@ -10,13 +10,12 @@ GRAD_TOL = 1e-4
 FD_H = 1e-3
 
 
-def random_sepconv(rng, c_in, c_out, k=3, stride=1, padding="same"):
+def random_sepconv(rng, c_in, c_out, k=3, stride=1):
     return layers.SepConvParams(
         depthwise=rng.normal(size=(c_in, 1, k, k)),
         pointwise=rng.normal(size=(c_out, c_in, 1, 1)),
         bias=rng.normal(size=(c_out,)),
         stride=stride,
-        padding=padding,
     )
 
 
@@ -41,19 +40,6 @@ class TestSepConv:
         out, _ = layers.sepconv2d(x, p)
         assert not out.any()
 
-    def test_valid_all_ones(self):
-        # 3x3 input of ones, all-ones depthwise "valid", pointwise weight 2, bias 1
-        x = np.ones((1, 1, 3, 3), dtype=np.float32)
-        p = layers.SepConvParams(
-            np.ones((1, 1, 3, 3), np.float32),
-            np.full((1, 1, 1, 1), 2.0, np.float32),
-            np.ones(1, np.float32),
-            padding="valid",
-        )
-        out, _ = layers.sepconv2d(x, p)
-        assert out.shape == (1, 1, 1, 1)
-        assert out[0, 0, 0, 0] == pytest.approx(2 * 9 + 1)
-
     def test_channel_mismatch(self):
         rng = np.random.default_rng(0)
         p = random_sepconv(rng, c_in=2, c_out=3)
@@ -68,16 +54,13 @@ class TestSepConv:
                 np.zeros(1, np.float32),
             )
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-    def test_same_padding_shape(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
+    def test_same_padding_shape(self, stride):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 7, 5))
-        p = random_sepconv(rng, 3, 4, stride=stride, padding=padding)
+        p = random_sepconv(rng, 3, 4, stride=stride)
         out, _ = layers.sepconv2d(x, p)
-        if padding == "same":
-            assert out.shape == (2, 4, -(-7 // stride), -(-5 // stride))
-        else:
-            assert out.shape == (2, 4, (7 - 3) // stride + 1, (5 - 3) // stride + 1)
+        assert out.shape == (2, 4, -(-7 // stride), -(-5 // stride))
 
     @pytest.mark.parametrize("case", range(10))
     def test_matches_naive_oracle(self, case):
@@ -85,18 +68,17 @@ class TestSepConv:
         n, c_in, c_out = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
         h, w = rng.integers(3, 7), rng.integers(3, 7)
         stride = int(rng.integers(1, 3))
-        padding = "same" if rng.integers(2) else "valid"
         x = rng.normal(size=(n, c_in, h, w))
-        p = random_sepconv(rng, int(c_in), int(c_out), stride=stride, padding=padding)
+        p = random_sepconv(rng, int(c_in), int(c_out), stride=stride)
         got, _ = layers.sepconv2d(x, p)
-        want = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride, padding)
+        want = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride)
         assert max_rel_err(got, want) <= 1e-5
 
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (2, "valid")])
-    def test_gradients(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
+    def test_gradients(self, stride):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 6, 5))
-        p = random_sepconv(rng, 3, 2, stride=stride, padding=padding)
+        p = random_sepconv(rng, 3, 2, stride=stride)
         upstream = rng.normal(size=layers.sepconv2d(x, p)[0].shape)
 
         def loss():
@@ -299,13 +281,17 @@ class TestDropout:
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones(3), 1.0, "train", SplitMixStream(0))
+            layers.dropout(np.ones((1, 3)), 1.0, "train", [SplitMixStream(0)])
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones(3), -0.1, "train", SplitMixStream(0))
+            layers.dropout(np.ones((1, 3)), -0.1, "train", [SplitMixStream(0)])
+
+    def test_stream_count_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            layers.dropout(np.ones((2, 3)), 0.5, "train", [SplitMixStream(0)])
 
     def test_mean_preserved_monte_carlo(self):
-        x = np.ones(100_000)
-        out, _ = layers.dropout(x, 0.5, "train", SplitMixStream(99))
+        x = np.ones((10, 10_000))
+        out, _ = layers.dropout(x, 0.5, "train", [SplitMixStream(99, i) for i in range(10)])
         assert abs(out.mean() - 1.0) <= 0.01
 
     def test_per_row_streams(self):
@@ -321,46 +307,36 @@ class TestDropout:
         x = rng.normal(size=(4, 6))
         upstream = rng.normal(size=x.shape)
 
+        def streams():
+            return [SplitMixStream(5, i) for i in range(len(x))]
+
         def loss():
-            out, _ = layers.dropout(x, 0.4, "train", SplitMixStream(5))
+            out, _ = layers.dropout(x, 0.4, "train", streams())
             return float(np.sum(out * upstream))
 
-        _, cache = layers.dropout(x, 0.4, "train", SplitMixStream(5))
+        _, cache = layers.dropout(x, 0.4, "train", streams())
         dx = layers.dropout_backward(upstream, cache)
         assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
 
 
 class TestSigmoid:
     def test_symmetry_point(self):
-        out, _ = layers.sigmoid(np.array([0.0]))
+        out = layers.sigmoid(np.array([0.0]))
         assert out[0] == pytest.approx(0.5)
 
     def test_extreme_negative_stable(self):
-        out, _ = layers.sigmoid(np.array([-100.0, -745.0]))
+        out = layers.sigmoid(np.array([-100.0, -745.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-30)
 
     def test_extreme_positive_stable(self):
-        out, _ = layers.sigmoid(np.array([100.0, 745.0]))
+        out = layers.sigmoid(np.array([100.0, 745.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
 
     def test_reflection_identity(self):
         rng = np.random.default_rng(13)
         x = rng.normal(scale=5.0, size=1000)
-        pos, _ = layers.sigmoid(x)
-        neg, _ = layers.sigmoid(-x)
+        pos = layers.sigmoid(x)
+        neg = layers.sigmoid(-x)
         assert np.abs(neg - (1.0 - pos)).max() <= 1e-7
-
-    def test_gradient(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=20)
-        upstream = rng.normal(size=20)
-
-        def loss():
-            out, _ = layers.sigmoid(x)
-            return float(np.sum(out * upstream))
-
-        _, cache = layers.sigmoid(x)
-        dx = layers.sigmoid_backward(upstream, cache)
-        assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL

@@ -3,10 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err, rewrite_sfm_header
+from helpers import central_difference, max_rel_err, rewrite_sfm_header, set_sfm_value
 from sliceforge import model as M
 from sliceforge import training as T
-from sliceforge.errors import ConfigError, FormatError
+from sliceforge.errors import ConfigError, FormatError, NumericError
 from sliceforge.rng import SplitMixStream
 
 
@@ -107,14 +107,18 @@ class TestForward:
 
 
 class TestPredictLabels:
+    """The decision rule, probability >= threshold, applied to logits by
+    ``training.logit_labels``; logit(p) = log(p / (1 - p))."""
+
     def test_boundary_is_positive(self):
-        assert M.predict_labels(np.array([0.5]), 0.5).tolist() == [1]
+        assert T.logit_labels(np.array([0.0], np.float32), 0.5).tolist() == [1]
 
     def test_below_threshold(self):
-        assert M.predict_labels(np.array([0.49]), 0.5).tolist() == [0]
+        assert T.logit_labels(np.array([np.log(0.49 / 0.51)], np.float32), 0.5).tolist() == [0]
 
     def test_separation(self):
-        assert M.predict_labels(np.array([0.1, 0.9]), 0.5).tolist() == [0, 1]
+        logits = np.array([np.log(0.1 / 0.9), np.log(0.9 / 0.1)], np.float32)
+        assert T.logit_labels(logits, 0.5).tolist() == [0, 1]
 
 
 class TestSaveLoad:
@@ -200,6 +204,20 @@ class TestCorruptModelFile:
         M.save_model(saved, model)
         with pytest.raises(FormatError, match="running_var"):
             M.load_model(saved)
+
+
+    def test_non_finite_record(self, saved):
+        set_sfm_value(saved, M.build_model(small_config(), seed=8), "block4.gamma", float("inf"))
+        with pytest.raises(FormatError, match=r"block4\.gamma.*non-finite"):
+            M.load_model(saved)
+
+    def test_non_finite_weight_not_saved(self, tmp_path):
+        model = M.build_model(small_config(), seed=8)
+        model.hidden.weight[0, 0] = np.nan
+        path = tmp_path / "nan.sfm"
+        with pytest.raises(NumericError, match=r"hidden\.weight"):
+            M.save_model(path, model)
+        assert not path.exists()
 
 
 class TestSlotTable:

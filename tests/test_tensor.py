@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tsr1_bytes
 from sliceforge import tensor
 from sliceforge.errors import FormatError, NumericError, ShapeError
 
@@ -42,6 +43,13 @@ class TestFileFormat:
         path = tmp_path / "r.tsr"
         path.write_bytes(b"TSR1" + (9).to_bytes(4, "little") + b"\x01\x00\x00\x00" * 9)
         with pytest.raises(FormatError, match="rank"):
+            tensor.read_array(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "n.tsr"
+        path.write_bytes(tsr1_bytes(np.array([[1.0, bad]])))
+        with pytest.raises(FormatError, match="non-finite"):
             tensor.read_array(path)
 
     def test_header_probe(self, tmp_path):

@@ -11,7 +11,8 @@ from sliceforge.metrics import ConfusionCounts
 
 
 def make_slice_set(n, h=8, w=8, seed=0, prefix="s"):
-    """Separable toy set: class 1 slices carry a dark center patch."""
+    """Separable toy set: class 1 slices carry a dark center patch. Raw
+    intensities in [0, 160] are normalized by a 255 ceiling, as at load."""
     rng = np.random.default_rng(seed)
     slices, labels, sids, keys = [], [], [], []
     for i in range(n):
@@ -24,11 +25,10 @@ def make_slice_set(n, h=8, w=8, seed=0, prefix="s"):
         sids.append(f"{prefix}{i:03d}")
         keys.append(f"{prefix}{i:03d}#0")
     return SliceSet(
-        slices=np.stack(slices),
+        x=np.stack(slices)[:, None] / np.float32(255.0),
         labels=np.asarray(labels, dtype=np.int64),
         subject_ids=sids,
         slice_keys=keys,
-        ceiling=255.0,
     )
 
 
@@ -155,7 +155,7 @@ class TestFit:
         # frozen batch: dropout off, no augmentation, full-batch step
         train = make_slice_set(8, seed=3)
         model = self.small_model(dropout=0.0)
-        x = np.stack([s / 255.0 for s in train.slices])[:, None].astype(np.float32)
+        x = train.x.copy()
         y = train.labels
 
         def train_mode_loss():
@@ -208,6 +208,18 @@ class TestFit:
         assert res.val_logits.dtype == fresh.dtype and res.val_logits.shape == (6,)
         assert res.val_logits.tobytes() == fresh.tobytes()
 
+    def test_inputs_left_as_loaded(self):
+        # fit augments copies of its batch rows; no pass writes into a SliceSet
+        train = make_slice_set(12, seed=19)
+        val = make_slice_set(6, seed=20, prefix="v")
+        before = train.x.tobytes(), val.x.tobytes()
+        cfg = T.TrainConfig(initial_lr=1e-3, epochs=2, batch_size=4, seed=6)
+        res = T.fit(self.small_model(), train, val, cfg,
+                    AugmentConfig(width_shift_frac=0.5, height_shift_frac=0.5))
+        T.predict(res.best, train)
+        T.predict(res.final, val)
+        assert (train.x.tobytes(), val.x.tobytes()) == before
+
 
 class TestHistoryCsv:
     def test_exact_header_and_rows(self, tmp_path):
@@ -256,10 +268,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         ds = make_slice_set(4, seed=15)
-        empty = SliceSet(
-            slices=ds.slices[:0], labels=ds.labels[:0],
-            subject_ids=[], slice_keys=[], ceiling=255.0,
-        )
+        empty = SliceSet(x=ds.x[:0], labels=ds.labels[:0], subject_ids=[], slice_keys=[])
         model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=6)
         with pytest.raises(DataError):
             T.evaluate(model, empty)
@@ -285,11 +294,10 @@ class TestSubjectVote:
         sids = ["a", "a", "a", "b", "b", "b", "b", "c", "d", "c", "d", "c"]
         label_of = {"a": 1, "b": 0, "c": 1, "d": 0}
         ds = SliceSet(
-            slices=np.zeros((len(sids), 2, 2), dtype=np.float32),
+            x=np.zeros((len(sids), 1, 2, 2), dtype=np.float32),
             labels=np.array([label_of[s] for s in sids], dtype=np.int64),
             subject_ids=sids,
             slice_keys=[f"{s}#{i}" for i, s in enumerate(sids)],
-            ceiling=255.0,
         )
         pred = [1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0]
         assert T.evaluate_subject_vote(ds, pred) == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)

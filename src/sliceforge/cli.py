@@ -24,6 +24,7 @@ from .data import (
     generate_synthetic,
     load_manifest,
     load_slice_set,
+    scale_normalize,
 )
 from .errors import (
     ConfigError,
@@ -328,16 +329,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.mode == "activation" and not (args.input and args.manifest):
+        raise ConfigError("activation mode needs --input and --manifest")
     model = load_model(args.model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "activation":
-        if not args.input:
-            raise ConfigError("activation mode needs --input")
-        image = read_array(args.input)
+        # the model's input contract: scaled by the manifest's ceiling, as at load
+        ceiling = load_manifest(args.manifest, check_files=False).intensity_ceiling
+        image = scale_normalize(read_array(args.input), ceiling)
         if image.ndim == 2:
             image = image[None, None, :, :]
-        amap = extract_activation(model, image.astype(np.float32), args.block, args.channel)
+        amap = extract_activation(model, image, args.block, args.channel)
         stem = f"activation_b{args.block}_c{args.channel}"
         write_array(out_dir / f"{stem}.tsr", amap)
         write_pgm(out_dir / f"{stem}.pgm", amap)
@@ -427,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("activation", "maximize"), required=True)
     p.add_argument("--input", default=None, help="TSR1 slice (activation mode)")
+    p.add_argument("--manifest", default=None,
+                   help="manifest whose intensity ceiling scales --input (activation mode)")
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--channel", type=int, required=True)
     p.add_argument("--steps", type=int, default=30)
@@ -442,7 +447,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy overflow warnings ahead of the one-line error: the
+        # finiteness checks of forward, fit and the codec report non-finite results
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except LeakageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("rerun with --allow-leakage to proceed anyway", file=sys.stderr)

@@ -259,8 +259,11 @@ def load_slice_set(manifest: DatasetManifest, members) -> SliceSet:
         i = int(idx) if idx.isdigit() else -1
         if not 0 <= i < len(rec.slice_paths):
             raise DataError(f"slice index {idx!r} out of range for subject {sid}")
-        raw = read_array(manifest.resolve(rec.slice_paths[i]))
-        rows.append(scale_normalize(raw, manifest.intensity_ceiling))
+        path = manifest.resolve(rec.slice_paths[i])
+        try:
+            rows.append(scale_normalize(read_array(path), manifest.intensity_ceiling))
+        except DataError as exc:
+            raise DataError(f"slice {key} ({path}): {exc}") from exc
         labels.append(rec.label)
         sids.append(sid)
     return SliceSet(

@@ -15,8 +15,11 @@ beta and depthwise gradient sums) accumulate in float64. Pooling sums,
 the dense layers and the sigmoid compute in float64 and cast back; their
 arrays are [N, C] or smaller.
 
+``batchnorm`` is train-only. In infer mode batchnorm is a fixed per-channel
+affine map, which ``fold_batchnorm`` folds into the preceding convolution.
+
 Parameter containers are mutated only by the optimizer, with one exception:
-batch normalization updates its running statistics during train-mode forward.
+batch normalization updates its running statistics during its forward.
 """
 
 from __future__ import annotations
@@ -92,10 +95,9 @@ class SepConvCache:
 @dataclass
 class BatchNormCache:
     x: np.ndarray
-    mean: np.ndarray  # float64 [C]: batch mean (train) or running mean (infer)
+    mean: np.ndarray  # float64 [C]: batch mean
     inv_std: np.ndarray  # float64 [C]
     gamma: np.ndarray
-    train: bool
 
 
 @dataclass
@@ -234,13 +236,34 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     )
 
 
-def batchnorm(x: np.ndarray, p: BatchNormParams, mode: str = "train"):
-    """Per-channel standardization with scale/shift.
+def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams) -> SepConvParams:
+    """``conv`` followed by infer-mode batchnorm, as one separable convolution.
 
-    Train mode standardizes with batch statistics over N*H*W per channel
-    (biased variance) and folds them into the running statistics via
+    With ``s = gamma / sqrt(running_var + eps)`` the pointwise stage becomes
+    ``W' = diag(s) W`` and the bias ``b' = s * (b - running_mean) + beta``,
+    computed in float64 and cast to the conv params' dtypes; the depthwise
+    kernel is shared, not copied. Callers refold on every pass: the optimizer
+    and train-mode batchnorm change the inputs in place.
+    """
+    s = norm.gamma.astype(np.float64) / np.sqrt(norm.running_var.astype(np.float64) + norm.epsilon)
+    pointwise = conv.pointwise.astype(np.float64) * s[:, None, None, None]
+    bias = s * (conv.bias.astype(np.float64) - norm.running_mean.astype(np.float64))
+    bias += norm.beta.astype(np.float64)
+    return SepConvParams(
+        depthwise=conv.depthwise,
+        pointwise=pointwise.astype(conv.pointwise.dtype),
+        bias=bias.astype(conv.bias.dtype),
+        stride=conv.stride,
+    )
+
+
+def batchnorm(x: np.ndarray, p: BatchNormParams):
+    """Train-mode per-channel standardization with scale/shift.
+
+    Standardizes with batch statistics over N*H*W per channel (biased
+    variance) and folds them into the running statistics via
     ``running = momentum * running + (1 - momentum) * batch``. Infer mode
-    uses the running statistics only and performs no update.
+    uses ``fold_batchnorm`` instead.
 
     The statistics and the per-channel scale ``gamma / sqrt(var + eps)`` and
     shift ``beta - mean * scale`` are float64 [C] vectors; the output
@@ -248,59 +271,46 @@ def batchnorm(x: np.ndarray, p: BatchNormParams, mode: str = "train"):
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    if mode == "train":
-        n, _, h, w = x.shape
-        m = n * h * w
-        if m < 2:
-            raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m}")
-        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-        centered = x - _per_channel(mean, x.dtype)
-        var = _channel_sum(np.square(centered, out=centered)) / m
-        mom = p.momentum
-        p.running_mean[...] = (mom * p.running_mean.astype(np.float64) + (1 - mom) * mean).astype(
-            p.running_mean.dtype
-        )
-        p.running_var[...] = (mom * p.running_var.astype(np.float64) + (1 - mom) * var).astype(
-            p.running_var.dtype
-        )
-    elif mode == "infer":
-        mean = p.running_mean.astype(np.float64)
-        var = p.running_var.astype(np.float64)
-    else:
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    n, _, h, w = x.shape
+    m = n * h * w
+    if m < 2:
+        raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m}")
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    centered = x - _per_channel(mean, x.dtype)
+    var = _channel_sum(np.square(centered, out=centered)) / m
+    mom = p.momentum
+    p.running_mean[...] = (mom * p.running_mean.astype(np.float64) + (1 - mom) * mean).astype(
+        p.running_mean.dtype
+    )
+    p.running_var[...] = (mom * p.running_var.astype(np.float64) + (1 - mom) * var).astype(
+        p.running_var.dtype
+    )
 
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
     scale = p.gamma.astype(np.float64) * inv_std
     out = x * _per_channel(scale, x.dtype)
     out += _per_channel(p.beta.astype(np.float64) - mean * scale, x.dtype)
-    cache = BatchNormCache(x=x, mean=mean, inv_std=inv_std, gamma=p.gamma, train=mode == "train")
-    return out, cache
+    return out, BatchNormCache(x=x, mean=mean, inv_std=inv_std, gamma=p.gamma)
 
 
 def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
-    """Gradients of batchnorm: returns (dx, d_gamma, d_beta).
+    """Gradients of train-mode batchnorm: returns (dx, d_gamma, d_beta).
 
     Elementwise work is in ``dout.dtype``; the gamma and beta sums
     accumulate in float64.
     """
     dtype = dout.dtype
+    n, _, h, w = dout.shape
+    m = n * h * w
     x_hat = np.subtract(cache.x, _per_channel(cache.mean, dtype), dtype=dtype)
     x_hat *= _per_channel(cache.inv_std, dtype)
     d_beta = _channel_sum(dout)
     d_gamma = _channel_sum(dout * x_hat)
-    scale = cache.gamma.astype(np.float64) * cache.inv_std
-
-    if cache.train:
-        n, _, h, w = dout.shape
-        m = n * h * w
-        # dx = scale * (dout - d_beta/m - x_hat * d_gamma/m), reusing x_hat's buffer
-        dx = np.multiply(x_hat, _per_channel(d_gamma / m, dtype), out=x_hat)
-        np.subtract(dout, dx, out=dx)
-        dx -= _per_channel(d_beta / m, dtype)
-        dx *= _per_channel(scale, dtype)
-    else:
-        dx = dout * _per_channel(scale, dtype)
-
+    # dx = scale * (dout - d_beta/m - x_hat * d_gamma/m), reusing x_hat's buffer
+    dx = np.multiply(x_hat, _per_channel(d_gamma / m, dtype), out=x_hat)
+    np.subtract(dout, dx, out=dx)
+    dx -= _per_channel(d_beta / m, dtype)
+    dx *= _per_channel(cache.gamma.astype(np.float64) * cache.inv_std, dtype)
     return dx, d_gamma.astype(dtype, copy=False), d_beta.astype(dtype, copy=False)
 
 

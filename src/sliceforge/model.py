@@ -3,7 +3,10 @@ serialization ("SFM1" files) and feature introspection.
 
 Per-sample path: (sepconv -> batchnorm -> ReLU) x 9, global average pool,
 dense -> ReLU -> dropout, dense to one unit, sigmoid. The decision rule is
-probability >= threshold for the positive class.
+probability >= threshold for the positive class. In infer mode each block's
+batchnorm is folded into its sepconv (``layers.fold_batchnorm``), so a block
+is one sepconv and a ReLU applied in place; ``layers.batchnorm`` is
+train-only.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -227,7 +230,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 @dataclass
 class ForwardCaches:
-    block_caches: list  # per block: (conv_cache, bn_cache, relu_cache)
+    block_caches: list  # per block: (conv_cache, bn_cache, relu_cache); bn_cache None if folded
     pool_cache: object
     hidden_cache: object
     hidden_relu_cache: object
@@ -241,29 +244,44 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
                     keep_caches: bool = True):
     """Run the conv stack through block ``upto`` (inclusive; None = all).
 
+    Train mode runs sepconv, batchnorm and ReLU. Infer mode runs the sepconv
+    with the block's batchnorm folded in (refolded on every call, so it
+    follows the current weights), then ReLU in place on the buffer the sepconv
+    returned; its caches have no batchnorm entry.
+
     With ``keep_caches`` false each block's caches are dropped as soon as the
     next block has run, so only one block's activations are alive at a time
     and the returned cache list is empty.
     """
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     last = len(model.blocks) - 1 if upto is None else upto
     caches = []
     out = x
     for blk in model.blocks[: last + 1]:
-        out, conv_cache = layers.sepconv2d(out, blk.conv)
-        out, bn_cache = layers.batchnorm(out, blk.norm, mode)
-        out, relu_cache = layers.relu(out)
+        if mode == "train":
+            out, conv_cache = layers.sepconv2d(out, blk.conv)
+            out, bn_cache = layers.batchnorm(out, blk.norm)
+            out, relu_cache = layers.relu(out)
+        else:
+            out, conv_cache = layers.sepconv2d(out, layers.fold_batchnorm(blk.conv, blk.norm))
+            np.maximum(out, 0, out=out)
+            bn_cache, relu_cache = None, layers.ReluCache(out) if keep_caches else None
         if keep_caches:
             caches.append((conv_cache, bn_cache, relu_cache))
     return out, caches
 
 
 def _backward_blocks(dout: np.ndarray, caches, grads: dict | None = None):
-    """Backprop through cached conv blocks; fills ``grads`` when given."""
+    """Backprop through cached conv blocks; fills ``grads`` when given. A
+    folded (infer-mode) block has no batchnorm cache and yields only dx."""
     g = dout
     for b in range(len(caches) - 1, -1, -1):
         conv_cache, bn_cache, relu_cache = caches[b]
         g = layers.relu_backward(g, relu_cache)
-        g, *d_norm = layers.batchnorm_backward(g, bn_cache)
+        d_norm = ()
+        if bn_cache is not None:
+            g, *d_norm = layers.batchnorm_backward(g, bn_cache)
         g, *d_conv = layers.sepconv2d_backward(g, conv_cache)
         if grads is not None:
             grads.update(zip(_grad_names("conv", f"block{b}"), d_conv, strict=True))
@@ -275,9 +293,10 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
 
     ``dropout_rng`` feeds the single dropout layer and is required in train
-    mode when the configured rate is positive. Infer mode keeps no per-block
-    caches (``block_caches`` is empty), so it cannot be backpropagated
-    through the conv stack; ``backward`` needs a train-mode pass.
+    mode when the configured rate is positive. Infer mode folds each block's
+    batchnorm into its sepconv and keeps no per-block caches
+    (``block_caches`` is empty), so it cannot be backpropagated through the
+    conv stack; ``backward`` needs a train-mode pass.
     """
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (

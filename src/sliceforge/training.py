@@ -161,7 +161,10 @@ def predict(model: Model, dataset: SliceSet, batch_size: int = 64) -> np.ndarray
         raise DataError("cannot evaluate an empty dataset")
     chunks = []
     for b in range(0, len(dataset), batch_size):
-        _, caches = forward(model, dataset.x[b:b + batch_size], "infer")
+        try:
+            _, caches = forward(model, dataset.x[b:b + batch_size], "infer")
+        except NumericError as exc:
+            raise NumericError(f"{exc} in infer batch {b // batch_size + 1}") from exc
         chunks.append(caches.logits)
     return np.concatenate(chunks)
 
@@ -199,8 +202,8 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     full infer-mode passes over the train and validation sets for the history
     row. The validation pass of the best epoch ran on exactly the weights
     snapshotted into ``best``, so its logits are returned as ``val_logits``
-    and equal ``predict(best, val_set)``. Raises NumericError with an
-    epoch/batch diagnostic if the loss goes non-finite.
+    and equal ``predict(best, val_set)``. Raises NumericError naming the
+    epoch and batch if a forward pass or a loss goes non-finite.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise DataError("train and validation sets must be nonempty")
@@ -232,16 +235,25 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             dropout_rng = [
                 SplitMixStream(config.seed, TAG_DROPOUT, epoch, int(i)) for i in idx
             ]
-            _, caches = forward(model, x, "train", dropout_rng)
+            where = f"at epoch {epoch + 1}, batch {batch_no + 1}"
+            try:
+                _, caches = forward(model, x, "train", dropout_rng)
+            except NumericError as exc:
+                raise NumericError(f"{exc} {where}") from exc
             loss, dlogits = bce_loss(caches.logits, y)
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch + 1}, batch {batch_no + 1}")
+                raise NumericError(f"non-finite loss {where}")
             grads = model_mod.backward(model, caches, dlogits.astype(x.dtype))
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
 
-        _, train_loss, train_acc = _eval_pass(model, train_set, config.batch_size)
-        val_logits, val_loss, val_acc = _eval_pass(model, val_set, config.batch_size)
+        try:
+            _, train_loss, train_acc = _eval_pass(model, train_set, config.batch_size)
+            val_logits, val_loss, val_acc = _eval_pass(model, val_set, config.batch_size)
+        except NumericError as exc:
+            # infer mode has no batch statistics to renormalise diverged weights,
+            # so this pass is often the first to overflow
+            raise NumericError(f"{exc}, history pass of epoch {epoch + 1}") from exc
         history.append(EpochRecord(epoch + 1, lr, train_loss, train_acc, val_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc

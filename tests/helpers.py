@@ -69,6 +69,16 @@ def naive_sepconv2d(x, depthwise, pointwise, bias, stride):
     return out
 
 
+def affine_batchnorm(y, norm):
+    """Infer-mode batchnorm of [N,C,H,W] ``y`` in float64, written out from
+    its definition (running statistics, no folding)."""
+    def c(v):
+        return np.asarray(v, dtype=np.float64)[None, :, None, None]
+
+    return (np.asarray(y, dtype=np.float64) - c(norm.running_mean)) / np.sqrt(
+        c(norm.running_var) + norm.epsilon) * c(norm.gamma) + c(norm.beta)
+
+
 def metrics_from_pairs(labels, preds):
     """Brute-force metric recomputation from raw (label, prediction) pairs,
     written independently of the library implementation."""

@@ -1,7 +1,8 @@
-"""Command-line exit codes and messages on a tiny generated dataset, and the
-column layout of the audit table."""
+"""Command-line exit codes (0, 2, 3 and 4) and messages on a tiny generated
+dataset, and the column layout of the audit table."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from helpers import rewrite_sfm_header, set_sfm_value, tsr1_bytes
 from sliceforge import cli
 from sliceforge.data import load_manifest
-from sliceforge.model import ModelConfig, build_model, save_model
+from sliceforge.model import ModelConfig, build_model, extract_activation, save_model
 from sliceforge.splits import audit_split, kfold_split
-from sliceforge.tensor import write_array
+from sliceforge.tensor import read_array, write_array
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,7 @@ def _assert_one_line_error(capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1, err
     assert "Traceback" not in err
+    return err
 
 
 def test_run_ok(tmp_path, manifest_path, capsys):
@@ -51,6 +53,23 @@ def test_run_ok(tmp_path, manifest_path, capsys):
     assert cli.main(["run", "--config", config]) == cli.EXIT_OK
     assert (tmp_path / "run" / "summary.json").is_file()
     assert capsys.readouterr().err == ""
+
+
+def test_run_diverging_lr_exits_4(tmp_path, manifest_path, capsys):
+    doc = _config(tmp_path, manifest_path, train={"epochs": 1, "batch_size": 2, "initial_lr": 1e8})
+    config = _write(tmp_path / "c.json", json.dumps(doc))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_NUMERIC
+    err = _assert_one_line_error(capsys)
+    assert re.search(r"epoch \d+", err) and re.search(r"batch \d+", err), err
+
+
+def test_run_slice_granularity_leak_exits_3(tmp_path, manifest_path, capsys):
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config, "--granularity", "slice"]) == cli.EXIT_LEAKAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--allow-leakage" in err and "Traceback" not in err
+    assert json.loads((tmp_path / "run" / "audit.json").read_text())["leaked_subject_ids"]
+    assert not list((tmp_path / "run").glob("fold-*"))
 
 
 def test_run_malformed_json(tmp_path, capsys):
@@ -113,7 +132,8 @@ def _bad_slice(kind, path):
 @pytest.mark.parametrize("kind", ["nan", "negative"])
 @pytest.mark.parametrize("command", ["evaluate", "run"])
 def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
-    _bad_slice(kind, own_manifest_path.parent / "slices" / "nc-001" / "s001.tsr")
+    bad = own_manifest_path.parent / "slices" / "nc-001" / "s001.tsr"
+    _bad_slice(kind, bad)
     if command == "evaluate":
         model = tmp_path / "m.sfm"
         save_model(model, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
@@ -123,7 +143,36 @@ def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
         argv = ["run", "--config", config]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_IO
-    _assert_one_line_error(capsys)
+    err = _assert_one_line_error(capsys)
+    assert str(bad) in err
+    if kind == "negative":
+        assert "nc-001#1" in err
+
+
+def _inspect_activation(tmp_path, manifest_path, *extra):
+    model = build_model(ModelConfig(input_height=16, input_width=16), seed=0)
+    save_model(tmp_path / "m.sfm", model)
+    slice_path = manifest_path.parent / "slices" / "ad-000" / "s000.tsr"
+    argv = ["inspect", "--model", str(tmp_path / "m.sfm"), "--mode", "activation", "--input",
+            str(slice_path), "--block", "0", "--channel", "1", "--out", str(tmp_path / "out"), *extra]
+    return model, read_array(slice_path), cli.main(argv)
+
+
+def test_inspect_activation_needs_manifest(tmp_path, manifest_path, capsys):
+    _, _, rc = _inspect_activation(tmp_path, manifest_path)
+    assert rc == cli.EXIT_IO
+    assert "--manifest" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_inspect_activation_normalizes_its_slice(tmp_path, manifest_path):
+    model, raw, rc = _inspect_activation(tmp_path, manifest_path, "--manifest", str(manifest_path))
+    assert rc == cli.EXIT_OK
+    got = read_array(tmp_path / "out" / "activation_b0_c1.tsr")
+    ceiling = np.float32(load_manifest(manifest_path).intensity_ceiling)
+    want = extract_activation(model, (raw / ceiling)[None, None], 0, 1)
+    assert got.any() and np.array_equal(got, want)
+    assert not np.allclose(got, extract_activation(model, raw[None, None], 0, 1))
 
 
 @pytest.mark.parametrize("summary", [

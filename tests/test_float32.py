@@ -5,6 +5,7 @@ gradients."""
 import numpy as np
 import pytest
 
+from helpers import affine_batchnorm
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -65,6 +66,31 @@ class TestFloat64Shadow:
             assert norm > 0, f"{name} gets no gradient"
             assert np.linalg.norm(got - want) <= GRAD_REL_TOL * norm, name
 
+    def test_folded_infer_matches_unfolded_reference(self):
+        # random running statistics, gamma and beta in every block; the float64
+        # reference runs sepconv -> batchnorm from its definition -> ReLU
+        model32 = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=4)
+        rng = np.random.default_rng(5)
+        for blk in model32.blocks:
+            c = blk.norm.gamma.shape
+            blk.norm.gamma[...] = rng.uniform(0.5, 1.5, c)
+            blk.norm.beta[...] = rng.normal(0.0, 0.2, c)
+            blk.norm.running_mean[...] = rng.normal(0.0, 0.5, c)
+            blk.norm.running_var[...] = rng.uniform(0.2, 2.0, c)
+        model32.output.weight[...] = rng.normal(0.0, 0.5, model32.output.weight.shape)
+        x32 = rng.uniform(size=(BATCH, 1, 32, 32)).astype(np.float32)
+        _, caches = M.forward(model32, x32, "infer")
+
+        model64 = model32.astype(np.float64)
+        out = x32.astype(np.float64)
+        for blk in model64.blocks:
+            out = np.maximum(affine_batchnorm(layers.sepconv2d(out, blk.conv)[0], blk.norm), 0.0)
+        hidden = np.maximum(layers.dense(layers.global_avg_pool(out)[0], model64.hidden)[0], 0.0)
+        want = layers.dense(hidden, model64.output)[0][:, 0]
+        assert caches.logits.dtype == np.float32
+        assert np.abs(want).max() > 0.1  # the stats reach the logits
+        assert np.abs(caches.logits - want).max() <= LOGIT_ATOL
+
     def test_infer_keeps_no_block_caches(self, shadow_runs):
         (c32, _, _, i32), _ = shadow_runs
         assert len(c32.block_caches) == M.N_BLOCKS
@@ -86,15 +112,24 @@ class TestLayerDtypes:
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_batchnorm(self, mode):
+        # infer-mode batchnorm is folded into the sepconv before it
         rng = np.random.default_rng(1)
         p = layers.BatchNormParams(
             gamma=_f32(rng, 3), beta=_f32(rng, 3),
             running_mean=_f32(rng, 3), running_var=np.ones(3, np.float32),
         )
-        out, cache = layers.batchnorm(_f32(rng, 2, 3, 4, 4), p, mode)
+        x = _f32(rng, 2, 3, 4, 4)
+        if mode == "train":
+            out, cache = layers.batchnorm(x, p)
+            grads = layers.batchnorm_backward(_f32(rng, *out.shape), cache)
+        else:
+            conv = layers.SepConvParams(_f32(rng, 3, 1, 3, 3), _f32(rng, 3, 3, 1, 1), _f32(rng, 3))
+            folded = layers.fold_batchnorm(conv, p)
+            assert folded.pointwise.dtype == folded.bias.dtype == np.float32
+            out, cache = layers.sepconv2d(x, folded)
+            grads = layers.sepconv2d_backward(_f32(rng, *out.shape), cache)
         assert out.dtype == np.float32
-        grads = layers.batchnorm_backward(_f32(rng, *out.shape), cache)
-        assert [g.dtype for g in grads] == [np.float32] * 3
+        assert [g.dtype for g in grads] == [np.float32] * (3 if mode == "train" else 4)
         assert p.running_mean.dtype == p.running_var.dtype == np.float32
 
     def test_elementwise_and_head(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err, naive_sepconv2d
+from helpers import affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d
 from sliceforge import layers
 from sliceforge.errors import ConfigError, ShapeError
 from sliceforge.rng import SplitMixStream
@@ -107,7 +107,7 @@ class TestBatchNorm:
 
     def test_constant_channel_maps_to_zero(self):
         x = np.full((2, 1, 2, 2), 5.0)
-        out, _ = layers.batchnorm(x, self.make_params(1), "train")
+        out, _ = layers.batchnorm(x, self.make_params(1))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_two_point_batch(self):
@@ -115,23 +115,27 @@ class TestBatchNorm:
         x = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.epsilon = 1e-3
-        out, _ = layers.batchnorm(x, p, "train")
+        out, _ = layers.batchnorm(x, p)
         expect = 1.0 / np.sqrt(1.0 + 1e-3)
         np.testing.assert_allclose(out.ravel(), [-expect, expect], rtol=1e-7)
 
     def test_infer_identity_stats(self):
-        # stats (0,1) with gamma 1, beta 0: identity up to the epsilon factor
+        # infer mode folds into the conv: stats (0,1) with gamma 1, beta 0 scale
+        # the pointwise weights and the bias by 1/sqrt(1 + eps), and nothing else
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 4, 4))
+        conv = random_sepconv(rng, 2, 3, stride=2)
         p = self.make_params(3)
-        out, _ = layers.batchnorm(x, p, "infer")
-        np.testing.assert_allclose(out, x / np.sqrt(1 + p.epsilon), rtol=1e-6)
-        assert np.abs(out - x).max() <= 1e-3 * np.abs(x).max() + 1e-6
+        folded = layers.fold_batchnorm(conv, p)
+        factor = 1.0 / np.sqrt(1.0 + p.epsilon)
+        np.testing.assert_allclose(folded.pointwise, conv.pointwise * factor, rtol=1e-15)
+        np.testing.assert_allclose(folded.bias, conv.bias * factor, rtol=1e-15)
+        assert folded.depthwise is conv.depthwise
+        assert folded.stride == 2
 
     def test_train_standardizes(self):
         rng = np.random.default_rng(4)
         x = rng.normal(2.0, 3.0, size=(4, 3, 5, 5))
-        out, _ = layers.batchnorm(x, self.make_params(3), "train")
+        out, _ = layers.batchnorm(x, self.make_params(3))
         means = out.mean(axis=(0, 2, 3))
         variances = out.var(axis=(0, 2, 3))
         sigma2 = x.var(axis=(0, 2, 3))
@@ -141,31 +145,44 @@ class TestBatchNorm:
 
     def test_batch_too_small(self):
         with pytest.raises(ShapeError):
-            layers.batchnorm(np.ones((1, 2, 1, 1)), self.make_params(2), "train")
+            layers.batchnorm(np.ones((1, 2, 1, 1)), self.make_params(2))
 
     def test_running_stats_ema(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.momentum = 0.9
-        layers.batchnorm(x, p, "train")
+        layers.batchnorm(x, p)
         # batch mean 2, biased var 1
         np.testing.assert_allclose(p.running_mean, [0.9 * 0 + 0.1 * 2], rtol=1e-6)
         np.testing.assert_allclose(p.running_var, [0.9 * 1 + 0.1 * 1], rtol=1e-6)
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_gradients(self, mode):
+        """Train mode: batchnorm's own gradients. Infer mode: batchnorm folded
+        into the sepconv before it, whose backward must give the dx of the
+        unfolded sepconv -> batchnorm."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 4, 3))
         p = self.make_params(3, rng)
         p.running_mean = rng.normal(size=3)
         p.running_var = rng.uniform(0.5, 2.0, size=3)
         upstream = rng.normal(size=x.shape)
+        if mode == "infer":
+            conv = random_sepconv(rng, 3, 3)
+
+            def loss():
+                return float(np.sum(affine_batchnorm(layers.sepconv2d(x, conv)[0], p) * upstream))
+
+            _, cache = layers.sepconv2d(x, layers.fold_batchnorm(conv, p))
+            dx = layers.sepconv2d_backward(upstream, cache)[0]
+            assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
+            return
 
         def loss():
-            out, _ = layers.batchnorm(x, p, mode)
+            out, _ = layers.batchnorm(x, p)
             return float(np.sum(out * upstream))
 
-        _, cache = layers.batchnorm(x, p, mode)
+        _, cache = layers.batchnorm(x, p)
         dx, d_gamma, d_beta = layers.batchnorm_backward(upstream, cache)
         assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
         assert max_rel_err(d_gamma, central_difference(loss, p.gamma, FD_H)) <= GRAD_TOL

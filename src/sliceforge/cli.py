@@ -2,15 +2,13 @@
 report, inspect.
 
 Exit codes: 0 ok, 2 I/O or bad input, 3 leakage abort, 4 numeric failure.
-The environment variable SLICEFORGE_SEED overrides the configured seed;
-explicit command-line flags win over both.
+A --seed flag overrides the configured seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,15 +110,9 @@ class ExperimentConfig:
 
 
 def _resolve_seed(args, config_seed: int) -> int:
-    """Precedence: --seed flag, then SLICEFORGE_SEED, then the config value."""
+    """The --seed flag if given, else the config value."""
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("SLICEFORGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SLICEFORGE_SEED={env!r} is not an integer") from exc
     return config_seed
 
 

@@ -183,10 +183,6 @@ class Model:
         """All persisted arrays (trainable plus running stats), in SFM1 record order."""
         return [(s.name, getattr(owner, s.attr)) for s, owner in self.slots()]
 
-    def parameter_count(self) -> int:
-        """Stored parameter count: conv weights/bias plus 4 stats per BN channel."""
-        return sum(int(np.prod(a.shape)) for _, a in self.state_arrays())
-
     def copy(self) -> "Model":
         return copy.deepcopy(self)
 

@@ -14,6 +14,12 @@ model in infer mode and returns its logits. Loss, accuracy, slice-level
 confusion counts and the subject vote are pure functions of those logits, so
 the logits ``fit`` computed for the best epoch's history row serve again for
 the final fold metrics.
+
+The history's train columns need no pass of their own. As in Keras's
+``History``, ``train_loss`` and ``train_acc`` are the epoch's
+batch-size-weighted means over the train-mode forwards the steps already
+make: with augmentation and dropout, each batch taken before its SGD update.
+Only the validation columns come from an infer-mode pass.
 """
 
 from __future__ import annotations
@@ -199,11 +205,14 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
 
     Per epoch: seeded shuffle, batches (last partial batch kept), train-mode
     forward with augmentation, loss, backprop, two-stage clip, SGD step; then
-    full infer-mode passes over the train and validation sets for the history
-    row. The validation pass of the best epoch ran on exactly the weights
-    snapshotted into ``best``, so its logits are returned as ``val_logits``
-    and equal ``predict(best, val_set)``. Raises NumericError naming the
-    epoch and batch if a forward pass or a loss goes non-finite.
+    one infer-mode pass over the validation set. The history row's train loss
+    and accuracy are the batch-size-weighted means of the train-mode losses
+    and predictions, each batch's taken before its update, so they include
+    augmentation and dropout. The validation pass of the best epoch ran on
+    exactly the weights snapshotted into ``best``, so its logits are returned
+    as ``val_logits`` and equal ``predict(best, val_set)``. Raises
+    NumericError naming the epoch and batch if a forward pass or a loss goes
+    non-finite.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise DataError("train and validation sets must be nonempty")
@@ -216,15 +225,13 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
         raise DataError(f"train and validation sets share {len(overlap)} slices")
 
     history = History()
-    best_model = model.copy()
-    best_acc = -1.0
-    best_epoch = 0
-    best_logits = None
+    best_acc = -1.0  # every val_acc is >= 0, so epoch 1 sets each best_* value
     n = len(train_set)
 
     for epoch in range(config.epochs):
         lr = lr_for_epoch(config, epoch)
         order = SplitMixStream(config.seed, TAG_SHUFFLE, epoch).permutation(n)
+        loss_sum, correct = 0.0, 0
         for batch_no, idx in enumerate(_batched(order, config.batch_size)):
             x = train_set.x[idx]  # a copy, so augmenting its rows leaves train_set as loaded
             if aug is not None:
@@ -243,18 +250,19 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             loss, dlogits = bce_loss(caches.logits, y)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {where}")
+            loss_sum += loss * len(idx)
+            correct += int(np.sum(logit_labels(caches.logits, model.config.threshold) == y))
             grads = model_mod.backward(model, caches, dlogits.astype(x.dtype))
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
 
         try:
-            _, train_loss, train_acc = _eval_pass(model, train_set, config.batch_size)
             val_logits, val_loss, val_acc = _eval_pass(model, val_set, config.batch_size)
         except NumericError as exc:
             # infer mode has no batch statistics to renormalise diverged weights,
             # so this pass is often the first to overflow
             raise NumericError(f"{exc}, history pass of epoch {epoch + 1}") from exc
-        history.append(EpochRecord(epoch + 1, lr, train_loss, train_acc, val_loss, val_acc))
+        history.append(EpochRecord(epoch + 1, lr, loss_sum / n, correct / n, val_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch + 1

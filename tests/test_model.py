@@ -71,11 +71,11 @@ class TestBuild:
             c_in = c_out
         expected += cfg.hidden_units * c_in + cfg.hidden_units
         expected += cfg.hidden_units + 1
-        assert model.parameter_count() == expected
+        assert sum(a.size for _, a in model.state_arrays()) == expected
         # hand-computed total for the default single-channel config:
         # blocks 57+176+280+480+816+1472+2656+4992+9408 = 20337,
         # hidden 64*128+64 = 8256, output 64+1 = 65
-        assert model.parameter_count() == 28658
+        assert sum(a.size for _, a in model.state_arrays()) == 28658
 
 
 class TestForward:
@@ -236,7 +236,7 @@ class TestSlotTable:
 
         monkeypatch.setattr(SplitMixStream, "__init__", refuse)
         loaded = M.load_model(path)
-        assert loaded.parameter_count() == 28658
+        assert sum(a.size for _, a in loaded.state_arrays()) == 28658
 
     def test_astype_casts_every_array_and_leaves_source(self):
         model = M.build_model(small_config(), seed=7)

@@ -1,9 +1,16 @@
 """The benchmark tracer (``benchmarks/tracer.py``) patches names of the
 package from outside it. Installing and restoring it here makes a renamed or
-removed patched name fail this suite instead of every traced benchmark run."""
+removed patched name fail this suite instead of every traced benchmark run,
+and one tiny traced ``run`` shows that a traced command still completes and
+that its per-layer metrics (``benchmarks/layer_metrics.py``) still count
+inference passes."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from sliceforge import cli
+from sliceforge.data import generate_synthetic
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -30,3 +37,30 @@ def test_tracer_installs_and_restores():
     assert all(wrapped)
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_run_makes_one_infer_pass_per_epoch(tmp_path, monkeypatch):
+    # the benchmark's modules import each other by bare name
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    from layer_metrics import command_metrics
+    from tracer import Tracer
+
+    # 2 subjects per class in k=2 stratified folds: train and validation halves are equal
+    generate_synthetic(2, 2, 16, 16, seed=1, out_dir=tmp_path / "data")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "manifest_path": str(tmp_path / "data" / "manifest.json"),
+        "output_dir": str(tmp_path / "run"),
+        "train": {"epochs": 1, "batch_size": 2},
+        "split": {"k": 2},
+    }), encoding="utf-8")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rc = tracer.wrap("cli.main", cli.main)(["run", "--config", str(config)])
+    finally:
+        tracer.restore()
+    assert rc == cli.EXIT_OK
+    metrics = command_metrics(tracer.names, tracer.span_array())
+    assert metrics["training.infer_per_train_slice"] == 1.0
+    assert metrics["training.final_eval_passes_per_val_slice"] == 0.0

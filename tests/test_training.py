@@ -230,6 +230,52 @@ class TestFit:
         T.predict(res.final, val)
         assert (train.x.tobytes(), val.x.tobytes()) == before
 
+    def test_history_train_columns_come_from_train_steps(self, monkeypatch):
+        # 10 train slices in batches of 4 end on a partial batch of 2, so an
+        # unweighted mean of batch losses would differ from the history's
+        train = make_slice_set(10, seed=21)
+        val = make_slice_set(6, seed=22, prefix="v")
+        model = self.small_model()
+        modes, steps = [], []
+        forward, bce_loss = T.forward, T.bce_loss
+
+        def recording_forward(m, x, mode="infer", dropout_rng=None):
+            modes.append(mode)
+            return forward(m, x, mode, dropout_rng)
+
+        def recording_bce_loss(logits, labels):
+            loss, grad = bce_loss(logits, labels)
+            if modes[-1] == "train":  # the step's loss, not the validation pass's
+                steps.append((loss, len(labels), int(np.sum(
+                    T.logit_labels(logits, model.config.threshold) == labels))))
+            return loss, grad
+
+        monkeypatch.setattr(T, "forward", recording_forward)
+        monkeypatch.setattr(T, "bce_loss", recording_bce_loss)
+        cfg = T.TrainConfig(initial_lr=1e-2, epochs=2, batch_size=4, seed=7)
+        res = T.fit(model, train, val, cfg, AugmentConfig())
+        assert [n for _, n, _ in steps] == [4, 4, 2] * 2
+        for epoch, rec in enumerate(res.history.records):
+            batches = steps[3 * epoch:3 * epoch + 3]
+            assert rec.train_loss == pytest.approx(
+                sum(loss * n for loss, n, _ in batches) / len(train), rel=1e-12, abs=0)
+            assert rec.train_acc == sum(c for _, _, c in batches) / len(train)
+
+    def test_infer_passes_cover_only_validation(self, monkeypatch):
+        train = make_slice_set(12, seed=23)
+        val = make_slice_set(6, seed=24, prefix="v")
+        rows = {"train": 0, "infer": 0}
+        forward = T.forward
+
+        def counting_forward(m, x, mode="infer", dropout_rng=None):
+            rows[mode] += len(x)
+            return forward(m, x, mode, dropout_rng)
+
+        monkeypatch.setattr(T, "forward", counting_forward)
+        cfg = T.TrainConfig(initial_lr=1e-3, epochs=3, batch_size=4, seed=8)
+        T.fit(self.small_model(), train, val, cfg, None)
+        assert rows == {"train": 3 * len(train), "infer": 3 * len(val)}
+
 
 class TestHistoryCsv:
     def test_exact_header_and_rows(self, tmp_path):

@@ -24,15 +24,7 @@ from .data import (
     load_slice_set,
     scale_normalize,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    FormatError,
-    LeakageError,
-    NumericError,
-    ShapeError,
-    SliceforgeError,
-)
+from .errors import ConfigError, DataError, LeakageError, NumericError, SliceforgeError
 from .metrics import (
     aggregate_folds,
     compute_metrics,
@@ -49,7 +41,8 @@ from .model import (
     save_model,
 )
 from .splits import SplitPlan, audit_split, kfold_split, slice_kfold_split
-from .tensor import read_array, write_array, write_pgm
+from .tensor import atomic_open, read_array, write_array, write_pgm
+from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
 
 EXIT_OK = 0
@@ -114,12 +107,6 @@ def _resolve_seed(args, config_seed: int) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     return config_seed
-
-
-def _json_dump(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_generate(args) -> int:
@@ -213,7 +200,8 @@ def cmd_run(args) -> int:
 
     report = audit_split(plan, manifest)
     _json_dump(out_dir / "audit.json", report.to_json_dict())
-    (out_dir / "audit.txt").write_text(report.render_text(), encoding="utf-8")
+    with atomic_open(out_dir / "audit.txt", encoding="utf-8") as fh:
+        fh.write(report.render_text())
     if report.leaked_subject_ids and not args.allow_leakage:
         raise LeakageError(report.leaked_subject_ids)
 
@@ -291,12 +279,13 @@ def _write_report_files(run_dir: Path, aggregate, fold_best_acc) -> None:
         + "\n## Best validation accuracy per fold\n\n"
         + folds_table
     )
-    (run_dir / "report.md").write_text(text, encoding="utf-8")
-    with open(run_dir / "aggregate.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(run_dir / "report.md", encoding="utf-8") as fh:
+        fh.write(text)
+    with atomic_open(run_dir / "aggregate.csv", encoding="utf-8", newline="") as fh:
         fh.write("metric,mean,std,cell\n")
         for name, (m, s) in aggregate.items():
             fh.write(f"{name},{m!r},{s!r},{m:.4f}±{s:.4f}\n")
-    with open(run_dir / "folds.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(run_dir / "folds.csv", encoding="utf-8", newline="") as fh:
         fh.write("fold,best_val_accuracy,cell\n")
         for i, acc in enumerate(fold_best_acc):
             fh.write(f"{i + 1},{acc!r},{format_fold_cell(acc)}\n")
@@ -346,7 +335,7 @@ def cmd_inspect(args) -> int:
         stem = f"maximize_b{args.block}_c{args.channel}"
         write_array(out_dir / f"{stem}.tsr", image)
         write_pgm(out_dir / f"{stem}.pgm", image[0, 0])
-        with open(out_dir / f"{stem}_trace.csv", "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(out_dir / f"{stem}_trace.csv", encoding="utf-8", newline="") as fh:
             fh.write("step,objective\n")
             for i, v in enumerate(trace):
                 fh.write(f"{i},{v!r}\n")
@@ -450,7 +439,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, FormatError, DataError, ConfigError, ShapeError, SliceforgeError) as exc:
+    except (OSError, SliceforgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

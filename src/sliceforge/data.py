@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import TAG_SYNTH, SplitMixStream
-from .tensor import read_array, read_header, write_array
+from .tensor import read_array, read_header, write_array, write_json
 
 VALID_CDR = (0.0, 0.5, 1.0, 2.0, 3.0)
 SLICE_KEY_SEP = "#"
@@ -173,9 +173,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
             for s in manifest.subjects
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_manifest(path, check_files: bool = True) -> DatasetManifest:

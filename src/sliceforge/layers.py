@@ -15,6 +15,13 @@ beta and depthwise gradient sums) accumulate in float64. Pooling sums,
 the dense layers and the sigmoid compute in float64 and cast back; their
 arrays are [N, C] or smaller.
 
+Separable convolution copies each cache-sized batch chunk of its zero-padded
+input once into s x s stride-phase planes (s the stride): phase (a, b) holds
+padded rows a, a+s, ... and columns b, b+s, ..., row pitch wq = wo + (kw-1)//s
+for ho x wo outputs, plus one zero row. Depthwise tap (i, j) over all outputs
+is the contiguous run [off, off + ho*wq), off = (i//s)*wq + j//s, of phase
+(i % s, j % s); columns wo.. of the pitched sums are junk (dropped, or zero).
+
 ``batchnorm`` is train-only. In infer mode batchnorm is a fixed per-channel
 affine map, which ``fold_batchnorm`` folds into the preceding convolution.
 
@@ -34,9 +41,9 @@ BN_EPSILON = 1e-3
 # 0.9 keeps running statistics usable within the first few dozen updates;
 # 0.99 needs ~100x more steps than a desk-scale run performs.
 BN_MOMENTUM = 0.9
-# bytes of padded input per batch chunk of sepconv's depthwise stage; with its
-# tap and output buffers a chunk stays in a core's L2 across the 9 taps
-_CHUNK_BYTES = 1 << 18
+# bytes of phase planes per batch chunk of sepconv's depthwise stage; with its
+# pitched accumulator, tap and mid buffers a chunk stays in a 2 MiB L2
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass
@@ -126,22 +133,32 @@ def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
 
 
-def _padded_chunks(x: np.ndarray, ph: int, pw: int):
-    """Split the batch of x into chunks small enough to stay in cache while
-    the depthwise taps re-read them. Returns the rows per chunk and an
-    iterator of (batch slice, chunk zero-padded by (ph, pw)); every chunk is
-    a view of one reused buffer."""
+def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int):
+    """Zeroed phase planes [s, s, rows, C, hq + 1, wq] of ``x`` padded by
+    (kh//2, kw//2), laid out as the module docstring says; an iterator copying
+    each batch chunk onto them that yields (batch slice, rows); the (phase,
+    plane region, input region) triples of that copy. Padding stays zero."""
     n, c, h, w = x.shape
-    rows = max(1, _CHUNK_BYTES // (x.itemsize * c * (h + 2 * ph) * (w + 2 * pw)))
-    buf = np.zeros((min(rows, n), c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    hq, wq = -(-h // s) + (kh - 1) // s, -(-w // s) + (kw - 1) // s
+    rows = max(1, min(n, _CHUNK_BYTES // (x.itemsize * c * s * s * (hq + 1) * wq)))
+    planes = np.zeros((s, s, rows, c, hq + 1, wq), dtype=x.dtype)
+
+    def axis(a, pad, size):  # plane row u of phase a holds input row s*u + a - pad
+        u0 = (pad - a + s - 1) // s
+        r0 = s * u0 + a - pad
+        return slice(u0, u0 + len(range(r0, size, s))), slice(r0, size, s)
+
+    regions = [((a, b), *zip(axis(a, kh // 2, h), axis(b, kw // 2, w)))
+               for a in range(s) for b in range(s)]
 
     def chunks():
-        for b in range(0, n, rows):
-            chunk = buf[:min(rows, n - b)]
-            chunk[:, :, ph:ph + h, pw:pw + w] = x[b:b + rows]
-            yield slice(b, b + len(chunk)), chunk
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            for (a, b), (us, vs), (rs, cs) in regions:
+                planes[a, b, :k, :, us, vs] = x[start:start + k, :, rs, cs]
+            yield slice(start, start + k), k
 
-    return rows, chunks()
+    return planes, chunks(), regions
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -149,14 +166,16 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=(0, 2, 3), dtype=np.float64)
 
 
-def sepconv2d(x: np.ndarray, p: SepConvParams):
+def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias.
 
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it). Per
-    cache-sized batch chunk, the depthwise taps accumulate in place into
-    ``mid`` and the pointwise stage is a batched matmul over [N, C_in, H*W].
+    cache-sized batch chunk the depthwise taps accumulate from the phase
+    planes, and the pointwise stage is a batched matmul over [N, C_in, H*W].
+    With ``keep_cache`` false, ``mid`` is chunk-sized scratch and the returned
+    cache is None.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -165,21 +184,27 @@ def sepconv2d(x: np.ndarray, p: SepConvParams):
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
-    ho, wo, ph, pw = -(-h // s), -(-w // s), kh // 2, kw // 2
+    ho, wo = -(-h // s), -(-w // s)
     dw = p.depthwise[:, 0].astype(x.dtype, copy=False)
     pw_mat = p.pointwise[:, :, 0, 0].astype(x.dtype, copy=False)
     bias = p.bias.astype(x.dtype, copy=False)[:, None]
-    mid = np.zeros((n, c_in, ho, wo), dtype=x.dtype)
+    planes, chunks, _ = _phase_planes(x, kh, kw, s)
+    rows, wq = planes.shape[2], planes.shape[-1]
+    flat = planes.reshape(s, s, rows, c_in, -1)
+    acc, tap = np.empty((2, rows, c_in, ho * wq), dtype=x.dtype)
+    mid = np.empty((n if keep_cache else rows, c_in, ho, wo), dtype=x.dtype)
     out = np.empty((n, pw_mat.shape[0], ho * wo), dtype=x.dtype)
-    rows, chunks = _padded_chunks(x, ph, pw)
-    tap = np.empty_like(mid[:rows])
-    for b, xb in chunks:
-        m, t = mid[b], tap[:len(xb)]
-        for i in range(kh):
-            for j in range(kw):
-                np.multiply(xb[:, :, i:i + s * ho:s, j:j + s * wo:s], dw[:, i, j][None, :, None, None], out=t)
-                m += t
-        m3 = m.reshape(len(m), c_in, ho * wo)
+    for b, k in chunks:
+        a_k, t_k = acc[:k], tap[:k]
+        for q, (i, j) in enumerate(np.ndindex(kh, kw)):
+            off = (i // s) * wq + j // s  # tap (i, j) over every output row
+            window = flat[i % s, j % s, :k, :, off:off + ho * wq]
+            np.multiply(window, dw[:, i, j, None], out=t_k if q else a_k)
+            if q:
+                a_k += t_k
+        m = mid[b] if keep_cache else mid[:k]
+        m[...] = a_k.reshape(k, c_in, ho, wq)[..., :wo]
+        m3 = m.reshape(k, c_in, ho * wo)
         if c_in == 1:
             # numpy's matmul does not call BLAS for an outer product (inner dim 1)
             np.multiply(pw_mat, m3, out=out[b])
@@ -187,7 +212,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams):
             np.matmul(pw_mat, m3, out=out[b])
         out[b] += bias
 
-    cache = SepConvCache(x=x, mid=mid, params=p)
+    cache = SepConvCache(x=x, mid=mid, params=p) if keep_cache else None
     return out.reshape(n, -1, ho, wo), cache
 
 
@@ -195,15 +220,15 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias).
 
     The pointwise gradients are batched matmuls over [N, C, H*W] in
-    ``dout.dtype``; the bias and depthwise sums accumulate in float64.
+    ``dout.dtype``; the bias and depthwise sums accumulate in float64. The
+    input gradient accumulates on phase planes, then is copied back.
     """
     p, x, mid = cache.params, cache.x, cache.mid
     dtype = dout.dtype
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
-    ph, pw = kh // 2, kw // 2
     n, c_out, ho, wo = dout.shape
-    c_in, h, w = x.shape[1:]
+    c_in = x.shape[1]
     g = dout.reshape(n, c_out, ho * wo)
 
     d_bias = g.sum(axis=(0, 2), dtype=np.float64)
@@ -212,21 +237,26 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
     d_dw = np.zeros((c_in, 1, kh, kw), dtype=np.float64)
     dx = np.empty(x.shape, dtype=dtype)
-    rows, chunks = _padded_chunks(x, ph, pw)
-    dmid, tap = np.empty_like(mid[:rows]), np.empty_like(mid[:rows])
-    dxpad = np.empty((len(dmid), c_in, h + 2 * ph, w + 2 * pw), dtype=dtype)
-    for b, xb in chunks:
-        k = len(xb)
-        dm, t, dxb = dmid[:k], tap[:k], dxpad[:k]
+    planes, chunks, regions = _phase_planes(x, kh, kw, s)
+    rows, wq = planes.shape[2], planes.shape[-1]
+    dplanes = np.empty_like(planes)
+    dflat = dplanes.reshape(s, s, rows, c_in, -1)
+    dmid = np.empty((rows, c_in, ho, wo), dtype=dtype)
+    # dmid pitched like the forward's accumulator; its junk columns stay zero
+    dmq, tap = np.zeros((2, rows, c_in, ho * wq), dtype=dtype)
+    for b, k in chunks:
+        dm = dmid[:k]
         np.matmul(pw_t, g[b], out=dm.reshape(k, c_in, ho * wo))
-        dxb.fill(0)
-        for i in range(kh):
-            for j in range(kw):
-                window = (slice(None), slice(None), slice(i, i + s * ho, s), slice(j, j + s * wo, s))
-                d_dw[:, 0, i, j] += np.einsum("nchw,nchw->c", dm, xb[window], dtype=np.float64)
-                np.multiply(dm, dw[:, i, j][None, :, None, None], out=t)
-                dxb[window] += t
-        dx[b] = dxb[:, :, ph:ph + h, pw:pw + w]
+        dmq[:k].reshape(k, c_in, ho, wq)[..., :wo] = dm
+        dplanes[:, :, :k].fill(0)
+        for i, j in np.ndindex(kh, kw):
+            xw = planes[i % s, j % s, :k, :, i // s:i // s + ho, j // s:j // s + wo]
+            d_dw[:, 0, i, j] += np.einsum("nchw,nchw->c", dm, xw, dtype=np.float64)
+            off = (i // s) * wq + j // s
+            dx_tap = dflat[i % s, j % s, :k, :, off:off + ho * wq]
+            dx_tap += np.multiply(dmq[:k], dw[:, i, j, None], out=tap[:k])
+        for (a, c), (us, vs), (rs, cs) in regions:
+            dx[b, :, rs, cs] = dplanes[a, c, :k, :, us, vs]
 
     return (
         dx,

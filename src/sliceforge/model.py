@@ -30,7 +30,7 @@ from . import layers
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .layers import BatchNormParams, DenseParams, SepConvParams
 from .rng import TAG_INIT, TAG_MAXIMIZE, SplitMixStream
-from .tensor import _decode_array, _encode_array
+from .tensor import _decode_array, _encode_array, atomic_open
 
 MODEL_MAGIC = b"SFM1"
 MODEL_VERSION = 1
@@ -245,9 +245,9 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
     follows the current weights), then ReLU in place on the buffer the sepconv
     returned; its caches have no batchnorm entry.
 
-    With ``keep_caches`` false each block's caches are dropped as soon as the
-    next block has run, so only one block's activations are alive at a time
-    and the returned cache list is empty.
+    With ``keep_caches`` false (infer mode only) no block makes a cache: the
+    sepconv's ``mid`` is chunk-sized scratch, only the running block's input
+    and output are alive, and the returned cache list is empty.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -260,7 +260,8 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
             out, bn_cache = layers.batchnorm(out, blk.norm)
             out, relu_cache = layers.relu(out)
         else:
-            out, conv_cache = layers.sepconv2d(out, layers.fold_batchnorm(blk.conv, blk.norm))
+            out, conv_cache = layers.sepconv2d(out, layers.fold_batchnorm(blk.conv, blk.norm),
+                                               keep_cache=keep_caches)
             np.maximum(out, 0, out=out)
             bn_cache, relu_cache = None, layers.ReluCache(out) if keep_caches else None
         if keep_caches:
@@ -349,7 +350,7 @@ def save_model(path, model: Model) -> None:
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     # encoded before the file is opened: a non-finite array leaves no file behind
     records = [_encode_array(arr, f"{path}[{name}]") for name, arr in model.state_arrays()]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(payload)) + payload)
         fh.writelines(records)
 

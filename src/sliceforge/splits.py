@@ -15,6 +15,7 @@ from pathlib import Path
 from .data import SLICE_KEY_SEP, DatasetManifest
 from .errors import ConfigError, DataError, FormatError
 from .rng import TAG_SPLIT, SplitMixStream
+from .tensor import write_json
 
 
 @dataclass
@@ -47,9 +48,7 @@ class SplitPlan:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "SplitPlan":

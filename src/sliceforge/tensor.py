@@ -1,16 +1,20 @@
-"""The "TSR1" binary array format and 8-bit PGM export.
+"""The "TSR1" binary array format, 8-bit PGM export and atomic file writes.
 
 A TSR1 file holds one finite float32 array of rank 1..4, row-major, in the
 layout batch x channels x height x width: the magic ``TSR1``, a u32 rank, one
 u32 per dim, then the little-endian float32 payload. The model format (SFM1)
 embeds TSR1 records through ``_encode_array`` and ``_decode_array``, which
 enforce finiteness for both formats: encoding a NaN or infinity raises
-NumericError, and decoding one raises FormatError.
+NumericError, and decoding one raises FormatError. Every artifact the package
+writes goes through ``atomic_open``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -37,9 +41,32 @@ def _validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` on a temporary name beside ``path`` that
+    replaces it once the block completes; a write that raises keeps the old
+    file and removes the temporary. No fsync: guards partial files only."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as sorted JSON, indented by one space, plus a newline."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_array(path, arr: np.ndarray) -> None:
     """Serialize an array in TSR1 form: magic, u32 rank, u32 dims, f32 payload."""
-    Path(path).write_bytes(_encode_array(arr, path))
+    with atomic_open(path, "wb") as fh:
+        fh.write(_encode_array(arr, path))
 
 
 def _encode_array(arr: np.ndarray, label) -> bytes:
@@ -117,6 +144,6 @@ def write_pgm(path, image: np.ndarray) -> None:
         scaled = np.zeros_like(image)
     pixels = np.round(scaled * 255.0).astype(np.uint8)
     h, w = image.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(pixels.tobytes())

@@ -37,6 +37,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import ConfusionCounts
 from .model import Model, forward
 from .rng import TAG_AUGMENT, TAG_DROPOUT, TAG_SHUFFLE, SplitMixStream
+from .tensor import atomic_open
 
 HISTORY_HEADER = ("epoch", "lr", "train_loss", "train_acc", "val_loss", "val_acc")
 
@@ -86,7 +87,7 @@ class History:
         return len(self.records)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(HISTORY_HEADER)
             for r in self.records:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d
 from sliceforge import layers
@@ -74,11 +76,8 @@ class TestSepConv:
         want = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride)
         assert max_rel_err(got, want) <= 1e-5
 
-    @pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
-    def test_gradients(self, stride):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 3, 6, 5))
-        p = random_sepconv(rng, 3, 2, stride=stride)
+    @staticmethod
+    def check_gradients(rng, x, p):
         upstream = rng.normal(size=layers.sepconv2d(x, p)[0].shape)
 
         def loss():
@@ -91,6 +90,59 @@ class TestSepConv:
         assert max_rel_err(d_dw, central_difference(loss, p.depthwise, FD_H)) <= GRAD_TOL
         assert max_rel_err(d_pw, central_difference(loss, p.pointwise, FD_H)) <= GRAD_TOL
         assert max_rel_err(d_b, central_difference(loss, p.bias, FD_H)) <= GRAD_TOL
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=["1-same", "2-same"])
+    def test_gradients(self, stride):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 6, 5))
+        self.check_gradients(rng, x, random_sepconv(rng, 3, 2, stride=stride))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_k5(self, stride):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 2, 7, 6))
+        self.check_gradients(rng, x, random_sepconv(rng, 2, 3, k=5, stride=stride))
+
+    @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.integers(1, 9),
+           st.integers(1, 9), st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle_property(self, k, stride, h, w, c_in, n, seed):
+        # every phase-plane geometry, including inputs smaller than the kernel
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c_in, h, w))
+        p = random_sepconv(rng, c_in, int(rng.integers(1, 4)), k=k, stride=stride)
+        got, _ = layers.sepconv2d(x, p)
+        want = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride)
+        assert got.shape == want.shape
+        assert max_rel_err(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunking_is_invisible(self, stride, monkeypatch):
+        """One sample per chunk gives the one-chunk result bit for bit, except
+        the float64 depthwise-gradient sums, which add up chunk by chunk."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 3, 9, 8))
+        p = random_sepconv(rng, 3, 4, stride=stride)
+        upstream = rng.normal(size=layers.sepconv2d(x, p)[0].shape)
+
+        def run():
+            out, cache = layers.sepconv2d(x, p)
+            return (out, cache.mid, *layers.sepconv2d_backward(upstream, cache))
+
+        out, mid, dx, d_dw, d_pw, d_b = run()  # the whole batch is one chunk
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 1)
+        out1, mid1, dx1, d_dw1, d_pw1, d_b1 = run()
+        for a, b in ((out, out1), (mid, mid1), (dx, dx1), (d_pw, d_pw1), (d_b, d_b1)):
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_allclose(d_dw1, d_dw, rtol=1e-12, atol=0)
+
+    def test_without_cache(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)
+        p = random_sepconv(rng, 2, 3, stride=2)
+        out, cache = layers.sepconv2d(x, p, keep_cache=False)
+        assert cache is None
+        assert out.tobytes() == layers.sepconv2d(x, p)[0].tobytes()
 
 
 class TestBatchNorm:

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import central_difference, max_rel_err, rewrite_sfm_header, set_sfm_value
+from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.errors import ConfigError, FormatError, NumericError
@@ -99,6 +101,30 @@ class TestForward:
         a, _ = M.forward(model, x, "infer")
         b, _ = M.forward(model, x, "infer")
         assert np.array_equal(a, b)
+
+    def test_infer_memory_peak(self):
+        """Infer keeps no cache and no full-batch depthwise buffer, so one
+        pass peaks near the largest block output (the input is not counted)."""
+        cfg = M.ModelConfig(input_height=64, input_width=64)
+        model = M.build_model(cfg, seed=6)
+        x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
+        M.forward(model, x, "infer")
+        tracemalloc.start()
+        try:
+            M.forward(model, x, "infer")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(16 * c * h * w * 4 for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
+        assert peak <= 1.75 * largest
+
+    def test_infer_blocks_keep_caches_only_on_request(self):
+        # maximize_activation backpropagates through infer-mode blocks
+        model = M.build_model(small_config(), seed=7)
+        x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
+        _, caches = M._forward_blocks(model, x, "infer", upto=2)
+        assert [type(conv) for conv, _, _ in caches] == [layers.SepConvCache] * 3
+        assert M._forward_blocks(model, x, "infer", keep_caches=False)[1] == []
 
     def test_shape_mismatch(self):
         model = M.build_model(small_config(), seed=5)

@@ -88,3 +88,43 @@ class TestPgm:
         tensor.write_pgm(path, np.full((2, 2), 7.0))
         pixels = path.read_bytes().split(b"255\n", 1)[1]
         assert pixels == b"\x00" * 4
+
+
+class TestAtomicWrites:
+    """A write that raises partway leaves the old file and no temporary."""
+
+    def test_raise_inside_the_block(self, tmp_path):
+        target = tmp_path / "report.md"
+        target.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with tensor.atomic_open(target, encoding="utf-8") as fh:
+                fh.write("half of the new")
+                fh.flush()
+                raise RuntimeError("disk full")
+        assert target.read_text(encoding="utf-8") == "old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_unserialisable_json(self, tmp_path):
+        # json.dump has already written "{" when it meets the bad value
+        target = tmp_path / "summary.json"
+        tensor.write_json(target, {"k": 2})
+        with pytest.raises(TypeError):
+            tensor.write_json(target, {"a": 1, "b": object()})
+        assert target.read_text(encoding="utf-8") == '{\n "k": 2\n}\n'
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_non_finite_array_keeps_old_file(self, tmp_path):
+        target = tmp_path / "a.tsr"
+        tensor.write_array(target, np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(NumericError):
+            tensor.write_array(target, np.full((2, 2), np.nan, dtype=np.float32))
+        assert np.array_equal(tensor.read_array(target), np.ones((2, 2), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("old", encoding="utf-8")
+        with tensor.atomic_open(target, encoding="utf-8", newline="") as fh:
+            fh.write("new\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert list(tmp_path.iterdir()) == [target]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from sliceforge import cli
 from sliceforge.data import generate_synthetic
+from sliceforge.model import ModelConfig, build_model, save_model
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -64,3 +65,28 @@ def test_traced_run_makes_one_infer_pass_per_epoch(tmp_path, monkeypatch):
     metrics = command_metrics(tracer.names, tracer.span_array())
     assert metrics["training.infer_per_train_slice"] == 1.0
     assert metrics["training.final_eval_passes_per_val_slice"] == 0.0
+
+
+def test_traced_evaluate_attributes_every_block(tmp_path, monkeypatch):
+    """One infer pass of a saved model: each block's folded sepconv gets its
+    own span and no batchnorm runs, as the benchmark's per-layer metrics expect."""
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    from layer_metrics import N_BLOCKS, command_metrics
+    from tracer import Tracer
+
+    generate_synthetic(2, 2, 16, 16, seed=1, out_dir=tmp_path / "data")
+    save_model(tmp_path / "model.sfm", build_model(ModelConfig(16, 16), seed=1))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rc = tracer.wrap("cli.main", cli.main)([
+            "evaluate", "--model", str(tmp_path / "model.sfm"),
+            "--manifest", str(tmp_path / "data" / "manifest.json")])
+    finally:
+        tracer.restore()
+    assert rc == cli.EXIT_OK
+    metrics = command_metrics(tracer.names, tracer.span_array())
+    assert metrics["model.forward_infer_calls"] == 1
+    for b in range(N_BLOCKS):
+        assert metrics[f"layers.sepconv2d.fwd_s.b{b}"] > 0
+        assert metrics[f"layers.batchnorm.fwd_s.b{b}"] == 0

@@ -9,11 +9,15 @@ because the loss is computed on logits and nothing backpropagates through it.
 Dtype policy: every output and gradient has the dtype of the array passed in,
 so the same code serves float32 training and float64 finite-difference
 shadowing. Separable convolution, batch normalization, ReLU and dropout
-compute elementwise work and matmuls in that dtype, casting parameters to it;
-only their per-channel reductions (batchnorm mean and variance; bias, gamma,
-beta and depthwise gradient sums) accumulate in float64. Pooling sums,
-the dense layers and the sigmoid compute in float64 and cast back; their
-arrays are [N, C] or smaller.
+compute elementwise work and matmuls in that dtype, casting parameters to it.
+Their per-channel reductions (batchnorm mean and variance; bias, gamma, beta
+and depthwise gradient sums) follow one row rule: each (sample, channel) row
+is reduced in the array's dtype, by a pairwise sum (``_channel_sum``) or one
+BLAS dot (``_channel_dot``), and the row results are summed in float64. The
+tests hold a reduction's error to 1e-6 (float32) or 1e-12 (float64) times the
+sum of its absolute terms.
+Pooling sums, the dense layers and the sigmoid compute in float64 and cast
+back; their arrays are [N, C] or smaller.
 
 Separable convolution copies each cache-sized batch chunk of its zero-padded
 input once into s x s stride-phase planes (s the stride): phase (a, b) holds
@@ -162,8 +166,19 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int):
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """Per-channel sum of an [N,C,H,W] array, accumulated in float64."""
-    return a.sum(axis=(0, 2, 3), dtype=np.float64)
+    """Float64 [C] sums of an [N,C,...] array: a pairwise sum per (sample,
+    channel) row in ``a.dtype``, then the N rows of each channel in float64."""
+    n, c = a.shape[:2]
+    return a.reshape(n, c, -1).sum(axis=2).sum(axis=0, dtype=np.float64)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float64 [C] sums of ``a * b`` over an [N,C,...] pair: one BLAS dot per
+    (sample, channel) row in the arrays' dtype, then the rows in float64.
+    No [N,C,...] product is made; rows may be strided views."""
+    n, c = a.shape[:2]
+    rows = np.matmul(a.reshape(n, c, 1, -1), b.reshape(n, c, -1, 1))
+    return rows.reshape(n, c).sum(axis=0, dtype=np.float64)
 
 
 def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
@@ -220,8 +235,12 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias).
 
     The pointwise gradients are batched matmuls over [N, C, H*W] in
-    ``dout.dtype``; the bias and depthwise sums accumulate in float64. The
-    input gradient accumulates on phase planes, then is copied back.
+    ``dout.dtype``; the bias and depthwise sums follow the module's row rule.
+    Per chunk, ``dmid`` is pitched like the forward's accumulator with zero
+    junk columns, so tap (i, j)'s depthwise gradient is one dot per (sample,
+    channel) row between it and the tap's contiguous plane run, and the input
+    gradient accumulates on phase planes from the same runs, then is copied
+    back.
     """
     p, x, mid = cache.params, cache.x, cache.mid
     dtype = dout.dtype
@@ -231,7 +250,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     c_in = x.shape[1]
     g = dout.reshape(n, c_out, ho * wo)
 
-    d_bias = g.sum(axis=(0, 2), dtype=np.float64)
+    d_bias = _channel_sum(g)
     d_pw = np.matmul(g, mid.reshape(n, c_in, ho * wo).transpose(0, 2, 1)).sum(axis=0)
     pw_t = p.pointwise[:, :, 0, 0].astype(dtype, copy=False).T
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
@@ -239,22 +258,22 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     dx = np.empty(x.shape, dtype=dtype)
     planes, chunks, regions = _phase_planes(x, kh, kw, s)
     rows, wq = planes.shape[2], planes.shape[-1]
+    flat = planes.reshape(s, s, rows, c_in, -1)
     dplanes = np.empty_like(planes)
     dflat = dplanes.reshape(s, s, rows, c_in, -1)
     dmid = np.empty((rows, c_in, ho, wo), dtype=dtype)
     # dmid pitched like the forward's accumulator; its junk columns stay zero
     dmq, tap = np.zeros((2, rows, c_in, ho * wq), dtype=dtype)
     for b, k in chunks:
-        dm = dmid[:k]
+        dm, dm_q = dmid[:k], dmq[:k]
         np.matmul(pw_t, g[b], out=dm.reshape(k, c_in, ho * wo))
-        dmq[:k].reshape(k, c_in, ho, wq)[..., :wo] = dm
+        dm_q.reshape(k, c_in, ho, wq)[..., :wo] = dm
         dplanes[:, :, :k].fill(0)
         for i, j in np.ndindex(kh, kw):
-            xw = planes[i % s, j % s, :k, :, i // s:i // s + ho, j // s:j // s + wo]
-            d_dw[:, 0, i, j] += np.einsum("nchw,nchw->c", dm, xw, dtype=np.float64)
             off = (i // s) * wq + j // s
+            d_dw[:, 0, i, j] += _channel_dot(dm_q, flat[i % s, j % s, :k, :, off:off + ho * wq])
             dx_tap = dflat[i % s, j % s, :k, :, off:off + ho * wq]
-            dx_tap += np.multiply(dmq[:k], dw[:, i, j, None], out=tap[:k])
+            dx_tap += np.multiply(dm_q, dw[:, i, j, None], out=tap[:k])
         for (a, c), (us, vs), (rs, cs) in regions:
             dx[b, :, rs, cs] = dplanes[a, c, :k, :, us, vs]
 
@@ -295,9 +314,11 @@ def batchnorm(x: np.ndarray, p: BatchNormParams):
     ``running = momentum * running + (1 - momentum) * batch``. Infer mode
     uses ``fold_batchnorm`` instead.
 
-    The statistics and the per-channel scale ``gamma / sqrt(var + eps)`` and
-    shift ``beta - mean * scale`` are float64 [C] vectors; the output
-    ``x * scale + shift`` is computed in ``x.dtype``.
+    The mean is a ``_channel_sum`` over m = N*H*W and the variance a
+    ``_channel_dot`` of the centred input with itself (the module's row rule);
+    both, and the scale ``gamma / sqrt(var + eps)``, are float64 [C] vectors.
+    The output ``(x - mean) * scale + beta`` is computed in ``x.dtype`` in the
+    centred buffer, the only full-size array made.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -305,9 +326,9 @@ def batchnorm(x: np.ndarray, p: BatchNormParams):
     m = n * h * w
     if m < 2:
         raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m}")
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    centered = x - _per_channel(mean, x.dtype)
-    var = _channel_sum(np.square(centered, out=centered)) / m
+    mean = _channel_sum(x) / m
+    out = np.subtract(x, _per_channel(mean, x.dtype))
+    var = _channel_dot(out, out) / m
     mom = p.momentum
     p.running_mean[...] = (mom * p.running_mean.astype(np.float64) + (1 - mom) * mean).astype(
         p.running_mean.dtype
@@ -317,17 +338,16 @@ def batchnorm(x: np.ndarray, p: BatchNormParams):
     )
 
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
-    scale = p.gamma.astype(np.float64) * inv_std
-    out = x * _per_channel(scale, x.dtype)
-    out += _per_channel(p.beta.astype(np.float64) - mean * scale, x.dtype)
+    out *= _per_channel(p.gamma.astype(np.float64) * inv_std, x.dtype)
+    out += _per_channel(p.beta, x.dtype)
     return out, BatchNormCache(x=x, mean=mean, inv_std=inv_std, gamma=p.gamma)
 
 
 def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
     """Gradients of train-mode batchnorm: returns (dx, d_gamma, d_beta).
 
-    Elementwise work is in ``dout.dtype``; the gamma and beta sums
-    accumulate in float64.
+    Elementwise work is in ``dout.dtype``; ``d_beta`` is a ``_channel_sum``
+    of ``dout`` and ``d_gamma`` a ``_channel_dot`` of ``dout`` with x_hat.
     """
     dtype = dout.dtype
     n, _, h, w = dout.shape
@@ -335,7 +355,7 @@ def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
     x_hat = np.subtract(cache.x, _per_channel(cache.mean, dtype), dtype=dtype)
     x_hat *= _per_channel(cache.inv_std, dtype)
     d_beta = _channel_sum(dout)
-    d_gamma = _channel_sum(dout * x_hat)
+    d_gamma = _channel_dot(dout, x_hat)
     # dx = scale * (dout - d_beta/m - x_hat * d_gamma/m), reusing x_hat's buffer
     dx = np.multiply(x_hat, _per_channel(d_gamma / m, dtype), out=x_hat)
     np.subtract(dout, dx, out=dx)
@@ -344,9 +364,10 @@ def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
     return dx, d_gamma.astype(dtype, copy=False), d_beta.astype(dtype, copy=False)
 
 
-def relu(x: np.ndarray):
-    """max(0, x); the gradient passes only where x > 0 (subgradient 0 at 0)."""
-    out = np.maximum(x, x.dtype.type(0))
+def relu(x: np.ndarray, out: np.ndarray | None = None):
+    """max(0, x), written to ``out`` when given (``out=x`` runs in place); the
+    gradient passes only where x > 0 (subgradient 0 at 0)."""
+    out = np.maximum(x, x.dtype.type(0), out=out)
     return out, ReluCache(out=out)
 
 

@@ -240,10 +240,10 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
                     keep_caches: bool = True):
     """Run the conv stack through block ``upto`` (inclusive; None = all).
 
-    Train mode runs sepconv, batchnorm and ReLU. Infer mode runs the sepconv
-    with the block's batchnorm folded in (refolded on every call, so it
-    follows the current weights), then ReLU in place on the buffer the sepconv
-    returned; its caches have no batchnorm entry.
+    Train mode runs sepconv and batchnorm. Infer mode runs the sepconv with
+    the block's batchnorm folded in (refolded on every call, so it follows the
+    current weights); its caches have no batchnorm entry. Either way ReLU then
+    runs in place on the fresh buffer the block's last layer returned.
 
     With ``keep_caches`` false (infer mode only) no block makes a cache: the
     sepconv's ``mid`` is chunk-sized scratch, only the running block's input
@@ -258,14 +258,15 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
         if mode == "train":
             out, conv_cache = layers.sepconv2d(out, blk.conv)
             out, bn_cache = layers.batchnorm(out, blk.norm)
-            out, relu_cache = layers.relu(out)
         else:
             out, conv_cache = layers.sepconv2d(out, layers.fold_batchnorm(blk.conv, blk.norm),
                                                keep_cache=keep_caches)
-            np.maximum(out, 0, out=out)
-            bn_cache, relu_cache = None, layers.ReluCache(out) if keep_caches else None
+            bn_cache = None
+        out, relu_cache = layers.relu(out, out=out)
         if keep_caches:
             caches.append((conv_cache, bn_cache, relu_cache))
+        # without caches, a block's output is freed as soon as the next block's exists
+        del relu_cache
     return out, caches
 
 

@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d
 from sliceforge import layers
+from sliceforge import model as M
 from sliceforge.errors import ConfigError, ShapeError
 from sliceforge.rng import SplitMixStream
 
 GRAD_TOL = 1e-4
 FD_H = 1e-3
+# per-channel reductions: |error| <= REDUCE_TOL[dtype] * sum of |terms|
+REDUCE_TOL = {np.float32: 1e-6, np.float64: 1e-12}
 
 
 def random_sepconv(rng, c_in, c_out, k=3, stride=1):
@@ -136,6 +141,30 @@ class TestSepConv:
             assert a.tobytes() == b.tobytes()
         np.testing.assert_allclose(d_dw1, d_dw, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("block", range(4))
+    def test_depthwise_gradient_at_model_shapes(self, block):
+        """Float32 d_depthwise of a batch-16 64x64 model's blocks 0-3 (both
+        strides) against float64 sums over the same products."""
+        cfg = M.ModelConfig(input_height=64, input_width=64)
+        p = M.build_model(cfg, seed=block).blocks[block].conv
+        c_in = (cfg.input_channels, *cfg.channel_plan)[block]
+        h, w = ((64, 64), *cfg.spatial_dims())[block]
+        rng = np.random.default_rng(20 + block)
+        x = rng.normal(0.3, 1.0, size=(16, c_in, h, w)).astype(np.float32)
+        out, cache = layers.sepconv2d(x, p)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        d_dw = layers.sepconv2d_backward(g, cache)[1]
+        assert d_dw.dtype == np.float32
+
+        s, (ho, wo) = p.stride, out.shape[2:]
+        dmid = np.einsum("oc,nohw->nchw", p.pointwise[:, :, 0, 0].astype(np.float64),
+                         g.astype(np.float64))
+        xpad = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for i, j in np.ndindex(3, 3):
+            terms = dmid * xpad[:, :, i:i + s * ho:s, j:j + s * wo:s]
+            err = np.abs(d_dw[:, 0, i, j] - terms.sum(axis=(0, 2, 3)))
+            assert np.all(err <= REDUCE_TOL[np.float32] * np.abs(terms).sum(axis=(0, 2, 3)))
+
     def test_without_cache(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)
@@ -143,6 +172,30 @@ class TestSepConv:
         out, cache = layers.sepconv2d(x, p, keep_cache=False)
         assert cache is None
         assert out.tobytes() == layers.sepconv2d(x, p)[0].tobytes()
+
+
+class TestChannelReductions:
+    """The row rule of the module docstring: each (sample, channel) row is
+    reduced in the array's dtype, the rows are summed in float64."""
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 128 * 128),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 3),
+           st.floats(-4.0, 4.0), st.integers(0, 2 ** 32))
+    # the longest rows, terms nearly all of one sign: one float32 accumulator per row
+    # (a sequential sum) errs by 2.5e-6 times the sum of |terms| on this draw
+    @example(4, 4, 128 * 128, np.float32, 1, 4.0, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_sum_and_dot_against_exact_float64(self, n, c, length, dtype, pad, offset, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.normal(size=(n, c, length)) + offset).astype(dtype)
+        # b is a strided view, as the depthwise gradient's plane runs are
+        b = rng.normal(size=(n, c, length + pad)).astype(dtype)[..., pad:]
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        for got, terms in ((layers._channel_sum(a), a64), (layers._channel_dot(a, b), a64 * b64)):
+            assert got.dtype == np.float64 and got.shape == (c,)
+            exact = np.array([math.fsum(terms[:, ch].ravel()) for ch in range(c)])
+            bound = REDUCE_TOL[dtype] * np.abs(terms).sum(axis=(0, 2))
+            assert np.all(np.abs(got - exact) <= bound)
 
 
 class TestBatchNorm:

@@ -9,7 +9,7 @@ from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.errors import ConfigError, FormatError, NumericError
-from sliceforge.rng import SplitMixStream
+from sliceforge.rng import TAG_DROPOUT, SplitMixStream
 
 
 def small_config(**kw):
@@ -117,6 +117,43 @@ class TestForward:
             tracemalloc.stop()
         largest = max(16 * c * h * w * 4 for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
         assert peak <= 1.75 * largest
+
+    def test_train_step_memory_peak(self):
+        """One 64x64 batch-16 train-mode forward plus backward peaks no higher
+        than the 25,438,020 bytes it took while batchnorm made a centred copy
+        besides its output and a dout * x_hat product in its backward."""
+        cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
+        model = M.build_model(cfg, seed=6)
+        x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
+        y = np.arange(16) % 2
+
+        def step():
+            _, caches = M.forward(model, x, "train")
+            M.backward(model, caches, T.bce_loss(caches.logits, y)[1])
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25_438_020
+
+    def test_train_step_gradients_repeat_bitwise(self):
+        model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
+        x = np.random.default_rng(5).uniform(size=(16, 1, 32, 32)).astype(np.float32)
+        y = np.arange(16) % 2
+
+        def grads():
+            streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(len(x))]
+            _, caches = M.forward(model, x, "train", streams)
+            return M.backward(model, caches, T.bce_loss(caches.logits, y)[1])
+
+        first, second = grads(), grads()
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name].tobytes() == second[name].tobytes(), name
 
     def test_infer_blocks_keep_caches_only_on_request(self):
         # maximize_activation backpropagates through infer-mode blocks

@@ -70,8 +70,9 @@ class DatasetManifest:
     def __post_init__(self):
         if self.slice_height < 1 or self.slice_width < 1:
             raise DataError("slice dims must be positive")
-        if self.intensity_ceiling <= 0:
-            raise DataError(f"intensity_ceiling must be positive, got {self.intensity_ceiling}")
+        if not 0 < self.intensity_ceiling < np.inf:
+            raise DataError(
+                f"intensity_ceiling must be positive and finite, got {self.intensity_ceiling}")
         seen = set()
         for s in self.subjects:
             if s.subject_id in seen:
@@ -104,8 +105,8 @@ def scale_normalize(slice_arr: np.ndarray, ceiling: float = 255.0) -> np.ndarray
     Negative input intensities signal corrupt data; values above the ceiling
     are clipped to 1.
     """
-    if ceiling <= 0:
-        raise ConfigError(f"ceiling must be positive, got {ceiling}")
+    if not 0 < ceiling < np.inf:
+        raise ConfigError(f"ceiling must be positive and finite, got {ceiling}")
     arr = np.asarray(slice_arr)
     if np.any(arr < 0):
         raise DataError("negative intensities in slice")

@@ -25,6 +25,15 @@ padded rows a, a+s, ... and columns b, b+s, ..., row pitch wq = wo + (kw-1)//s
 for ho x wo outputs, plus one zero row. Depthwise tap (i, j) over all outputs
 is the contiguous run [off, off + ho*wq), off = (i//s)*wq + j//s, of phase
 (i % s, j % s); columns wo.. of the pitched sums are junk (dropped, or zero).
+The forward copies the kh*kw runs of a chunk into a tap stack [rows, C, taps,
+ho*wq] and reduces it with one batched matmul against the depthwise kernel
+[C, 1, taps]. The backward is the adjoint as a gather, not a scatter: the
+input gradient on phase plane (a, b) sums, over the taps with i % s = a and
+j % s = b, the pitched ``dmid`` (zero-padded on both sides) shifted by -off;
+those shifted runs form the phase's tap stack, whose matmul with the phase's
+taps is the ``dx`` plane and whose row dots with the ``x`` plane are the
+depthwise gradient. The pointwise stage multiplies [W | bias] with ``mid``
+plus one row of ones, so the bias is added inside the GEMM.
 
 ``batchnorm`` is train-only. In infer mode batchnorm is a fixed per-channel
 affine map, which ``fold_batchnorm`` folds into the preceding convolution.
@@ -45,8 +54,10 @@ BN_EPSILON = 1e-3
 # 0.9 keeps running statistics usable within the first few dozen updates;
 # 0.99 needs ~100x more steps than a desk-scale run performs.
 BN_MOMENTUM = 0.9
-# bytes of phase planes per batch chunk of sepconv's depthwise stage; with its
-# pitched accumulator, tap and mid buffers a chunk stays in a 2 MiB L2
+# bytes of tap stack per batch chunk of sepconv (forward: all kh*kw taps;
+# backward: the taps of phase (0, 0), the most of any phase). A chunk holds at
+# least one sample; with its phase planes it stays within about a 2 MiB L2 for
+# every block of a 128x128 model.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -137,14 +148,16 @@ def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
 
 
-def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int):
+def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
     """Zeroed phase planes [s, s, rows, C, hq + 1, wq] of ``x`` padded by
     (kh//2, kw//2), laid out as the module docstring says; an iterator copying
     each batch chunk onto them that yields (batch slice, rows); the (phase,
-    plane region, input region) triples of that copy. Padding stays zero."""
+    plane region, input region) triples of that copy. Padding stays zero.
+    A chunk holds as many samples as fit ``_CHUNK_BYTES`` of tap stack, that
+    is ``taps`` pitched runs of ceil(h/s) rows per channel."""
     n, c, h, w = x.shape
     hq, wq = -(-h // s) + (kh - 1) // s, -(-w // s) + (kw - 1) // s
-    rows = max(1, min(n, _CHUNK_BYTES // (x.itemsize * c * s * s * (hq + 1) * wq)))
+    rows = max(1, min(n, _CHUNK_BYTES // (x.itemsize * c * taps * -(-h // s) * wq)))
     planes = np.zeros((s, s, rows, c, hq + 1, wq), dtype=x.dtype)
 
     def axis(a, pad, size):  # plane row u of phase a holds input row s*u + a - pad
@@ -187,10 +200,10 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it). Per
-    cache-sized batch chunk the depthwise taps accumulate from the phase
-    planes, and the pointwise stage is a batched matmul over [N, C_in, H*W].
-    With ``keep_cache`` false, ``mid`` is chunk-sized scratch and the returned
-    cache is None.
+    cache-sized batch chunk, the depthwise stage is one batched matmul over a
+    tap stack and the pointwise stage one of [W | bias] with ``mid`` plus a
+    row of ones (see the module docstring). With ``keep_cache`` false,
+    ``mid`` is chunk-sized scratch and the returned cache is None.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -200,34 +213,29 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
     ho, wo = -(-h // s), -(-w // s)
-    dw = p.depthwise[:, 0].astype(x.dtype, copy=False)
-    pw_mat = p.pointwise[:, :, 0, 0].astype(x.dtype, copy=False)
-    bias = p.bias.astype(x.dtype, copy=False)[:, None]
-    planes, chunks, _ = _phase_planes(x, kh, kw, s)
+    dw = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, kh * kw)
+    pw_bias = np.concatenate([p.pointwise[:, :, 0, 0], p.bias[:, None]], axis=1).astype(
+        x.dtype, copy=False)
+    planes, chunks, _ = _phase_planes(x, kh, kw, s, kh * kw)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
-    acc, tap = np.empty((2, rows, c_in, ho * wq), dtype=x.dtype)
-    mid = np.empty((n if keep_cache else rows, c_in, ho, wo), dtype=x.dtype)
-    out = np.empty((n, pw_mat.shape[0], ho * wo), dtype=x.dtype)
+    run = ho * wq
+    stack = np.empty((rows, c_in, kh * kw, run), dtype=x.dtype)
+    acc = np.empty((rows, c_in, 1, run), dtype=x.dtype)
+    # channel c_in of mid is the ones row that carries the bias through the GEMM
+    mid = np.empty((n if keep_cache else rows, c_in + 1, ho, wo), dtype=x.dtype)
+    mid[:, c_in] = 1
+    out = np.empty((n, pw_bias.shape[0], ho * wo), dtype=x.dtype)
     for b, k in chunks:
-        a_k, t_k = acc[:k], tap[:k]
         for q, (i, j) in enumerate(np.ndindex(kh, kw)):
             off = (i // s) * wq + j // s  # tap (i, j) over every output row
-            window = flat[i % s, j % s, :k, :, off:off + ho * wq]
-            np.multiply(window, dw[:, i, j, None], out=t_k if q else a_k)
-            if q:
-                a_k += t_k
+            stack[:k, :, q] = flat[i % s, j % s, :k, :, off:off + run]
+        np.matmul(dw, stack[:k], out=acc[:k])
         m = mid[b] if keep_cache else mid[:k]
-        m[...] = a_k.reshape(k, c_in, ho, wq)[..., :wo]
-        m3 = m.reshape(k, c_in, ho * wo)
-        if c_in == 1:
-            # numpy's matmul does not call BLAS for an outer product (inner dim 1)
-            np.multiply(pw_mat, m3, out=out[b])
-        else:
-            np.matmul(pw_mat, m3, out=out[b])
-        out[b] += bias
+        m[:, :c_in] = acc[:k].reshape(k, c_in, ho, wq)[..., :wo]
+        np.matmul(pw_bias, m.reshape(k, c_in + 1, ho * wo), out=out[b])
 
-    cache = SepConvCache(x=x, mid=mid, params=p) if keep_cache else None
+    cache = SepConvCache(x=x, mid=mid[:, :c_in], params=p) if keep_cache else None
     return out.reshape(n, -1, ho, wo), cache
 
 
@@ -236,11 +244,10 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
 
     The pointwise gradients are batched matmuls over [N, C, H*W] in
     ``dout.dtype``; the bias and depthwise sums follow the module's row rule.
-    Per chunk, ``dmid`` is pitched like the forward's accumulator with zero
-    junk columns, so tap (i, j)'s depthwise gradient is one dot per (sample,
-    channel) row between it and the tap's contiguous plane run, and the input
-    gradient accumulates on phase planes from the same runs, then is copied
-    back.
+    Per chunk, ``dx`` and the depthwise gradient come from one tap stack per
+    stride phase, gathered from ``dmid`` pitched like the forward's
+    accumulator (zero junk columns) and zero-padded on both sides, as the
+    module docstring says; a phase without taps gets zeros.
     """
     p, x, mid = cache.params, cache.x, cache.mid
     dtype = dout.dtype
@@ -254,32 +261,44 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     d_pw = np.matmul(g, mid.reshape(n, c_in, ho * wo).transpose(0, 2, 1)).sum(axis=0)
     pw_t = p.pointwise[:, :, 0, 0].astype(dtype, copy=False).T
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
-    d_dw = np.zeros((c_in, 1, kh, kw), dtype=np.float64)
+    d_dw = np.zeros((c_in, kh, kw), dtype=np.float64)
     dx = np.empty(x.shape, dtype=dtype)
-    planes, chunks, regions = _phase_planes(x, kh, kw, s)
+    most = len(range(0, kh, s)) * len(range(0, kw, s))  # phase (0, 0) has the most taps
+    planes, chunks, regions = _phase_planes(x, kh, kw, s, most)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
-    dplanes = np.empty_like(planes)
-    dflat = dplanes.reshape(s, s, rows, c_in, -1)
-    dmid = np.empty((rows, c_in, ho, wo), dtype=dtype)
-    # dmid pitched like the forward's accumulator; its junk columns stay zero
-    dmq, tap = np.zeros((2, rows, c_in, ho * wq), dtype=dtype)
+    run = ho * wq
+    pre = ((kh - 1) // s) * wq + (kw - 1) // s  # the largest tap offset
+    dmid = np.empty((rows, c_in, ho * wo), dtype=dtype)
+    # dmid pitched and zero-padded: under tap offset off, the plane run
+    # [u0, u0 + length) meets dm_pad[pre - off + u0:][:length]
+    dm_pad = np.zeros((rows, c_in, pre + flat.shape[-1]), dtype=dtype)
+    dm_valid = dm_pad[:, :, pre:pre + run].reshape(rows, c_in, ho, wq)[..., :wo]
+    stack_buf = np.empty(rows * c_in * most * run, dtype=dtype)
+    dplane_buf = np.empty(rows * c_in * run, dtype=dtype)
     for b, k in chunks:
-        dm, dm_q = dmid[:k], dmq[:k]
-        np.matmul(pw_t, g[b], out=dm.reshape(k, c_in, ho * wo))
-        dm_q.reshape(k, c_in, ho, wq)[..., :wo] = dm
-        dplanes[:, :, :k].fill(0)
-        for i, j in np.ndindex(kh, kw):
-            off = (i // s) * wq + j // s
-            d_dw[:, 0, i, j] += _channel_dot(dm_q, flat[i % s, j % s, :k, :, off:off + ho * wq])
-            dx_tap = dflat[i % s, j % s, :k, :, off:off + ho * wq]
-            dx_tap += np.multiply(dm_q, dw[:, i, j, None], out=tap[:k])
+        np.matmul(pw_t, g[b], out=dmid[:k])
+        dm_valid[:k] = dmid[:k].reshape(k, c_in, ho, wo)
         for (a, c), (us, vs), (rs, cs) in regions:
-            dx[b, :, rs, cs] = dplanes[a, c, :k, :, us, vs]
+            taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
+            if not taps.size:
+                dx[b, :, rs, cs] = 0
+                continue
+            ni, nj = taps.shape[1:]
+            u0, length = us.start * wq, (us.stop - us.start) * wq
+            stack = stack_buf[:k * c_in * ni * nj * length].reshape(k, c_in, ni * nj, length)
+            for q, (ii, jj) in enumerate(np.ndindex(ni, nj)):
+                start = pre - ii * wq - jj + u0
+                stack[:, :, q] = dm_pad[:k, :, start:start + length]
+            dplane = dplane_buf[:k * c_in * length].reshape(k, c_in, 1, length)
+            np.matmul(taps.reshape(c_in, 1, ni * nj), stack, out=dplane)
+            dx[b, :, rs, cs] = dplane.reshape(k, c_in, -1, wq)[..., vs]
+            row_dots = np.matmul(stack, flat[a, c, :k, :, u0:u0 + length, None])
+            d_dw[:, a::s, c::s] += row_dots.reshape(k, c_in, ni, nj).sum(axis=0, dtype=np.float64)
 
     return (
         dx,
-        d_dw.astype(dtype, copy=False),
+        d_dw[:, None].astype(dtype, copy=False),
         d_pw.reshape(p.pointwise.shape).astype(dtype, copy=False),
         d_bias.astype(dtype, copy=False),
     )
@@ -372,7 +391,10 @@ def relu(x: np.ndarray, out: np.ndarray | None = None):
 
 
 def relu_backward(dout: np.ndarray, cache: ReluCache):
-    return dout * (cache.out > 0)
+    """``dout`` where x > 0, else 0, multiplied into ``dout`` in place and
+    returned. Every caller passes a fresh gradient it does not reuse: a
+    sepconv or dense input gradient, or the pooling or dropout gradient."""
+    return np.multiply(dout, cache.out > 0, out=dout)
 
 
 def global_avg_pool(x: np.ndarray):

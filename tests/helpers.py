@@ -69,6 +69,44 @@ def naive_sepconv2d(x, depthwise, pointwise, bias, stride):
     return out
 
 
+def naive_sepconv2d_backward(x, depthwise, pointwise, dout, stride):
+    """Float64 gradients (dx, d_depthwise, d_pointwise, d_bias) of
+    ``naive_sepconv2d`` for upstream ``dout``, by explicit loops over the
+    definition: every output element (b, o, i, j) passes ``dout`` back through
+    the pointwise weights to the depthwise output, and every depthwise output
+    (b, c, i, j) through each of its kh*kw taps to the padded input."""
+    n, c_in, h, w = x.shape
+    c_out, ho, wo = dout.shape[1:]
+    kh, kw = depthwise.shape[2], depthwise.shape[3]
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    dxp = np.zeros_like(xp)
+    d_dw = np.zeros(depthwise.shape, dtype=np.float64)
+    d_pw = np.zeros(pointwise.shape, dtype=np.float64)
+    d_b = np.zeros(c_out, dtype=np.float64)
+    for b in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                window = xp[b, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                for c in range(c_in):
+                    mid = 0.0
+                    dmid = 0.0
+                    for u in range(kh):
+                        for v in range(kw):
+                            mid += depthwise[c, 0, u, v] * window[c, u, v]
+                    for o in range(c_out):
+                        d_pw[o, c, 0, 0] += dout[b, o, i, j] * mid
+                        dmid += pointwise[o, c, 0, 0] * dout[b, o, i, j]
+                    for u in range(kh):
+                        for v in range(kw):
+                            d_dw[c, 0, u, v] += dmid * window[c, u, v]
+                            dxp[b, c, i * stride + u, j * stride + v] += dmid * depthwise[c, 0, u, v]
+                for o in range(c_out):
+                    d_b[o] += dout[b, o, i, j]
+    return dxp[:, :, ph:ph + h, pw:pw + w], d_dw, d_pw, d_b
+
+
 def affine_batchnorm(y, norm):
     """Infer-mode batchnorm of [N,C,H,W] ``y`` in float64, written out from
     its definition (running statistics, no folding)."""

@@ -129,24 +129,41 @@ def _bad_slice(kind, path):
         write_array(path, np.full((16, 16), -1.0, dtype=np.float32))
 
 
+def _command_argv(command, tmp_path, manifest_path):
+    """``evaluate`` of a fresh 16x16 model, or ``run``, on ``manifest_path``."""
+    if command == "evaluate":
+        model = tmp_path / "m.sfm"
+        save_model(model, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
+        return ["evaluate", "--model", str(model), "--manifest", str(manifest_path)]
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    return ["run", "--config", config]
+
+
 @pytest.mark.parametrize("kind", ["nan", "negative"])
 @pytest.mark.parametrize("command", ["evaluate", "run"])
 def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
     bad = own_manifest_path.parent / "slices" / "nc-001" / "s001.tsr"
     _bad_slice(kind, bad)
-    if command == "evaluate":
-        model = tmp_path / "m.sfm"
-        save_model(model, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
-        argv = ["evaluate", "--model", str(model), "--manifest", str(own_manifest_path)]
-    else:
-        config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, own_manifest_path)))
-        argv = ["run", "--config", config]
+    argv = _command_argv(command, tmp_path, own_manifest_path)
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_IO
     err = _assert_one_line_error(capsys)
     assert str(bad) in err
     if kind == "negative":
         assert "nc-001#1" in err
+
+
+@pytest.mark.parametrize("ceiling", [float("nan"), "nan", float("inf")], ids=["NaN", "nan", "inf"])
+@pytest.mark.parametrize("command", ["evaluate", "run"])
+def test_non_finite_intensity_ceiling_exits_2(tmp_path, own_manifest_path, capsys, ceiling, command):
+    # json writes NaN and Infinity for the two floats, which json.loads reads back
+    doc = json.loads(own_manifest_path.read_text())
+    doc["intensity_ceiling"] = ceiling
+    own_manifest_path.write_text(json.dumps(doc))
+    argv = _command_argv(command, tmp_path, own_manifest_path)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "intensity_ceiling" in _assert_one_line_error(capsys)
 
 
 def _inspect_activation(tmp_path, manifest_path, *extra):

@@ -16,8 +16,9 @@ from sliceforge.data import (
     load_manifest,
     load_slice_set,
     save_manifest,
+    scale_normalize,
 )
-from sliceforge.errors import DataError
+from sliceforge.errors import ConfigError, DataError
 from sliceforge.rng import TAG_AUGMENT, SplitMixStream
 from sliceforge.tensor import write_array
 
@@ -101,12 +102,23 @@ def _duplicate(doc):
     (_set_subject("label", 1), "label/CDR contradiction"),
     (_set_subject("slices", ["slices/nowhere.tsr"]), "missing slice file"),
     (_set("slice_width", 6), "manifest declares"),
+    (_set("intensity_ceiling", 0), "positive and finite"),
+    (_set("intensity_ceiling", float("nan")), "positive and finite"),
+    (_set("intensity_ceiling", "nan"), "positive and finite"),
+    (_set("intensity_ceiling", float("inf")), "positive and finite"),
 ], ids=["missing-key", "non-numeric-cdr", "non-numeric-height", "subjects-not-a-list",
-        "duplicate-id", "label-cdr", "missing-slice", "dims-mismatch"])
+        "duplicate-id", "label-cdr", "missing-slice", "dims-mismatch", "zero-ceiling",
+        "nan-ceiling", "nan-string-ceiling", "inf-ceiling"])
 def test_rejections(manifest_path, change, message):
     _edit(manifest_path, change)
     with pytest.raises(DataError, match=message):
         load_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("ceiling", [0.0, -1.0, float("nan"), float("inf")])
+def test_scale_normalize_needs_positive_finite_ceiling(ceiling):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        scale_normalize(np.ones((2, 2), np.float32), ceiling)
 
 
 def test_unreadable_json(manifest_path):

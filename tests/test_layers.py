@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d
+from helpers import (affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d,
+                     naive_sepconv2d_backward)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge.errors import ConfigError, ShapeError
@@ -120,6 +121,23 @@ class TestSepConv:
         want = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride)
         assert got.shape == want.shape
         assert max_rel_err(got, want) <= 1e-9
+
+    @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.integers(1, 9),
+           st.integers(1, 9), st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32))
+    @example(k=1, stride=2, h=5, w=4, c_in=2, n=2, seed=0)  # three phases without taps
+    @example(k=3, stride=2, h=1, w=1, c_in=1, n=1, seed=1)  # phases without input
+    @settings(max_examples=60, deadline=None)
+    def test_backward_matches_naive_oracle_property(self, k, stride, h, w, c_in, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c_in, h, w))
+        p = random_sepconv(rng, c_in, int(rng.integers(1, 4)), k=k, stride=stride)
+        out, cache = layers.sepconv2d(x, p)
+        dout = rng.normal(size=out.shape)
+        got = layers.sepconv2d_backward(dout, cache)
+        want = naive_sepconv2d_backward(x, p.depthwise, p.pointwise, dout, stride)
+        for name, g, ref in zip(("dx", "d_depthwise", "d_pointwise", "d_bias"), got, want):
+            assert g.shape == ref.shape, name
+            assert max_rel_err(g, ref) <= 1e-9, name
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_chunking_is_invisible(self, stride, monkeypatch):
@@ -323,6 +341,18 @@ class TestRelu:
         _, cache = layers.relu(x)
         dx = layers.relu_backward(upstream, cache)
         assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_in_place(self, dtype):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 4, 5, 5)).astype(dtype)
+        x[0, 0, 0, :2] = 0.0  # the kink
+        dout = rng.normal(size=x.shape).astype(dtype)
+        want = dout * (x > 0)
+        _, cache = layers.relu(x)
+        dx = layers.relu_backward(dout, cache)
+        assert dx is dout
+        assert dx.dtype == dtype and dx.tobytes() == want.tobytes()
 
 
 class TestGlobalAvgPool:

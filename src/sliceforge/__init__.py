@@ -33,7 +33,7 @@ from .model import (
     maximize_activation,
     save_model,
 )
-from .splits import AuditReport, SplitPlan, audit_split, kfold_split, slice_kfold_split
+from .splits import AuditReport, SplitPlan, audit_split, kfold_split
 from .training import (
     FitResult,
     History,

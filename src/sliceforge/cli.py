@@ -1,8 +1,8 @@
 """Command-line orchestration: generate, split, audit, train, run, evaluate,
 report, inspect.
 
-Exit codes: 0 ok, 2 I/O or bad input, 3 leakage abort, 4 numeric failure.
-A --seed flag overrides the configured seed.
+Exit codes are ``EXIT_CODES``, the --help epilog. A --seed flag overrides
+the configured seed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .model import (
     maximize_activation,
     save_model,
 )
-from .splits import SplitPlan, audit_split, kfold_split, slice_kfold_split
+from .splits import SplitPlan, audit_split, kfold_split
 from .tensor import atomic_open, read_array, write_array, write_pgm
 from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
@@ -49,6 +49,11 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_LEAKAGE = 3
 EXIT_NUMERIC = 4
+EXIT_CODES = """exit codes:
+  0  ok
+  2  bad input or I/O error
+  3  subject leakage in the split (rerun with --allow-leakage to proceed)
+  4  numeric failure (a non-finite loss, output or weight)"""
 
 
 @dataclass
@@ -94,7 +99,7 @@ class ExperimentConfig:
                 augment=AugmentConfig(**doc.get("augment", {})),
                 split_k=int(split_doc.get("k", 2)),
                 split_seed=int(split_doc.get("seed", 0)),
-                split_stratified=bool(split_doc.get("stratified", True)),
+                split_stratified=split_doc.get("stratified", True),
                 split_granularity=split_doc.get("granularity", "subject"),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -126,10 +131,7 @@ def cmd_generate(args) -> int:
 def cmd_split(args) -> int:
     manifest = load_manifest(args.manifest, check_files=False)
     seed = _resolve_seed(args, 0)
-    if args.granularity == "slice":
-        plan = slice_kfold_split(manifest, args.k, seed)
-    else:
-        plan = kfold_split(manifest, args.k, seed, stratified=args.stratified)
+    plan = kfold_split(manifest, args.k, seed, args.stratified, args.granularity)
     plan.save(args.out)
     print(f"wrote {plan.k}-fold {plan.granularity}-level split to {args.out}")
     return EXIT_OK
@@ -183,19 +185,15 @@ def cmd_run(args) -> int:
         config.output_dir = args.output_dir
     seed = _resolve_seed(args, config.train.seed)
     config.train.seed = seed
-    if args.k:
+    if args.k is not None:
         config.split_k = args.k
-    if args.granularity:
+    if args.granularity is not None:
         config.split_granularity = args.granularity
 
+    plan = kfold_split(manifest, config.split_k, config.split_seed, config.split_stratified,
+                       config.split_granularity)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if config.split_granularity == "slice":
-        plan = slice_kfold_split(manifest, config.split_k, config.split_seed)
-    else:
-        plan = kfold_split(manifest, config.split_k, config.split_seed,
-                           stratified=config.split_stratified)
     plan.save(out_dir / "split.json")
 
     report = audit_split(plan, manifest)
@@ -347,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sliceforge",
         description="Train and audit slice-stack binary classifiers.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"sliceforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,14 +8,13 @@ because the loss is computed on logits and nothing backpropagates through it.
 
 Dtype policy: every output and gradient has the dtype of the array passed in,
 so the same code serves float32 training and float64 finite-difference
-shadowing. Separable convolution, batch normalization, ReLU and dropout
-compute elementwise work and matmuls in that dtype, casting parameters to it.
-Their per-channel reductions (batchnorm mean and variance; bias, gamma, beta
-and depthwise gradient sums) follow one row rule: each (sample, channel) row
-is reduced in the array's dtype, by a pairwise sum (``_channel_sum``) or one
-BLAS dot (``_channel_dot``), and the row results are summed in float64. The
+shadowing. Separable convolution, ReLU and dropout compute elementwise work
+and matmuls in that dtype, casting parameters to it. Their reductions (the
+Gram matrix of ``mid``, the pointwise, bias and depthwise gradients) follow
+one row rule: each sample's rows are reduced by BLAS products in the array's
+dtype (``_row_gram``), and the per-sample results are summed in float64. The
 tests hold a reduction's error to 1e-6 (float32) or 1e-12 (float64) times the
-sum of its absolute terms.
+sum of its absolute terms. Batchnorm works on those float64 sums only.
 Pooling sums, the dense layers and the sigmoid compute in float64 and cast
 back; their arrays are [N, C] or smaller.
 
@@ -35,8 +34,10 @@ taps is the ``dx`` plane and whose row dots with the ``x`` plane are the
 depthwise gradient. The pointwise stage multiplies [W | bias] with ``mid``
 plus one row of ones, so the bias is added inside the GEMM.
 
-``batchnorm`` is train-only. In infer mode batchnorm is a fixed per-channel
-affine map, which ``fold_batchnorm`` folds into the preceding convolution.
+A block's batchnorm is folded into the pointwise stage of the sepconv
+before it (``fold_batchnorm``), with the running statistics in infer mode and
+in train mode with the batch statistics, which ``batchnorm`` computes from the
+Gram matrix of [mid; 1]; no block makes its pre-norm output.
 
 Parameter containers are mutated only by the optimizer, with one exception:
 batch normalization updates its running statistics during its forward.
@@ -110,13 +111,16 @@ class DenseParams:
 @dataclass
 class SepConvCache:
     x: np.ndarray
-    mid: np.ndarray
+    mid: np.ndarray  # [N, C_in + 1, H', W']: the depthwise output, then a channel of ones
     params: SepConvParams
+    weights: np.ndarray  # [C_out, C_in + 1]: the [W | bias] the pointwise GEMM used
+    norm: BatchNormCache | None  # the batchnorm folded in with batch statistics
 
 
 @dataclass
 class BatchNormCache:
-    x: np.ndarray
+    weights: np.ndarray  # float64 [C, K]: the conv's unfolded [W | bias]
+    gram: np.ndarray  # float64 [K, K]: sum of [mid; 1][mid; 1]^T over the batch
     mean: np.ndarray  # float64 [C]: batch mean
     inv_std: np.ndarray  # float64 [C]
     gamma: np.ndarray
@@ -141,11 +145,6 @@ class DenseCache:
 @dataclass
 class DropoutCache:
     scaled_mask: np.ndarray | None  # None means identity (infer or rate 0)
-
-
-def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
-    """A [C] vector cast to ``dtype`` and shaped to broadcast over [N,C,H,W]."""
-    return v.astype(dtype, copy=False)[None, :, None, None]
 
 
 def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
@@ -178,44 +177,49 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
     return planes, chunks(), regions
 
 
-def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """Float64 [C] sums of an [N,C,...] array: a pairwise sum per (sample,
-    channel) row in ``a.dtype``, then the N rows of each channel in float64."""
-    n, c = a.shape[:2]
-    return a.reshape(n, c, -1).sum(axis=2).sum(axis=0, dtype=np.float64)
+def _row_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float64 [A, B] sum over samples of a_n b_n^T for [N, A, L] and [N, B, L]
+    arrays: one BLAS product per sample in the arrays' dtype, then the N
+    products in float64. A row of ones in ``b`` makes a column of row sums."""
+    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
 
 
-def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 [C] sums of ``a * b`` over an [N,C,...] pair: one BLAS dot per
-    (sample, channel) row in the arrays' dtype, then the rows in float64.
-    No [N,C,...] product is made; rows may be strided views."""
-    n, c = a.shape[:2]
-    rows = np.matmul(a.reshape(n, c, 1, -1), b.reshape(n, c, -1, 1))
-    return rows.reshape(n, c).sum(axis=0, dtype=np.float64)
+def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
+    """[W | bias] of the pointwise stage, [C_out, C_in + 1] in ``dtype``."""
+    return np.concatenate([p.pointwise[:, :, 0, 0], p.bias[:, None]], axis=1).astype(
+        dtype, copy=False)
 
 
-def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
-    """Depthwise spatial convolution then 1x1 pointwise projection plus bias.
+def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
+              mode: str = "infer", keep_cache: bool = True):
+    """Depthwise spatial convolution then 1x1 pointwise projection plus bias,
+    then the batchnorm ``norm`` if given, folded into the pointwise stage.
 
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it). Per
     cache-sized batch chunk, the depthwise stage is one batched matmul over a
     tap stack and the pointwise stage one of [W | bias] with ``mid`` plus a
-    row of ones (see the module docstring). With ``keep_cache`` false,
-    ``mid`` is chunk-sized scratch and the returned cache is None.
+    row of ones (see the module docstring). Infer mode folds ``norm``'s
+    running statistics in first; train mode keeps the whole ``mid``, folds in
+    the statistics ``batchnorm`` takes from it, then runs the pointwise stage.
+    With ``keep_cache`` false (infer mode) ``mid`` is chunk-sized scratch and
+    the returned cache is None.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
     n, c_in, h, w = x.shape
     if c_in != p.depthwise.shape[0]:
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if norm is not None and mode == "infer":
+        p, norm = fold_batchnorm(p, norm), None
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s = p.stride
     ho, wo = -(-h // s), -(-w // s)
     dw = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, kh * kw)
-    pw_bias = np.concatenate([p.pointwise[:, :, 0, 0], p.bias[:, None]], axis=1).astype(
-        x.dtype, copy=False)
+    weights = _gemm_weights(p, x.dtype)
     planes, chunks, _ = _phase_planes(x, kh, kw, s, kh * kw)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
@@ -223,31 +227,41 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, keep_cache: bool = True):
     stack = np.empty((rows, c_in, kh * kw, run), dtype=x.dtype)
     acc = np.empty((rows, c_in, 1, run), dtype=x.dtype)
     # channel c_in of mid is the ones row that carries the bias through the GEMM
-    mid = np.empty((n if keep_cache else rows, c_in + 1, ho, wo), dtype=x.dtype)
+    full = keep_cache or norm is not None
+    mid = np.empty((n if full else rows, c_in + 1, ho, wo), dtype=x.dtype)
     mid[:, c_in] = 1
-    out = np.empty((n, pw_bias.shape[0], ho * wo), dtype=x.dtype)
+    mid3 = mid.reshape(len(mid), c_in + 1, ho * wo)
+    out = np.empty((n, weights.shape[0], ho * wo), dtype=x.dtype)
     for b, k in chunks:
         for q, (i, j) in enumerate(np.ndindex(kh, kw)):
             off = (i // s) * wq + j // s  # tap (i, j) over every output row
             stack[:k, :, q] = flat[i % s, j % s, :k, :, off:off + run]
         np.matmul(dw, stack[:k], out=acc[:k])
-        m = mid[b] if keep_cache else mid[:k]
+        m = mid[b] if full else mid[:k]
         m[:, :c_in] = acc[:k].reshape(k, c_in, ho, wq)[..., :wo]
-        np.matmul(pw_bias, m.reshape(k, c_in + 1, ho * wo), out=out[b])
+        if norm is None:
+            np.matmul(weights, mid3[b] if full else mid3[:k], out=out[b])
+    bn_cache = None
+    if norm is not None:
+        folded, bn_cache = batchnorm(_row_gram(mid3, mid3), p, norm)
+        weights = _gemm_weights(folded, x.dtype)
+        np.matmul(weights, mid3, out=out)
 
-    cache = SepConvCache(x=x, mid=mid[:, :c_in], params=p) if keep_cache else None
+    cache = SepConvCache(x, mid, p, weights, bn_cache) if keep_cache else None
     return out.reshape(n, -1, ho, wo), cache
 
 
 def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
-    """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias).
+    """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias),
+    then (d_gamma, d_beta) if a batchnorm was folded in with batch statistics.
 
-    The pointwise gradients are batched matmuls over [N, C, H*W] in
-    ``dout.dtype``; the bias and depthwise sums follow the module's row rule.
-    Per chunk, ``dx`` and the depthwise gradient come from one tap stack per
-    stride phase, gathered from ``dmid`` pitched like the forward's
-    accumulator (zero junk columns) and zero-padded on both sides, as the
-    module docstring says; a phase without taps gets zeros.
+    P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
+    ``batchnorm_backward`` turns into the gradients and the correction A of
+    ``dmid = W'^T dout + A [mid; 1]`` (W' the weights the forward used; A = 0
+    without batch statistics). Per chunk, ``dx`` and the depthwise gradient
+    come from one tap stack per stride phase, gathered from ``dmid`` pitched
+    like the forward's accumulator (zero junk columns) and zero-padded on
+    both sides, as the module docstring says; a phase without taps gets zeros.
     """
     p, x, mid = cache.params, cache.x, cache.mid
     dtype = dout.dtype
@@ -256,10 +270,14 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     n, c_out, ho, wo = dout.shape
     c_in = x.shape[1]
     g = dout.reshape(n, c_out, ho * wo)
+    mid3 = mid.reshape(n, c_in + 1, ho * wo)
 
-    d_bias = _channel_sum(g)
-    d_pw = np.matmul(g, mid.reshape(n, c_in, ho * wo).transpose(0, 2, 1)).sum(axis=0)
-    pw_t = p.pointwise[:, :, 0, 0].astype(dtype, copy=False).T
+    d_weights, d_norm = _row_gram(g, mid3), ()
+    corr = np.zeros((c_in, c_in + 1))
+    if cache.norm is not None:
+        d_weights, corr, *d_norm = batchnorm_backward(d_weights, cache.norm)
+    pw_t = cache.weights[:, :c_in].astype(dtype, copy=False).T
+    corr = corr.astype(dtype, copy=False)
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
     d_dw = np.zeros((c_in, kh, kw), dtype=np.float64)
     dx = np.empty(x.shape, dtype=dtype)
@@ -270,6 +288,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     run = ho * wq
     pre = ((kh - 1) // s) * wq + (kw - 1) // s  # the largest tap offset
     dmid = np.empty((rows, c_in, ho * wo), dtype=dtype)
+    dfix = np.empty((rows, c_in, ho * wo), dtype=dtype)
     # dmid pitched and zero-padded: under tap offset off, the plane run
     # [u0, u0 + length) meets dm_pad[pre - off + u0:][:length]
     dm_pad = np.zeros((rows, c_in, pre + flat.shape[-1]), dtype=dtype)
@@ -278,7 +297,9 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     dplane_buf = np.empty(rows * c_in * run, dtype=dtype)
     for b, k in chunks:
         np.matmul(pw_t, g[b], out=dmid[:k])
-        dm_valid[:k] = dmid[:k].reshape(k, c_in, ho, wo)
+        np.matmul(corr, mid3[b], out=dfix[:k])
+        np.add(dmid[:k].reshape(k, c_in, ho, wo), dfix[:k].reshape(k, c_in, ho, wo),
+               out=dm_valid[:k])
         for (a, c), (us, vs), (rs, cs) in regions:
             taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
             if not taps.size:
@@ -299,23 +320,29 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     return (
         dx,
         d_dw[:, None].astype(dtype, copy=False),
-        d_pw.reshape(p.pointwise.shape).astype(dtype, copy=False),
-        d_bias.astype(dtype, copy=False),
+        d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
+        d_weights[:, c_in].astype(dtype),
+        *(d.astype(dtype) for d in d_norm),
     )
 
 
-def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams) -> SepConvParams:
-    """``conv`` followed by infer-mode batchnorm, as one separable convolution.
+def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams, mean=None,
+                   var=None) -> SepConvParams:
+    """``conv`` followed by batchnorm, as one separable convolution.
 
-    With ``s = gamma / sqrt(running_var + eps)`` the pointwise stage becomes
-    ``W' = diag(s) W`` and the bias ``b' = s * (b - running_mean) + beta``,
-    computed in float64 and cast to the conv params' dtypes; the depthwise
-    kernel is shared, not copied. Callers refold on every pass: the optimizer
-    and train-mode batchnorm change the inputs in place.
+    The statistics ``mean`` and ``var`` (float64 [C]) are the running
+    statistics unless given; ``batchnorm`` passes the batch's. With
+    ``s = gamma / sqrt(var + eps)`` the pointwise stage becomes ``W' = diag(s) W``
+    and the bias ``b' = s * (b - mean) + beta``, computed in float64 and cast
+    to the conv params' dtypes; the depthwise kernel is shared, not copied.
+    Callers refold on every pass: the optimizer and train-mode batchnorm
+    change the inputs in place.
     """
-    s = norm.gamma.astype(np.float64) / np.sqrt(norm.running_var.astype(np.float64) + norm.epsilon)
+    if mean is None:
+        mean, var = norm.running_mean, norm.running_var
+    s = norm.gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + norm.epsilon)
     pointwise = conv.pointwise.astype(np.float64) * s[:, None, None, None]
-    bias = s * (conv.bias.astype(np.float64) - norm.running_mean.astype(np.float64))
+    bias = s * (conv.bias.astype(np.float64) - mean.astype(np.float64))
     bias += norm.beta.astype(np.float64)
     return SepConvParams(
         depthwise=conv.depthwise,
@@ -325,62 +352,56 @@ def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams) -> SepConvParams:
     )
 
 
-def batchnorm(x: np.ndarray, p: BatchNormParams):
-    """Train-mode per-channel standardization with scale/shift.
+def batchnorm(gram: np.ndarray, conv: SepConvParams, norm: BatchNormParams):
+    """Train-mode batchnorm of the conv output y = V [mid; 1], V = [W | bias]:
+    returns (``conv`` with the batch statistics folded in, the cache).
 
-    Standardizes with batch statistics over N*H*W per channel (biased
-    variance) and folds them into the running statistics via
-    ``running = momentum * running + (1 - momentum) * batch``. Infer mode
-    uses ``fold_batchnorm`` instead.
-
-    The mean is a ``_channel_sum`` over m = N*H*W and the variance a
-    ``_channel_dot`` of the centred input with itself (the module's row rule);
-    both, and the scale ``gamma / sqrt(var + eps)``, are float64 [C] vectors.
-    The output ``(x - mean) * scale + beta`` is computed in ``x.dtype`` in the
-    centred buffer, the only full-size array made.
+    ``gram`` is the float64 sum of [mid; 1][mid; 1]^T over the batch's
+    m = N*H*W pixels, so m is its last entry and its last column over m is
+    the mean g of [mid; 1]. Channel c has batch mean V_c g and biased
+    variance V_c C V_c^T, C = gram / m - g g^T, all in float64. They update
+    the running statistics, ``running = momentum * running + (1 - momentum)
+    * batch``. No [N,C,H,W] array is made.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    n, _, h, w = x.shape
-    m = n * h * w
+    m = gram[-1, -1]
     if m < 2:
-        raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m}")
-    mean = _channel_sum(x) / m
-    out = np.subtract(x, _per_channel(mean, x.dtype))
-    var = _channel_dot(out, out) / m
-    mom = p.momentum
-    p.running_mean[...] = (mom * p.running_mean.astype(np.float64) + (1 - mom) * mean).astype(
-        p.running_mean.dtype
-    )
-    p.running_var[...] = (mom * p.running_var.astype(np.float64) + (1 - mom) * var).astype(
-        p.running_var.dtype
-    )
-
-    inv_std = 1.0 / np.sqrt(var + p.epsilon)
-    out *= _per_channel(p.gamma.astype(np.float64) * inv_std, x.dtype)
-    out += _per_channel(p.beta, x.dtype)
-    return out, BatchNormCache(x=x, mean=mean, inv_std=inv_std, gamma=p.gamma)
+        raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2 per channel, got {m:g}")
+    v = _gemm_weights(conv, np.float64)
+    g = gram[:, -1] / m
+    mean = v @ g
+    var = np.maximum(np.sum((v @ (gram / m - np.outer(g, g))) * v, axis=1), 0.0)
+    for running, batch in ((norm.running_mean, mean), (norm.running_var, var)):
+        running[...] = norm.momentum * running.astype(np.float64) + (1 - norm.momentum) * batch
+    inv_std = 1.0 / np.sqrt(var + norm.epsilon)
+    cache = BatchNormCache(weights=v, gram=gram, mean=mean, inv_std=inv_std, gamma=norm.gamma)
+    return fold_batchnorm(conv, norm, mean, var), cache
 
 
-def batchnorm_backward(dout: np.ndarray, cache: BatchNormCache):
-    """Gradients of train-mode batchnorm: returns (dx, d_gamma, d_beta).
+def batchnorm_backward(d_weights: np.ndarray, cache: BatchNormCache):
+    """Gradients through train-mode batchnorm and the conv folded with it.
 
-    Elementwise work is in ``dout.dtype``; ``d_beta`` is a ``_channel_sum``
-    of ``dout`` and ``d_gamma`` a ``_channel_dot`` of ``dout`` with x_hat.
+    ``d_weights`` is P = sum dout [mid; 1]^T (float64 [C, K]) for the
+    gradient ``dout`` of the normalised output; V, g, C and m are as in
+    ``batchnorm``. As x_hat = inv_std * (y - mean) is linear in [mid; 1],
+    d_beta = P[:, -1] and d_gamma = inv_std * (rowsum(V * P) - mean * d_beta).
+    With s = gamma * inv_std and t = d_gamma * inv_std, y's gradient
+    dy = s * (dout - d_beta / m - x_hat * d_gamma / m) gives the conv gradient
+    s * (P - d_beta g^T - t V C), and ``mid``'s W^T dy = W'^T dout + A [mid; 1]
+    with A = -W^T diag(s t / m) V plus W^T (s (t mean - d_beta) / m) in its
+    last column. Returns float64 (conv gradient, A, d_gamma, d_beta).
     """
-    dtype = dout.dtype
-    n, _, h, w = dout.shape
-    m = n * h * w
-    x_hat = np.subtract(cache.x, _per_channel(cache.mean, dtype), dtype=dtype)
-    x_hat *= _per_channel(cache.inv_std, dtype)
-    d_beta = _channel_sum(dout)
-    d_gamma = _channel_dot(dout, x_hat)
-    # dx = scale * (dout - d_beta/m - x_hat * d_gamma/m), reusing x_hat's buffer
-    dx = np.multiply(x_hat, _per_channel(d_gamma / m, dtype), out=x_hat)
-    np.subtract(dout, dx, out=dx)
-    dx -= _per_channel(d_beta / m, dtype)
-    dx *= _per_channel(cache.gamma.astype(np.float64) * cache.inv_std, dtype)
-    return dx, d_gamma.astype(dtype, copy=False), d_beta.astype(dtype, copy=False)
+    v, mean, inv_std = cache.weights, cache.mean, cache.inv_std
+    m = cache.gram[-1, -1]
+    g = cache.gram[:, -1] / m
+    d_beta = d_weights[:, -1]
+    d_gamma = inv_std * (np.sum(v * d_weights, axis=1) - mean * d_beta)
+    s, t = cache.gamma.astype(np.float64) * inv_std, d_gamma * inv_std
+    cov = cache.gram / m - np.outer(g, g)
+    d_conv = s[:, None] * (d_weights - np.outer(d_beta, g) - t[:, None] * (v @ cov))
+    w_t = v[:, :-1].T
+    corr = -(w_t * (s * t / m)) @ v
+    corr[:, -1] += w_t @ (s * (t * mean - d_beta) / m)
+    return d_conv, corr, d_gamma, d_beta
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None):

@@ -3,10 +3,10 @@ serialization ("SFM1" files) and feature introspection.
 
 Per-sample path: (sepconv -> batchnorm -> ReLU) x 9, global average pool,
 dense -> ReLU -> dropout, dense to one unit, sigmoid. The decision rule is
-probability >= threshold for the positive class. In infer mode each block's
-batchnorm is folded into its sepconv (``layers.fold_batchnorm``), so a block
-is one sepconv and a ReLU applied in place; ``layers.batchnorm`` is
-train-only.
+probability >= threshold for the positive class. In both modes each block is
+one ``layers.sepconv2d`` with its batchnorm folded into the pointwise stage,
+then a ReLU applied in place; the modes differ only in the statistics folded
+in: the batch's in train mode, the running ones in infer mode.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -226,7 +226,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 @dataclass
 class ForwardCaches:
-    block_caches: list  # per block: (conv_cache, bn_cache, relu_cache); bn_cache None if folded
+    block_caches: list  # per block: (conv_cache, relu_cache); batchnorm's is conv_cache.norm
     pool_cache: object
     hidden_cache: object
     hidden_relu_cache: object
@@ -240,50 +240,40 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
                     keep_caches: bool = True):
     """Run the conv stack through block ``upto`` (inclusive; None = all).
 
-    Train mode runs sepconv and batchnorm. Infer mode runs the sepconv with
-    the block's batchnorm folded in (refolded on every call, so it follows the
-    current weights); its caches have no batchnorm entry. Either way ReLU then
-    runs in place on the fresh buffer the block's last layer returned.
+    A block is one ``layers.sepconv2d`` with the block's batchnorm folded
+    into its pointwise stage (batch statistics in train mode, running
+    statistics in infer mode; refolded on every call, so it follows the
+    current weights), then ReLU in place on the fresh output.
 
     With ``keep_caches`` false (infer mode only) no block makes a cache: the
     sepconv's ``mid`` is chunk-sized scratch, only the running block's input
     and output are alive, and the returned cache list is empty.
     """
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     last = len(model.blocks) - 1 if upto is None else upto
     caches = []
     out = x
     for blk in model.blocks[: last + 1]:
-        if mode == "train":
-            out, conv_cache = layers.sepconv2d(out, blk.conv)
-            out, bn_cache = layers.batchnorm(out, blk.norm)
-        else:
-            out, conv_cache = layers.sepconv2d(out, layers.fold_batchnorm(blk.conv, blk.norm),
-                                               keep_cache=keep_caches)
-            bn_cache = None
+        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, mode, keep_cache=keep_caches)
         out, relu_cache = layers.relu(out, out=out)
         if keep_caches:
-            caches.append((conv_cache, bn_cache, relu_cache))
+            caches.append((conv_cache, relu_cache))
         # without caches, a block's output is freed as soon as the next block's exists
         del relu_cache
     return out, caches
 
 
 def _backward_blocks(dout: np.ndarray, caches, grads: dict | None = None):
-    """Backprop through cached conv blocks; fills ``grads`` when given. A
-    folded (infer-mode) block has no batchnorm cache and yields only dx."""
+    """Backprop through cached conv blocks; fills ``grads`` when given, which
+    needs train-mode caches (an infer-mode block is a conv with fixed
+    folded weights and yields no batchnorm gradients)."""
     g = dout
     for b in range(len(caches) - 1, -1, -1):
-        conv_cache, bn_cache, relu_cache = caches[b]
+        conv_cache, relu_cache = caches[b]
         g = layers.relu_backward(g, relu_cache)
-        d_norm = ()
-        if bn_cache is not None:
-            g, *d_norm = layers.batchnorm_backward(g, bn_cache)
-        g, *d_conv = layers.sepconv2d_backward(g, conv_cache)
+        g, *d_block = layers.sepconv2d_backward(g, conv_cache)
         if grads is not None:
-            grads.update(zip(_grad_names("conv", f"block{b}"), d_conv, strict=True))
-            grads.update(zip(_grad_names("norm", f"block{b}"), d_norm, strict=True))
+            names = _grad_names("conv", f"block{b}") + _grad_names("norm", f"block{b}")
+            grads.update(zip(names, d_block, strict=True))
     return g
 
 

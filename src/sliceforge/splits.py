@@ -1,8 +1,8 @@
 """Cross-validation split plans and the leakage/imbalance audit.
 
-Splitting deals whole subjects into folds; a slice-granularity splitter
-exists only to demonstrate the leakage failure mode and is refused by the
-trainer unless explicitly overridden.
+Splitting deals whole subjects into folds; slice granularity exists only to
+demonstrate the leakage failure mode and is refused by the trainer unless
+explicitly overridden.
 """
 
 from __future__ import annotations
@@ -70,17 +70,25 @@ def _deal(members: list, k: int) -> list:
     return [members[i::k] for i in range(k)]
 
 
-def kfold_split(manifest: DatasetManifest, k: int, seed: int, stratified: bool) -> SplitPlan:
-    """Subject-level k-fold plan, deterministically shuffled by seed.
+def kfold_split(manifest: DatasetManifest, k: int, seed: int, stratified: bool = True,
+                granularity: str = "subject") -> SplitPlan:
+    """k-fold plan over subjects (or slices), deterministically shuffled by seed.
 
     Stratified mode shuffles and deals each class separately so per-fold
     class proportions match the cohort (remainders round-robin by class).
+    Slice granularity deals "subject#index" slice keys with no regard to
+    their subject, so nearly every multi-slice subject lands on both sides of
+    every fold: the leakage failure mode, for demonstration, never stratified.
     """
-    ids = [s.subject_id for s in manifest.subjects]
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
-    if k > len(ids):
-        raise ConfigError(f"k={k} exceeds subject count {len(ids)}")
+    if granularity not in ("subject", "slice"):
+        raise ConfigError(f"granularity must be 'subject' or 'slice', got {granularity!r}")
+    if not isinstance(stratified, bool):
+        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
+    stratified = stratified and granularity == "subject"
+    ids = ([s.subject_id for s in manifest.subjects] if granularity == "subject"
+           else manifest.slice_keys())
+    if k > len(ids):  # SplitPlan rejects k < 2
+        raise ConfigError(f"k={k} exceeds the {len(ids)} {granularity}s")
 
     if stratified:
         by_class = {0: [], 1: []}
@@ -110,27 +118,7 @@ def kfold_split(manifest: DatasetManifest, k: int, seed: int, stratified: bool) 
         val = sorted(pile)
         val_set = set(val)
         folds.append(Fold(train=[i for i in ids if i not in val_set], val=val))
-    return SplitPlan(k=k, seed=seed, stratified=stratified, granularity="subject", folds=folds)
-
-
-def slice_kfold_split(manifest: DatasetManifest, k: int, seed: int) -> SplitPlan:
-    """Slice-level k-fold plan: the leakage failure mode, for demonstration.
-
-    Slices are shuffled with no regard to their subject, so nearly every
-    multi-slice subject lands on both sides of every fold.
-    """
-    keys = manifest.slice_keys()
-    if k < 2 or k > len(keys):
-        raise ConfigError(f"k={k} invalid for {len(keys)} slices")
-    order = SplitMixStream(seed, TAG_SPLIT).permutation(len(keys))
-    shuffled = [keys[i] for i in order]
-    val_piles = _deal(shuffled, k)
-    folds = []
-    for pile in val_piles:
-        val = sorted(pile)
-        val_set = set(val)
-        folds.append(Fold(train=[kk for kk in keys if kk not in val_set], val=val))
-    return SplitPlan(k=k, seed=seed, stratified=False, granularity="slice", folds=folds)
+    return SplitPlan(k=k, seed=seed, stratified=stratified, granularity=granularity, folds=folds)
 
 
 def _member_subject(member: str) -> str:

@@ -117,6 +117,42 @@ def affine_batchnorm(y, norm):
         c(norm.running_var) + norm.epsilon) * c(norm.gamma) + c(norm.beta)
 
 
+def batchnorm_train(y, gamma, beta, eps):
+    """Train-mode batchnorm of [N,C,H,W] ``y`` in float64, from its
+    definition: per channel the batch mean and biased variance over N*H*W,
+    then gamma * (y - mean) / sqrt(var + eps) + beta. Returns (output, mean, var)."""
+    def c(v):
+        return np.asarray(v, dtype=np.float64)[None, :, None, None]
+
+    y = np.asarray(y, dtype=np.float64)
+    mean = y.mean(axis=(0, 2, 3))
+    var = ((y - c(mean)) ** 2).mean(axis=(0, 2, 3))
+    return (y - c(mean)) / np.sqrt(c(var) + eps) * c(gamma) + c(beta), mean, var
+
+
+def batchnorm_train_backward(dout, y, gamma, eps):
+    """Float64 gradients (dy, d_gamma, d_beta) of ``batchnorm_train`` for
+    upstream ``dout``: the chain rule through x_hat, the batch variance and
+    the batch mean in turn (Ioffe & Szegedy, arXiv:1502.03167, section 3)."""
+    def c(v):
+        return np.asarray(v, dtype=np.float64)[None, :, None, None]
+
+    def total(a):
+        return a.sum(axis=(0, 2, 3))
+
+    dout, y = np.asarray(dout, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    m = y.size // y.shape[1]
+    mean = y.mean(axis=(0, 2, 3))
+    centred = y - c(mean)
+    var = (centred ** 2).mean(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    d_xhat = dout * c(gamma)
+    d_var = total(d_xhat * centred) * -0.5 * inv_std ** 3
+    d_mean = -total(d_xhat) * inv_std + d_var * total(-2.0 * centred) / m
+    dy = d_xhat * c(inv_std) + c(d_var) * 2.0 * centred / m + c(d_mean) / m
+    return dy, total(dout * centred * c(inv_std)), total(dout)
+
+
 def metrics_from_pairs(labels, preds):
     """Brute-force metric recomputation from raw (label, prediction) pairs,
     written independently of the library implementation."""

@@ -93,6 +93,48 @@ def test_run_rejects_augment_normalize(tmp_path, manifest_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("split", [{"k": 2, "granularity": "slices"}, {"k": 2, "stratified": "no"}])
+def test_run_rejects_mistyped_split_config(tmp_path, manifest_path, capsys, split):
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path, split=split)))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_k_zero_exits_2(tmp_path, manifest_path, capsys):
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config, "--k", "0"]) == cli.EXIT_IO
+    assert "k must be >= 2, got 0" in _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("granularity", ["subject", "slice"])
+def test_split_then_audit(tmp_path, manifest_path, capsys, granularity):
+    split = tmp_path / "split.json"
+    assert cli.main(["split", "--manifest", str(manifest_path), "--out", str(split), "--k", "2",
+                     "--seed", "1", "--granularity", granularity]) == cli.EXIT_OK
+    plan = json.loads(split.read_text())
+    assert plan["granularity"] == granularity and len(plan["folds"]) == 2
+    assert plan["stratified"] == (granularity == "subject")
+    capsys.readouterr()
+    report = tmp_path / "audit.json"
+    assert cli.main(["audit", "--manifest", str(manifest_path), "--split", str(split),
+                     "--json-out", str(report)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    leaked = json.loads(report.read_text())["leaked_subject_ids"]
+    if granularity == "subject":
+        assert leaked == [] and "Leakage: none" in out
+    else:
+        assert leaked and out.startswith(f"LEAKAGE: {len(leaked)} subject(s)")
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    for code in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_LEAKAGE, cli.EXIT_NUMERIC):
+        assert re.search(rf"^  {code}  \S", out, re.MULTILINE), code
+
+
 @pytest.mark.parametrize("epsilon", ["abc", -1])
 def test_evaluate_corrupt_model_header(tmp_path, manifest_path, capsys, epsilon):
     path = tmp_path / "m.sfm"

@@ -112,24 +112,20 @@ class TestLayerDtypes:
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_batchnorm(self, mode):
-        # infer-mode batchnorm is folded into the sepconv before it
+        # batchnorm runs folded into the sepconv before it, in either mode
         rng = np.random.default_rng(1)
         p = layers.BatchNormParams(
             gamma=_f32(rng, 3), beta=_f32(rng, 3),
             running_mean=_f32(rng, 3), running_var=np.ones(3, np.float32),
         )
         x = _f32(rng, 2, 3, 4, 4)
-        if mode == "train":
-            out, cache = layers.batchnorm(x, p)
-            grads = layers.batchnorm_backward(_f32(rng, *out.shape), cache)
-        else:
-            conv = layers.SepConvParams(_f32(rng, 3, 1, 3, 3), _f32(rng, 3, 3, 1, 1), _f32(rng, 3))
-            folded = layers.fold_batchnorm(conv, p)
-            assert folded.pointwise.dtype == folded.bias.dtype == np.float32
-            out, cache = layers.sepconv2d(x, folded)
-            grads = layers.sepconv2d_backward(_f32(rng, *out.shape), cache)
+        conv = layers.SepConvParams(_f32(rng, 3, 1, 3, 3), _f32(rng, 3, 3, 1, 1), _f32(rng, 3))
+        folded = layers.fold_batchnorm(conv, p)
+        assert folded.pointwise.dtype == folded.bias.dtype == np.float32
+        out, cache = layers.sepconv2d(x, conv, p, mode)
+        grads = layers.sepconv2d_backward(_f32(rng, *out.shape), cache)
         assert out.dtype == np.float32
-        assert [g.dtype for g in grads] == [np.float32] * (3 if mode == "train" else 4)
+        assert [g.dtype for g in grads] == [np.float32] * (6 if mode == "train" else 4)
         assert p.running_mean.dtype == p.running_var.dtype == np.float32
 
     def test_elementwise_and_head(self):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (affine_batchnorm, central_difference, max_rel_err, naive_sepconv2d,
-                     naive_sepconv2d_backward)
+from helpers import (affine_batchnorm, batchnorm_train, batchnorm_train_backward,
+                     central_difference, max_rel_err, naive_sepconv2d, naive_sepconv2d_backward)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge.errors import ConfigError, ShapeError
@@ -193,8 +193,9 @@ class TestSepConv:
 
 
 class TestChannelReductions:
-    """The row rule of the module docstring: each (sample, channel) row is
-    reduced in the array's dtype, the rows are summed in float64."""
+    """The row rule of the module docstring: each sample's rows are reduced
+    by BLAS products in the array's dtype, the per-sample results are summed
+    in float64."""
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 128 * 128),
            st.sampled_from([np.float32, np.float64]), st.integers(0, 3),
@@ -206,17 +207,30 @@ class TestChannelReductions:
     def test_sum_and_dot_against_exact_float64(self, n, c, length, dtype, pad, offset, seed):
         rng = np.random.default_rng(seed)
         a = (rng.normal(size=(n, c, length)) + offset).astype(dtype)
-        # b is a strided view, as the depthwise gradient's plane runs are
-        b = rng.normal(size=(n, c, length + pad)).astype(dtype)[..., pad:]
+        # b is a strided view ending in a row of ones, as [mid; 1] does: its
+        # column of the product holds the row sums of a
+        b = np.ones((n, c + 1, length + pad), dtype=dtype)[..., pad:]
+        b[:, :c] = rng.normal(size=(n, c, length))
+        got = layers._row_gram(a, b)
+        assert got.dtype == np.float64 and got.shape == (c, c + 1)
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
-        for got, terms in ((layers._channel_sum(a), a64), (layers._channel_dot(a, b), a64 * b64)):
-            assert got.dtype == np.float64 and got.shape == (c,)
-            exact = np.array([math.fsum(terms[:, ch].ravel()) for ch in range(c)])
-            bound = REDUCE_TOL[dtype] * np.abs(terms).sum(axis=(0, 2))
-            assert np.all(np.abs(got - exact) <= bound)
+        for i, j in np.ndindex(c, c + 1):
+            terms = a64[:, i] * b64[:, j]
+            exact = math.fsum(terms.ravel())
+            assert abs(got[i, j] - exact) <= REDUCE_TOL[dtype] * np.abs(terms).sum()
+
+
+def identity_sepconv(c):
+    """Centre depthwise taps, identity pointwise, zero bias: conv output = input."""
+    depthwise = np.zeros((c, 1, 3, 3))
+    depthwise[:, 0, 1, 1] = 1.0
+    return layers.SepConvParams(depthwise, np.eye(c).reshape(c, c, 1, 1), np.zeros(c))
 
 
 class TestBatchNorm:
+    """Batchnorm as a block runs it: folded into the sepconv before it, with
+    batch statistics in train mode and running statistics in infer mode."""
+
     def make_params(self, c, rng=None):
         if rng is None:
             return layers.BatchNormParams(
@@ -229,16 +243,25 @@ class TestBatchNorm:
         )
 
     def test_constant_channel_maps_to_zero(self):
-        x = np.full((2, 1, 2, 2), 5.0)
-        out, _ = layers.batchnorm(x, self.make_params(1))
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        # a zero pointwise row makes channel 0 of the conv output its bias, a
+        # constant, which standardises to 0 and so maps to beta
+        rng = np.random.default_rng(2)
+        conv = random_sepconv(rng, 2, 2)
+        conv.pointwise[0] = 0.0
+        x = rng.normal(size=(2, 2, 3, 3))
+        p = self.make_params(2)
+        out, _ = layers.sepconv2d(x, conv, p, "train")
+        np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
+        p.beta[0] = 0.7
+        out, _ = layers.sepconv2d(x, conv, p, "train")
+        np.testing.assert_allclose(out[:, 0], 0.7, atol=1e-12)
 
     def test_two_point_batch(self):
         # values {-1, +1}: biased variance 1, so outputs are +-1/sqrt(1 + eps)
         x = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.epsilon = 1e-3
-        out, _ = layers.batchnorm(x, p)
+        out, _ = layers.sepconv2d(x, identity_sepconv(1), p, "train")
         expect = 1.0 / np.sqrt(1.0 + 1e-3)
         np.testing.assert_allclose(out.ravel(), [-expect, expect], rtol=1e-7)
 
@@ -258,58 +281,117 @@ class TestBatchNorm:
     def test_train_standardizes(self):
         rng = np.random.default_rng(4)
         x = rng.normal(2.0, 3.0, size=(4, 3, 5, 5))
-        out, _ = layers.batchnorm(x, self.make_params(3))
+        conv = random_sepconv(rng, 3, 3)
+        out, _ = layers.sepconv2d(x, conv, self.make_params(3), "train")
         means = out.mean(axis=(0, 2, 3))
         variances = out.var(axis=(0, 2, 3))
-        sigma2 = x.var(axis=(0, 2, 3))
+        sigma2 = layers.sepconv2d(x, conv)[0].var(axis=(0, 2, 3))
         target = sigma2 / (sigma2 + 1e-3)
         assert np.abs(means).max() <= 1e-5
         assert np.abs(variances - target).max() <= 1e-3
 
     def test_batch_too_small(self):
+        p = self.make_params(2)
         with pytest.raises(ShapeError):
-            layers.batchnorm(np.ones((1, 2, 1, 1)), self.make_params(2))
+            layers.sepconv2d(np.ones((1, 2, 1, 1)), identity_sepconv(2), p, "train")
 
     def test_running_stats_ema(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.momentum = 0.9
-        layers.batchnorm(x, p)
+        layers.sepconv2d(x, identity_sepconv(1), p, "train")
         # batch mean 2, biased var 1
         np.testing.assert_allclose(p.running_mean, [0.9 * 0 + 0.1 * 2], rtol=1e-6)
         np.testing.assert_allclose(p.running_var, [0.9 * 1 + 0.1 * 1], rtol=1e-6)
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_gradients(self, mode):
-        """Train mode: batchnorm's own gradients. Infer mode: batchnorm folded
-        into the sepconv before it, whose backward must give the dx of the
-        unfolded sepconv -> batchnorm."""
+        """Train mode: every gradient of the block, batchnorm's included.
+        Infer mode: the folded block's dx and d_depthwise against the unfolded
+        sepconv -> batchnorm."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 4, 3))
+        conv = random_sepconv(rng, 3, 3)
         p = self.make_params(3, rng)
         p.running_mean = rng.normal(size=3)
         p.running_var = rng.uniform(0.5, 2.0, size=3)
         upstream = rng.normal(size=x.shape)
         if mode == "infer":
-            conv = random_sepconv(rng, 3, 3)
-
             def loss():
                 return float(np.sum(affine_batchnorm(layers.sepconv2d(x, conv)[0], p) * upstream))
 
-            _, cache = layers.sepconv2d(x, layers.fold_batchnorm(conv, p))
-            dx = layers.sepconv2d_backward(upstream, cache)[0]
+            _, cache = layers.sepconv2d(x, conv, p, "infer")
+            dx, d_dw = layers.sepconv2d_backward(upstream, cache)[:2]
             assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
+            assert max_rel_err(d_dw, central_difference(loss, conv.depthwise, FD_H)) <= GRAD_TOL
             return
 
         def loss():
-            out, _ = layers.batchnorm(x, p)
+            out, _ = layers.sepconv2d(x, conv, p, "train")
             return float(np.sum(out * upstream))
 
-        _, cache = layers.batchnorm(x, p)
-        dx, d_gamma, d_beta = layers.batchnorm_backward(upstream, cache)
-        assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
-        assert max_rel_err(d_gamma, central_difference(loss, p.gamma, FD_H)) <= GRAD_TOL
-        assert max_rel_err(d_beta, central_difference(loss, p.beta, FD_H)) <= GRAD_TOL
+        _, cache = layers.sepconv2d(x, conv, p, "train")
+        grads = layers.sepconv2d_backward(upstream, cache)
+        wrt = (x, conv.depthwise, conv.pointwise, conv.bias, p.gamma, p.beta)
+        assert len(grads) == len(wrt)
+        for got, arr in zip(grads, wrt):
+            assert max_rel_err(got, central_difference(loss, arr, FD_H)) <= GRAD_TOL
+
+
+# The folded train block against its definition, max |got - ref| / max |ref|
+# per array; set before the test first ran. Float32 is held to the float64
+# truth of its own rounded inputs: (output and statistics, gradients).
+SHADOW_TOL = {np.float64: (1e-12, 1e-12), np.float32: (1e-5, 1e-4)}
+
+
+class TestFoldedBlockShadow:
+    """A train block as the model runs it (sepconv with batchnorm folded in
+    from batch statistics, then ReLU) against an unfolded float64 reference
+    built from the definition: ``naive_sepconv2d``, then ``batchnorm_train``,
+    then ReLU, and the gradients of each step in turn."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("chunk", ["batch", "sample"])
+    def test_against_unfolded_definition(self, dtype, stride, chunk, monkeypatch):
+        if chunk == "sample":
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", 1)
+        rng = np.random.default_rng(30 + stride)
+        # inputs off zero, so the batch mean is far from the centred spread
+        x = rng.normal(1.0, 1.0, size=(4, 3, 7, 6)).astype(dtype)
+        conv = random_sepconv(rng, 3, 4, stride=stride)
+        for name in ("depthwise", "pointwise", "bias"):
+            setattr(conv, name, getattr(conv, name).astype(dtype))
+        # zero running statistics: after one step they are (1 - momentum) * batch
+        norm = layers.BatchNormParams(
+            gamma=rng.uniform(0.5, 1.5, 4).astype(dtype), beta=rng.normal(size=4).astype(dtype),
+            running_mean=np.zeros(4, dtype), running_var=np.zeros(4, dtype))
+        f64 = [a.astype(np.float64) for a in (x, conv.depthwise, conv.pointwise, conv.bias)]
+        y = naive_sepconv2d(*f64, stride)
+        z, mean, var = batchnorm_train(y, norm.gamma, norm.beta, norm.epsilon)
+        upstream = rng.normal(size=z.shape).astype(dtype)
+        dz = upstream * (z > 0)
+        dy, d_gamma, d_beta = batchnorm_train_backward(dz, y, norm.gamma, norm.epsilon)
+        want = (*naive_sepconv2d_backward(*f64[:3], dy, stride), d_gamma, d_beta)
+
+        out, cache = layers.sepconv2d(x, conv, norm, "train")
+        out, relu_cache = layers.relu(out, out=out)
+        grads = layers.sepconv2d_backward(layers.relu_backward(upstream.copy(), relu_cache), cache)
+
+        def err(got, ref, scale=None):
+            assert got.dtype == dtype and got.shape == ref.shape
+            return np.abs(got - ref).max() / np.abs(ref if scale is None else scale).max()
+
+        fwd_tol, grad_tol = SHADOW_TOL[dtype]
+        assert err(out, np.maximum(z, 0.0)) <= fwd_tol
+        assert err(norm.running_mean, (1 - norm.momentum) * mean) <= fwd_tol
+        assert err(norm.running_var, (1 - norm.momentum) * var) <= fwd_tol
+        names = ("dx", "d_depthwise", "d_pointwise", "d_bias", "d_gamma", "d_beta")
+        assert len(grads) == len(names)
+        for name, got, ref in zip(names, grads, want):
+            # the conv bias gradient is 0 by definition: held to the scale of d_beta
+            scale = d_beta if name == "d_bias" else None
+            assert err(got, ref, scale) <= grad_tol, name
 
 
 class TestRelu:

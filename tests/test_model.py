@@ -160,7 +160,7 @@ class TestForward:
         model = M.build_model(small_config(), seed=7)
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
         _, caches = M._forward_blocks(model, x, "infer", upto=2)
-        assert [type(conv) for conv, _, _ in caches] == [layers.SepConvCache] * 3
+        assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
         assert M._forward_blocks(model, x, "infer", keep_caches=False)[1] == []
 
     def test_shape_mismatch(self):

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceforge.data import DatasetManifest, SubjectRecord
-from sliceforge.splits import audit_split, kfold_split, slice_kfold_split
+from sliceforge.splits import audit_split, kfold_split
 
 
 @st.composite
@@ -61,7 +61,7 @@ def test_stratified_kfold_balances_each_class(manifest, k, seed):
 def test_audit_flags_slice_plans_exactly(manifest, k, seed):
     """A subject leaks iff its slices sit in the validation piles of two or
     more folds; a multi-slice subject whose slices all share one pile does not."""
-    plan = slice_kfold_split(manifest, min(k, len(manifest.slice_keys())), seed)
+    plan = kfold_split(manifest, min(k, len(manifest.slice_keys())), seed, granularity="slice")
     folds_of = {}
     for fold_i, fold in enumerate(plan.folds):
         for key in fold.val:

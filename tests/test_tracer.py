@@ -40,10 +40,10 @@ def test_tracer_installs_and_restores():
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
 
 
-def test_traced_run_makes_one_infer_pass_per_epoch(tmp_path, monkeypatch):
+def _traced_tiny_run(tmp_path, monkeypatch):
+    """The tracer after one traced ``run`` of a tiny 16x16 dataset."""
     # the benchmark's modules import each other by bare name
     monkeypatch.syspath_prepend(str(TRACER.parent))
-    from layer_metrics import command_metrics
     from tracer import Tracer
 
     # 2 subjects per class in k=2 stratified folds: train and validation halves are equal
@@ -62,6 +62,13 @@ def test_traced_run_makes_one_infer_pass_per_epoch(tmp_path, monkeypatch):
     finally:
         tracer.restore()
     assert rc == cli.EXIT_OK
+    return tracer
+
+
+def test_traced_run_makes_one_infer_pass_per_epoch(tmp_path, monkeypatch):
+    tracer = _traced_tiny_run(tmp_path, monkeypatch)
+    from layer_metrics import command_metrics
+
     metrics = command_metrics(tracer.names, tracer.span_array())
     assert metrics["training.infer_per_train_slice"] == 1.0
     assert metrics["training.final_eval_passes_per_val_slice"] == 0.0
@@ -90,3 +97,40 @@ def test_traced_evaluate_attributes_every_block(tmp_path, monkeypatch):
     for b in range(N_BLOCKS):
         assert metrics[f"layers.sepconv2d.fwd_s.b{b}"] > 0
         assert metrics[f"layers.batchnorm.fwd_s.b{b}"] == 0
+
+
+def test_traced_run_numbers_every_block_layer(tmp_path, monkeypatch):
+    """The per-block metrics ``layers.<layer>.<fwd|bwd>_s.b<n>`` read the block
+    index the tracer writes to a0, counted by call order within a pass: every
+    train-mode forward calls batchnorm for blocks 0..8 in order, every
+    backward calls batchnorm_backward for blocks 8..0, infer-mode forwards
+    never call batchnorm, and every sepconv span carries its FLOPs in a1."""
+    tracer = _traced_tiny_run(tmp_path, monkeypatch)
+    from layer_metrics import N_BLOCKS
+
+    spans = tracer.span_array()
+    names = [tracer.names[int(i)] for i in spans[:, 0]]
+    parent = spans[:, 3].astype(int)
+    owner = [-1] * len(spans)  # the innermost model.forward/backward span above each span
+    for i, p in enumerate(parent):
+        if p >= 0:
+            owner[i] = p if names[p] in ("model.forward", "model.backward") else owner[p]
+
+    def block_indices(pass_index, layer):
+        return [int(spans[i, 4]) for i in range(len(spans))
+                if owner[i] == pass_index and names[i] == layer]
+
+    passes = {"train": 0, "infer": 0, "backward": 0}
+    for i, name in enumerate(names):
+        if name == "model.backward":
+            passes["backward"] += 1
+            assert block_indices(i, "layers.batchnorm_backward") == list(range(N_BLOCKS))[::-1]
+            assert block_indices(i, "layers.sepconv2d_backward") == list(range(N_BLOCKS))[::-1]
+        elif name == "model.forward":
+            train = spans[i, 5] == 1.0
+            passes["train" if train else "infer"] += 1
+            assert block_indices(i, "layers.batchnorm") == (list(range(N_BLOCKS)) if train else [])
+            assert block_indices(i, "layers.sepconv2d") == list(range(N_BLOCKS))
+    assert passes["train"] == passes["backward"] > 0 and passes["infer"] > 0
+    conv = [i for i, name in enumerate(names) if name == "layers.sepconv2d"]
+    assert conv and all(spans[i, 5] > 0 for i in conv)

@@ -40,7 +40,7 @@ from .model import (
     maximize_activation,
     save_model,
 )
-from .splits import SplitPlan, audit_split, kfold_split
+from .splits import SplitPlan, audit_split, check_split_types, kfold_split
 from .tensor import atomic_open, read_array, write_array, write_pgm
 from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
@@ -97,11 +97,12 @@ class ExperimentConfig:
                 model=ModelConfig(**model_doc),
                 train=TrainConfig(**doc.get("train", {})),
                 augment=AugmentConfig(**doc.get("augment", {})),
-                split_k=int(split_doc.get("k", 2)),
-                split_seed=int(split_doc.get("seed", 0)),
+                split_k=split_doc.get("k", 2),
+                split_seed=split_doc.get("seed", 0),
                 split_stratified=split_doc.get("stratified", True),
                 split_granularity=split_doc.get("granularity", "subject"),
             )
+            check_split_types(config.split_k, config.split_seed, config.split_stratified)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"{path}: bad config: {exc!r}") from exc
         return config, manifest

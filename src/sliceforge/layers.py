@@ -312,7 +312,9 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
                 start = pre - ii * wq - jj + u0
                 stack[:, :, q] = dm_pad[:k, :, start:start + length]
             dplane = dplane_buf[:k * c_in * length].reshape(k, c_in, 1, length)
-            np.matmul(taps.reshape(c_in, 1, ni * nj), stack, out=dplane)
+            # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
+            product = np.multiply if ni * nj == 1 else np.matmul
+            product(taps.reshape(c_in, 1, ni * nj), stack, out=dplane)
             dx[b, :, rs, cs] = dplane.reshape(k, c_in, -1, wq)[..., vs]
             row_dots = np.matmul(stack, flat[a, c, :k, :, u0:u0 + length, None])
             d_dw[:, a::s, c::s] += row_dots.reshape(k, c_in, ni, nj).sum(axis=0, dtype=np.float64)

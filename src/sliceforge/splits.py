@@ -33,6 +33,7 @@ class SplitPlan:
     folds: list
 
     def __post_init__(self):
+        check_split_types(self.k, self.seed, self.stratified)
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
         if self.granularity not in ("subject", "slice"):
@@ -55,14 +56,24 @@ class SplitPlan:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             return cls(
-                k=int(doc["k"]),
-                seed=int(doc["seed"]),
-                stratified=bool(doc["stratified"]),
+                k=doc["k"],
+                seed=doc["seed"],
+                stratified=doc["stratified"],
                 granularity=doc["granularity"],
                 folds=[Fold(train=list(f["train"]), val=list(f["val"])) for f in doc["folds"]],
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: bad split plan: {exc}") from exc
+
+
+def check_split_types(k, seed, stratified) -> None:
+    """Raise ConfigError unless ``k`` and ``seed`` are integers (a bool is not)
+    and ``stratified`` is a bool, as a JSON plan or config must give them."""
+    for name, value in (("k", k), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(stratified, bool):
+        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
 
 
 def _deal(members: list, k: int) -> list:
@@ -82,8 +93,7 @@ def kfold_split(manifest: DatasetManifest, k: int, seed: int, stratified: bool =
     """
     if granularity not in ("subject", "slice"):
         raise ConfigError(f"granularity must be 'subject' or 'slice', got {granularity!r}")
-    if not isinstance(stratified, bool):
-        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
+    check_split_types(k, seed, stratified)
     stratified = stratified and granularity == "subject"
     ids = ([s.subject_id for s in manifest.subjects] if granularity == "subject"
            else manifest.slice_keys())

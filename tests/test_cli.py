@@ -60,7 +60,8 @@ def test_run_diverging_lr_exits_4(tmp_path, manifest_path, capsys):
     config = _write(tmp_path / "c.json", json.dumps(doc))
     assert cli.main(["run", "--config", config]) == cli.EXIT_NUMERIC
     err = _assert_one_line_error(capsys)
-    assert re.search(r"epoch \d+", err) and re.search(r"batch \d+", err), err
+    # a train step names its batch; the history pass names the slices of its micro-batch
+    assert re.search(r"epoch \d+", err) and re.search(r"batch \d+|slices \S+ to \S+,", err), err
 
 
 def test_run_slice_granularity_leak_exits_3(tmp_path, manifest_path, capsys):
@@ -93,11 +94,31 @@ def test_run_rejects_augment_normalize(tmp_path, manifest_path, capsys):
     _assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("split", [{"k": 2, "granularity": "slices"}, {"k": 2, "stratified": "no"}])
+@pytest.mark.parametrize("split", [{"k": 2, "granularity": "slices"}, {"k": 2, "stratified": "no"},
+                                   {"k": 2.9}, {"k": "2"}, {"k": True}, {"k": 2, "seed": 1.5}])
 def test_run_rejects_mistyped_split_config(tmp_path, manifest_path, capsys, split):
     config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path, split=split)))
     assert cli.main(["run", "--config", config]) == cli.EXIT_IO
     _assert_one_line_error(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit", [{"stratified": "no", "k": "2"}, {"k": 2.9}, {"seed": True}],
+                         ids=["strings", "float-k", "bool-seed"])
+@pytest.mark.parametrize("command", ["audit", "train"])
+def test_mistyped_split_plan_exits_2(tmp_path, manifest_path, capsys, command, edit):
+    split = tmp_path / "split.json"
+    assert cli.main(["split", "--manifest", str(manifest_path), "--out", str(split),
+                     "--k", "2"]) == cli.EXIT_OK
+    split.write_text(json.dumps({**json.loads(split.read_text()), **edit}))
+    argv = ["audit", "--manifest", str(manifest_path), "--split", str(split)]
+    if command == "train":
+        config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+        argv = ["train", "--config", config, "--manifest", str(manifest_path), "--split",
+                str(split), "--fold", "0", "--output-dir", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "bad split plan" in _assert_one_line_error(capsys)
     assert not (tmp_path / "run").exists()
 
 

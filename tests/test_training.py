@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceforge import model as M
 from sliceforge import training as T
@@ -208,8 +212,7 @@ class TestFit:
         assert res.best_epoch == accs.index(max(accs)) + 1
 
     def test_val_logits_are_predict_of_best(self):
-        # history batches of 4 split the 6 validation slices 4 + 2; predict's
-        # default batch takes them in one, and infer logits must not notice
+        # the history pass of the best epoch ran on the weights ``best`` holds
         train = make_slice_set(12, seed=17)
         val = make_slice_set(6, seed=18, prefix="v")
         cfg = T.TrainConfig(initial_lr=1e-3, epochs=3, batch_size=4, seed=5)
@@ -328,6 +331,60 @@ class TestEvaluate:
         model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=6)
         with pytest.raises(DataError):
             T.evaluate(model, empty)
+
+
+def _slice_bytes(model, dataset):
+    """Bytes of one slice's largest block output."""
+    cfg = model.config
+    return dataset.x.itemsize * max(
+        c * h * w for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
+
+
+class TestPredict:
+    MODELS = {size: M.build_model(M.ModelConfig(input_height=size, input_width=size), seed=7)
+              for size in (8, 16, 32)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from([8, 16, 32]),
+           n_and_step=st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n),
+                                                                     st.integers(1, n))))
+    def test_logits_equal_per_slice_forwards(self, size, n_and_step):
+        n, step = n_and_step
+        model = self.MODELS[size]
+        ds = make_slice_set(n, h=size, w=size, seed=n)
+        with mock.patch.object(T, "_INFER_BUDGET_BYTES", step * _slice_bytes(model, ds)):
+            logits = T.predict(model, ds)
+        alone = [M.forward(model, ds.x[i:i + 1], "infer")[1].logits for i in range(n)]
+        assert logits.tobytes() == np.concatenate(alone).tobytes()
+        assert logits.dtype == alone[0].dtype and logits.shape == (n,)
+
+    def test_memory_peak_is_one_micro_batch(self):
+        """64 slices at 128x128 peak near the largest block output of one
+        micro-batch, as ``test_infer_memory_peak`` counts one forward; the
+        set's own ``x`` is not counted."""
+        model = M.build_model(M.ModelConfig(input_height=128, input_width=128), seed=6)
+        ds = make_slice_set(64, h=128, w=128, seed=3)
+        per_slice = _slice_bytes(model, ds)
+        step = min(len(ds), max(1, T._INFER_BUDGET_BYTES // per_slice))
+        T.predict(model, ds)
+        tracemalloc.start()
+        try:
+            T.predict(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * step * per_slice
+
+    def test_failure_names_slices_of_micro_batch(self):
+        model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=8)
+        model.hidden.weight[0, 0] = np.inf
+        ds = make_slice_set(5, seed=9)
+        with mock.patch.object(T, "_INFER_BUDGET_BYTES", 2 * _slice_bytes(model, ds)):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(NumericError) as info:
+                    T.predict(model, ds)
+        assert str(info.value) == ("forward pass produced non-finite probabilities "
+                                   "in slices s000#0 to s001#0")
 
 
 class TestSubjectVote:

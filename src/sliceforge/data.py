@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .rng import TAG_SYNTH, SplitMixStream
@@ -126,33 +127,30 @@ class AugmentConfig:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
 
 
-def _shift2d(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    if dy == 0 and dx == 0:
-        return a
-    h, w = a.shape
-    out = np.zeros_like(a)
-    ys = slice(max(0, dy), h + min(0, dy))
-    xs = slice(max(0, dx), w + min(0, dx))
-    ys_src = slice(max(0, -dy), h + min(0, -dy))
-    xs_src = slice(max(0, -dx), w + min(0, -dx))
-    out[ys, xs] = a[ys_src, xs_src]
-    return out
+def augment(batch: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np.ndarray:
+    """Random integer shift (zero-filled) and coin-flip horizontal mirror of
+    each slice of a normalized [N,C,H,W] batch.
 
-
-def augment(slice_arr: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np.ndarray:
-    """Random integer shift (zero-filled) and coin-flip horizontal mirror of a
-    normalized slice. Draw order is fixed: width shift, height shift, flip."""
-    if slice_arr.ndim != 2:
-        raise DataError(f"expected a [H,W] slice, got shape {slice_arr.shape}")
-    h, w = slice_arr.shape
+    ``stream`` is one batch stream with a row per slice (keyed by the batch's
+    sample indices). Each row draws, in this fixed order, a width shift dx, a
+    height shift dy and a flip; slice n becomes out[y, x] = in[y - dy, x - dx],
+    zero outside the frame, then mirrored left-right if its flip came up.
+    """
+    if batch.ndim != 4:
+        raise DataError(f"expected a [N,C,H,W] batch, got shape {batch.shape}")
+    n, _, h, w = batch.shape
     max_dx = int(math.floor(cfg.width_shift_frac * w))
     max_dy = int(math.floor(cfg.height_shift_frac * h))
     dx = stream.randint(-max_dx, max_dx) if max_dx else 0
     dy = stream.randint(-max_dy, max_dy) if max_dy else 0
-    out = _shift2d(slice_arr, dy, dx)
-    if cfg.horizontal_flip and stream.bernoulli(0.5):
-        out = out[:, ::-1]
-    return np.ascontiguousarray(out)
+    # window (max_dy - dy, max_dx - dx) of the padded slice is the shifted slice
+    padded = np.pad(batch, ((0, 0), (0, 0), (max_dy, max_dy), (max_dx, max_dx)))
+    windows = sliding_window_view(padded, (h, w), axis=(2, 3))
+    out = windows[np.arange(n), :, max_dy - dy, max_dx - dx]
+    if cfg.horizontal_flip:
+        flip = stream.bernoulli(0.5)
+        out[flip] = out[flip, ..., ::-1]
+    return out
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -352,11 +350,11 @@ def generate_synthetic(n_per_class: int, slices_per_subject: int, h: int, w: int
             subject_dir = slices_dir / sid
             subject_dir.mkdir(exist_ok=True)
             paths = []
+            noise_stream = SplitMixStream(seed, TAG_SYNTH, label, i, 2, np.arange(slices_per_subject))
+            noise = noise_stream.normal((h, w)) * 2.5
             for j in range(slices_per_subject):
                 t = j / max(1, slices_per_subject - 1)
-                noise_stream = SplitMixStream(seed, TAG_SYNTH, label, i, 2, j)
-                noise = noise_stream.normal((h, w)) * 2.5
-                img = _render_slice(h, w, t, subject_shape, lesion, noise)
+                img = _render_slice(h, w, t, subject_shape, lesion, noise[j])
                 rel = f"slices/{sid}/s{j:03d}.tsr"
                 write_array(out_dir / rel, img)
                 paths.append(rel)

@@ -4,6 +4,8 @@ The CLI maps these onto fixed exit codes, so anything that should abort a
 command with a specific code must raise the matching class.
 """
 
+import math
+
 
 class SliceforgeError(Exception):
     """Base class for all package errors."""
@@ -38,3 +40,17 @@ class LeakageError(SliceforgeError):
 
 class NumericError(SliceforgeError, ArithmeticError):
     """A numeric contract was violated (NaN/Inf where finiteness is required)."""
+
+
+def check_int(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer (a bool is not), as a
+    JSON config or plan must give it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a finite int or float (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            -math.inf < value < math.inf):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

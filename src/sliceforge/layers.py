@@ -461,8 +461,9 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
     """Inverted dropout: zero each element with probability ``rate`` and scale
     survivors by 1/(1-rate) so inference is exactly the identity.
 
-    ``rng`` is a sequence of SplitMixStreams, one per row of ``x``, so each
-    sample's mask depends only on its own key.
+    ``rng`` is one batch stream with a row per row of ``x`` (a SplitMixStream
+    keyed by the batch's sample indices), so each sample's mask depends only on
+    its own key.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
@@ -471,10 +472,10 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
     if mode != "train":
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if rng is None:
-        raise ConfigError("train-mode dropout with rate > 0 needs per-row rng streams")
-    if len(rng) != x.shape[0]:
-        raise ShapeError(f"{len(rng)} streams for {x.shape[0]} rows")
-    u = np.stack([s.uniform(x.shape[1:]) for s in rng])
+        raise ConfigError("train-mode dropout with rate > 0 needs a batch rng stream")
+    u = rng.uniform(x.shape[1:])
+    if u.shape != x.shape:
+        raise ShapeError(f"stream draws of shape {u.shape} for input of shape {x.shape}")
     scaled_mask = (u >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
     return x * scaled_mask, DropoutCache(scaled_mask=scaled_mask)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_int, check_real
 from .layers import BatchNormParams, DenseParams, SepConvParams
 from .rng import TAG_INIT, TAG_MAXIMIZE, SplitMixStream
 from .tensor import _decode_array, _encode_array, atomic_open
@@ -66,6 +66,13 @@ HEAD_SLOTS = (
 )
 
 
+def check_threshold(threshold) -> None:
+    """Raise ConfigError unless the decision threshold is a number in (0, 1)."""
+    check_real("threshold", threshold)
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
+
+
 @dataclass
 class ModelConfig:
     input_height: int
@@ -79,8 +86,14 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        self.channel_plan = tuple(int(c) for c in self.channel_plan)
-        self.stride_plan = tuple(int(s) for s in self.stride_plan)
+        self.channel_plan = tuple(self.channel_plan)
+        self.stride_plan = tuple(self.stride_plan)
+        for name in ("input_height", "input_width", "input_channels", "kernel", "hidden_units"):
+            check_int(name, getattr(self, name))
+        for name in ("channel_plan", "stride_plan"):
+            for value in getattr(self, name):
+                check_int(f"{name} entry", value)
+        check_real("dropout_rate", self.dropout_rate)
         if len(self.channel_plan) != N_BLOCKS:
             raise ConfigError(f"channel_plan must have {N_BLOCKS} entries, got {len(self.channel_plan)}")
         if len(self.stride_plan) != N_BLOCKS:
@@ -95,8 +108,7 @@ class ModelConfig:
             raise ConfigError("input dims, channels and hidden_units must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
+        check_threshold(self.threshold)
         h, w = self.spatial_dims()[-1]
         if h < 1 or w < 1:
             raise ConfigError(f"stride plan collapses the spatial dims to {h}x{w}")
@@ -280,11 +292,11 @@ def _backward_blocks(dout: np.ndarray, caches, grads: dict | None = None):
 def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=None):
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
 
-    ``dropout_rng`` feeds the single dropout layer and is required in train
-    mode when the configured rate is positive. Infer mode folds each block's
-    batchnorm into its sepconv and keeps no per-block caches
-    (``block_caches`` is empty), so it cannot be backpropagated through the
-    conv stack; ``backward`` needs a train-mode pass.
+    ``dropout_rng``, one batch stream with a row per sample, feeds the single
+    dropout layer and is required in train mode when the configured rate is
+    positive. Infer mode folds each block's batchnorm into its sepconv and
+    keeps no per-block caches (``block_caches`` is empty), so it cannot be
+    backpropagated through the conv stack; ``backward`` needs a train-mode pass.
     """
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (

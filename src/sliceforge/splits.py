@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import SLICE_KEY_SEP, DatasetManifest
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, check_int
 from .rng import TAG_SPLIT, SplitMixStream
 from .tensor import write_json
 
@@ -69,9 +69,8 @@ class SplitPlan:
 def check_split_types(k, seed, stratified) -> None:
     """Raise ConfigError unless ``k`` and ``seed`` are integers (a bool is not)
     and ``stratified`` is a bool, as a JSON plan or config must give them."""
-    for name, value in (("k", k), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    check_int("k", k)
+    check_int("seed", seed)
     if not isinstance(stratified, bool):
         raise ConfigError(f"stratified must be true or false, got {stratified!r}")
 

@@ -37,9 +37,9 @@ from . import layers
 from . import model as model_mod
 from .data import SliceSet, augment
 from .data import scale_normalize  # noqa: F401  (unused; benchmarks/tracer.py patches this name)
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_int, check_real
 from .metrics import ConfusionCounts
-from .model import Model, forward
+from .model import Model, check_threshold, forward
 from .rng import TAG_AUGMENT, TAG_DROPOUT, TAG_SHUFFLE, SplitMixStream
 from .tensor import atomic_open
 
@@ -57,6 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            check_int(name, getattr(self, name))
+        for name in ("initial_lr", "decay_factor", "clip_value", "clip_norm"):
+            check_real(name, getattr(self, name))
         if self.initial_lr <= 0:
             raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -230,6 +234,10 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     as ``val_logits`` and equal ``predict(best, val_set)``. Raises
     NumericError naming the epoch and batch if a forward pass or a loss goes
     non-finite.
+
+    Each batch takes one augmentation stream and one dropout stream, each keyed
+    ``(seed, tag, epoch, idx)`` by the batch's sample indices ``idx``, so a
+    sample's randomness depends on its index and epoch, not on its batch.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise DataError("train and validation sets must be nonempty")
@@ -250,15 +258,11 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
         order = SplitMixStream(config.seed, TAG_SHUFFLE, epoch).permutation(n)
         loss_sum, correct = 0.0, 0
         for batch_no, idx in enumerate(_batched(order, config.batch_size)):
-            x = train_set.x[idx]  # a copy, so augmenting its rows leaves train_set as loaded
+            x = train_set.x[idx]
             if aug is not None:
-                for row, i in zip(x, idx):
-                    stream = SplitMixStream(config.seed, TAG_AUGMENT, epoch, int(i))
-                    row[0] = augment(row[0], aug, stream)
+                x = augment(x, aug, SplitMixStream(config.seed, TAG_AUGMENT, epoch, idx))
             y = train_set.labels[idx]
-            dropout_rng = [
-                SplitMixStream(config.seed, TAG_DROPOUT, epoch, int(i)) for i in idx
-            ]
+            dropout_rng = SplitMixStream(config.seed, TAG_DROPOUT, epoch, idx)
             where = f"at epoch {epoch + 1}, batch {batch_no + 1}"
             try:
                 _, caches = forward(model, x, "train", dropout_rng)
@@ -295,6 +299,7 @@ def evaluate(model: Model, dataset: SliceSet,
     """Slice-level confusion counts and mean loss of ``predict(model, dataset)``."""
     if threshold is None:
         threshold = model.config.threshold
+    check_threshold(threshold)
     return score(predict(model, dataset), dataset.labels, threshold)
 
 

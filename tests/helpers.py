@@ -2,6 +2,7 @@
 implementations, kept independent of the library's gradient/conv code paths."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -218,3 +219,23 @@ def set_sfm_value(path, model, name, value):
             return
         offset += 8 + 4 * arr.ndim + 4 * arr.size
     raise KeyError(name)
+
+
+def reference_augment(slice2d, cfg, stream):
+    """One [H,W] slice augmented from the definition, drawing from its own
+    scalar-keyed stream in the order width shift dx, height shift dy, flip:
+    out[y, x] = in[y - dy, x - dx], zero outside the frame, by explicit loops,
+    then a left-right mirror if the flip came up."""
+    h, w = slice2d.shape
+    max_dx = math.floor(cfg.width_shift_frac * w)
+    max_dy = math.floor(cfg.height_shift_frac * h)
+    dx = stream.randint(-max_dx, max_dx) if max_dx else 0
+    dy = stream.randint(-max_dy, max_dy) if max_dy else 0
+    out = np.zeros_like(slice2d)
+    for y in range(h):
+        for x in range(w):
+            if 0 <= y - dy < h and 0 <= x - dx < w:
+                out[y, x] = slice2d[y - dy, x - dx]
+    if cfg.horizontal_flip and stream.bernoulli(0.5):
+        out = out[:, ::-1]
+    return out

@@ -103,6 +103,23 @@ def test_run_rejects_mistyped_split_config(tmp_path, manifest_path, capsys, spli
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, edit", [
+    ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}), ("train", {"epochs": True}),
+    ("train", {"seed": 1.5}), ("train", {"initial_lr": float("nan")}),
+    ("train", {"clip_norm": float("inf")}), ("model", {"hidden_units": 2.5}),
+    ("model", {"kernel": 3.0}), ("model", {"input_height": 16.0}),
+    ("model", {"channel_plan": [2.7, 8, 16, 16, 32, 32, 64, 64, 128]}),
+    ("model", {"dropout_rate": "0.5"}), ("model", {"threshold": "0.5"}),
+])
+def test_run_rejects_mistyped_numeric_config(tmp_path, manifest_path, capsys, section, edit):
+    doc = _config(tmp_path, manifest_path)
+    doc[section] = {**doc.get(section, {}), **edit}
+    config = _write(tmp_path / "c.json", json.dumps(doc))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    assert next(iter(edit)) in _assert_one_line_error(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("edit", [{"stratified": "no", "k": "2"}, {"k": 2.9}, {"seed": True}],
                          ids=["strings", "float-k", "bool-seed"])
 @pytest.mark.parametrize("command", ["audit", "train"])
@@ -174,6 +191,18 @@ def test_evaluate_non_finite_model(tmp_path, manifest_path, capsys):
     rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path)])
     assert rc == cli.EXIT_IO
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "0", "1", "inf"])
+def test_evaluate_rejects_threshold_outside_unit_interval(tmp_path, manifest_path, capsys,
+                                                          threshold):
+    path = tmp_path / "m.sfm"
+    save_model(path, build_model(ModelConfig(input_height=16, input_width=16), seed=0))
+    rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path),
+                   "--threshold", threshold, "--json-out", str(tmp_path / "eval.json")])
+    assert rc == cli.EXIT_IO
+    assert "threshold" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "eval.json").exists()
 
 
 @pytest.fixture

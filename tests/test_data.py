@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_augment
 from sliceforge import cli
 from sliceforge.data import (
     AugmentConfig,
@@ -172,10 +175,31 @@ def test_load_slice_set_rejections(manifest_path, members, message):
 
 
 def test_augment_without_shift_or_flip_returns_input():
-    x = np.linspace(0.0, 1.0, 64, dtype=np.float32).reshape(8, 8)
+    x = np.linspace(0.0, 1.0, 128, dtype=np.float32).reshape(2, 1, 8, 8)
     still = AugmentConfig(width_shift_frac=0.0, height_shift_frac=0.0, horizontal_flip=False)
-    out = augment(x, still, SplitMixStream(0, TAG_AUGMENT, 0, 0))
-    assert out.dtype == np.float32
+    out = augment(x, still, SplitMixStream(0, TAG_AUGMENT, 0, np.arange(2)))
+    assert out.dtype == np.float32 and out.shape == x.shape
     assert out.tobytes() == x.tobytes()
     with pytest.raises(TypeError):
         AugmentConfig(normalize=False)
+    with pytest.raises(DataError, match=r"\[N,C,H,W\]"):
+        augment(x[0, 0], still, SplitMixStream(0))
+
+
+@given(st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4, unique=True),
+       st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5]), st.sampled_from([0.0, 0.2, 0.5]), st.booleans())
+@example([3], 6, 8, 0.0, 0.5, False)  # N = 1, no width shift, flip off
+@example([5, 1], 7, 9, 0.5, 0.0, True)
+@settings(max_examples=60, deadline=None)
+def test_augment_matches_per_slice_reference(idx, h, w, width_frac, height_frac, flip):
+    cfg = AugmentConfig(width_frac, height_frac, flip)
+    x = np.random.default_rng(len(idx) * h * w).uniform(size=(len(idx), 1, h, w))
+    x = x.astype(np.float32)
+    before = x.copy()
+    out = augment(x, cfg, SplitMixStream(7, TAG_AUGMENT, 1, np.array(idx)))
+    want = [reference_augment(x[r, 0], cfg, SplitMixStream(7, TAG_AUGMENT, 1, i))
+            for r, i in enumerate(idx)]
+    assert out.dtype == np.float32 and out.shape == x.shape
+    assert out.tobytes() == np.stack(want)[:, None].tobytes()
+    assert x.tobytes() == before.tobytes()

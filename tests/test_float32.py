@@ -22,8 +22,8 @@ BATCH = 4
 
 def _run(model, x, labels):
     """Train-mode forward and backward, then an infer-mode forward."""
-    streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(len(x))]
-    _, caches = M.forward(model, x, "train", streams)
+    stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(len(x)))
+    _, caches = M.forward(model, x, "train", stream)
     _, dlogits = T.bce_loss(caches.logits, labels)
     grads = M.backward(model, caches, dlogits.astype(x.dtype))
     probs, infer_caches = M.forward(model, x, "infer")
@@ -139,7 +139,7 @@ class TestLayerDtypes:
         dense_out, cache = layers.dense(out, p)
         assert dense_out.dtype == np.float32
         assert [g.dtype for g in layers.dense_backward(dense_out, cache)] == [np.float32] * 3
-        streams = [SplitMixStream(0, TAG_DROPOUT, 0, i) for i in range(2)]
-        drop_out, cache = layers.dropout(dense_out, 0.5, "train", streams)
+        stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(2))
+        drop_out, cache = layers.dropout(dense_out, 0.5, "train", stream)
         assert drop_out.dtype == layers.dropout_backward(drop_out, cache).dtype == np.float32
         assert layers.sigmoid(drop_out).dtype == np.float32

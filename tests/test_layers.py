@@ -515,40 +515,44 @@ class TestDropout:
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones((1, 3)), 1.0, "train", [SplitMixStream(0)])
+            layers.dropout(np.ones((1, 3)), 1.0, "train", SplitMixStream(0, np.arange(1)))
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones((1, 3)), -0.1, "train", [SplitMixStream(0)])
+            layers.dropout(np.ones((1, 3)), -0.1, "train", SplitMixStream(0, np.arange(1)))
 
     def test_stream_count_must_match_rows(self):
-        with pytest.raises(ShapeError):
-            layers.dropout(np.ones((2, 3)), 0.5, "train", [SplitMixStream(0)])
+        for stream in (SplitMixStream(0, np.arange(1)), SplitMixStream(0, np.arange(3)),
+                       SplitMixStream(0)):
+            with pytest.raises(ShapeError):
+                layers.dropout(np.ones((2, 3)), 0.5, "train", stream)
 
     def test_mean_preserved_monte_carlo(self):
         x = np.ones((10, 10_000))
-        out, _ = layers.dropout(x, 0.5, "train", [SplitMixStream(99, i) for i in range(10)])
+        out, _ = layers.dropout(x, 0.5, "train", SplitMixStream(99, np.arange(10)))
         assert abs(out.mean() - 1.0) <= 0.01
 
     def test_per_row_streams(self):
         x = np.ones((3, 50))
-        streams = [SplitMixStream(1, i) for i in range(3)]
-        out, _ = layers.dropout(x, 0.5, "train", streams)
-        again, _ = layers.dropout(x, 0.5, "train", [SplitMixStream(1, i) for i in range(3)])
+        out, _ = layers.dropout(x, 0.5, "train", SplitMixStream(1, np.arange(3)))
+        again, _ = layers.dropout(x, 0.5, "train", SplitMixStream(1, np.arange(3)))
         assert np.array_equal(out, again)
         assert not np.array_equal(out[0], out[1])
+        # row i's mask is the one its own scalar-keyed stream draws
+        for i, row in enumerate(out):
+            assert np.array_equal(row, (SplitMixStream(1, i).uniform(50) >= 0.5) * 2.0)
 
     def test_gradient_with_frozen_mask(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 6))
         upstream = rng.normal(size=x.shape)
 
-        def streams():
-            return [SplitMixStream(5, i) for i in range(len(x))]
+        def stream():
+            return SplitMixStream(5, np.arange(len(x)))
 
         def loss():
-            out, _ = layers.dropout(x, 0.4, "train", streams())
+            out, _ = layers.dropout(x, 0.4, "train", stream())
             return float(np.sum(out * upstream))
 
-        _, cache = layers.dropout(x, 0.4, "train", streams())
+        _, cache = layers.dropout(x, 0.4, "train", stream())
         dx = layers.dropout_backward(upstream, cache)
         assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
 

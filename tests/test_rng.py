@@ -1,15 +1,18 @@
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceforge.rng import SplitMixStream, mix64
+from sliceforge.data import AugmentConfig, augment
+from sliceforge.rng import TAG_AUGMENT, TAG_DROPOUT, SplitMixStream, mix64
 
 
 def test_mix64_known_values():
     # mix64(seed + GOLDEN) is the first output of reference SplitMix64;
     # for seed 0 that output is the widely published 0xE220A8397B1DCDAF.
-    assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-    assert mix64(0) == 0
+    x = np.array([0x9E3779B97F4A7C15, 0], dtype=np.uint64)
+    assert mix64(x).tolist() == [0xE220A8397B1DCDAF, 0]
 
 
 def test_streams_reproducible():
@@ -65,3 +68,75 @@ def test_choice_weighted_distribution():
     freq_a = picks.count("a") / 5000
     assert abs(freq_a - 60 / 90) < 0.03
     assert picks.count("c") > 0
+
+
+_DRAW = st.one_of(
+    st.tuples(st.just("raw"), st.integers(0, 5)),
+    st.tuples(st.just("uniform"), st.sampled_from([(), 1, 4, (2, 3)])),
+    st.tuples(st.just("normal"), st.sampled_from([(), 1, 3, (2, 3), (3, 3)])),
+    st.tuples(st.just("randint"), st.tuples(st.integers(-5, 5), st.integers(0, 2 ** 40))),
+    st.tuples(st.just("bernoulli"), st.floats(0.0, 1.0)),
+)
+
+
+def _draw(stream, op, arg):
+    if op == "randint":
+        return stream.randint(arg[0], arg[0] + arg[1])
+    return getattr(stream, op)(arg)
+
+
+@given(st.lists(st.integers(-2 ** 63, 2 ** 70), max_size=3),
+       st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=5),
+       st.lists(_DRAW, min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_batch_rows_equal_scalar_key_streams(prefix, idx, draws):
+    batch = SplitMixStream(*prefix, np.array(idx, dtype=np.int64))
+    rows = [SplitMixStream(*prefix, i) for i in idx]
+    for op, arg in draws:
+        got = _draw(batch, op, arg)
+        assert got.shape[0] == len(idx)
+        for r, stream in enumerate(rows):
+            want = _draw(stream, op, arg)
+            assert np.asarray(want).dtype == got.dtype
+            assert np.array_equal(got[r], want), (op, arg, r)
+
+
+@given(st.integers(-2 ** 63, 2 ** 64), st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_permutation_is_per_element_fisher_yates(seed, n):
+    ref = SplitMixStream(seed, 6)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.randint(0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    stream = SplitMixStream(seed, 6)
+    assert stream.permutation(n).tolist() == perm
+    # and it leaves the stream where the per-element draws did
+    assert np.array_equal(stream.raw(2), ref.raw(2))
+
+
+# computed with one scalar-keyed stream per row and one augmentation per [H,W]
+# slice, so a batch stream must reproduce those per-row values
+KNOWN_DIGEST = "317e3d791e932fc4f1e2231dff613608166b15e2db6174e586a64716c0f7cc1d"
+
+
+def test_known_answers():
+    """Digest of scalar- and batch-keyed draws, permutations and a batch
+    augmentation; negative and >= 2**64 seeds included."""
+    digest = hashlib.sha256()
+
+    def take(stream):
+        for draw in (stream.raw(3), stream.uniform((2, 3)), stream.normal(5),
+                     stream.randint(-4, 4), stream.bernoulli(0.5), stream.uniform()):
+            digest.update(np.asarray(draw).tobytes())
+
+    for key in ((1, 2, 3), (-1,), (2 ** 70, 5), (0,), ()):
+        stream = SplitMixStream(*key)
+        take(stream)
+        digest.update(stream.permutation(20).tobytes())
+    idx = np.array([4, 0, 7])
+    take(SplitMixStream(9, TAG_DROPOUT, 2, idx))
+    x = np.linspace(0.0, 1.0, 3 * 10 * 12, dtype=np.float32).reshape(3, 1, 10, 12)
+    out = augment(x, AugmentConfig(0.2, 0.3, True), SplitMixStream(9, TAG_AUGMENT, 2, idx))
+    digest.update(out.tobytes())
+    assert digest.hexdigest() == KNOWN_DIGEST

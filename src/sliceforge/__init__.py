@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .data import (
     AugmentConfig,
     DatasetManifest,
+    SliceReader,
     SliceSet,
     SubjectRecord,
     augment,

@@ -103,8 +103,10 @@ class ExperimentConfig:
                 split_granularity=split_doc.get("granularity", "subject"),
             )
             check_split_types(config.split_k, config.split_seed, config.split_stratified)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"{path}: bad config: {exc!r}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"{path}: bad config: missing key {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{path}: bad config: {exc}") from exc
         return config, manifest
 
 
@@ -254,7 +256,7 @@ def cmd_evaluate(args) -> int:
     members = args.subjects.split(",") if args.subjects else [
         s.subject_id for s in manifest.subjects
     ]
-    dataset = load_slice_set(manifest, members)
+    dataset = load_slice_set(manifest, members, materialize=False)
     counts, mean_loss = evaluate(model, dataset, threshold=args.threshold)
     report = compute_metrics(counts)
     doc = {

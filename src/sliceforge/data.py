@@ -5,10 +5,13 @@ A manifest is UTF-8 JSON naming subjects (id, CDR, label, demographics) and
 their slice files (TSR1, shape [H,W], raw intensities in [0, ceiling]).
 The label rule is fixed: label 1 (positive) iff CDR > 0.
 
-``load_slice_set`` is the only place raw slices become model input: it
-scale-normalizes each slice by the manifest's intensity ceiling as it reads
-it, so a ``SliceSet`` holds the [M,1,H,W] tensor ``forward`` takes, and
-``augment`` works on slices that are already normalized.
+``SliceReader`` is the only place raw slices become model input: ``reader[a:b]``
+reads slices a..b-1, checks them and scale-normalizes each by the manifest's
+intensity ceiling into the [b-a,1,H,W] tensor ``forward`` takes.
+``load_slice_set`` either reads the whole set once into one array (training
+indexes and augments its rows) or hands the reader itself on as the set's
+``x``, so evaluation holds one micro-batch of input at a time. ``augment``
+works on slices that are already normalized.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_real
 from .rng import TAG_SYNTH, SplitMixStream
 from .tensor import read_array, read_header, write_array, write_json
 
@@ -123,8 +126,12 @@ class AugmentConfig:
     def __post_init__(self):
         for name in ("width_shift_frac", "height_shift_frac"):
             v = getattr(self, name)
+            check_real(name, v)
             if not 0.0 <= v <= 0.5:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
+        if not isinstance(self.horizontal_flip, bool):
+            raise ConfigError(
+                f"horizontal_flip must be true or false, got {self.horizontal_flip!r}")
 
 
 def augment(batch: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np.ndarray:
@@ -223,15 +230,68 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     return manifest
 
 
+class SliceReader:
+    """The slices ``keys`` ("subject#index") of ``manifest`` as a read-on-demand
+    [M,1,H,W] float32 array.
+
+    ``reader[a:b]`` reads slices a..b-1 from their files, checks each (finite
+    TSR1 payload, the manifest's dims, no negative intensity) and
+    scale-normalizes it by the manifest's intensity ceiling into one new
+    float32 [b-a,1,H,W] array; a failure names the slice's key and file.
+    Construction reads no file: it resolves every key and rejects an unknown
+    subject, an index out of range and a key listed twice.
+    """
+
+    itemsize = np.dtype(np.float32).itemsize
+
+    def __init__(self, manifest: DatasetManifest, keys: list):
+        self.keys = keys
+        self.subjects = []  # SubjectRecord of each key
+        self._paths = []
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise DataError(f"slice {key} is listed more than once")
+            seen.add(key)
+            sid, _, idx = key.rpartition(SLICE_KEY_SEP)
+            rec = manifest.subject(sid)
+            i = int(idx) if idx.isdigit() else -1
+            if not 0 <= i < len(rec.slice_paths):
+                raise DataError(f"slice index {idx!r} out of range for subject {sid}")
+            self.subjects.append(rec)
+            self._paths.append(manifest.resolve(rec.slice_paths[i]))
+        self._ceiling = manifest.intensity_ceiling
+        self.shape = (len(keys), 1, manifest.slice_height, manifest.slice_width)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise IndexError("a SliceReader takes contiguous slices only")
+        out = np.empty((max(0, stop - start), *self.shape[1:]), dtype=np.float32)
+        for row, key, path in zip(out, self.keys[start:stop], self._paths[start:stop]):
+            try:
+                raw = read_array(path)
+                if raw.shape != self.shape[2:]:
+                    raise DataError(f"dims {raw.shape}, manifest declares {self.shape[2:]}")
+                row[0] = scale_normalize(raw, self._ceiling)
+            except DataError as exc:
+                raise DataError(f"slice {key} ({path}): {exc}") from exc
+        return out
+
+
 @dataclass
 class SliceSet:
     """Model input with labels and subject provenance.
 
     ``x`` holds every slice scale-normalized into [0, 1] by its manifest's
-    intensity ceiling, already shaped as the model's input.
+    intensity ceiling, already shaped as the model's input: an array, or a
+    ``SliceReader`` that reads contiguous rows on demand.
     """
 
-    x: np.ndarray  # [M,1,H,W] float32 in [0, 1]
+    x: np.ndarray | SliceReader  # [M,1,H,W] float32 in [0, 1]
     labels: np.ndarray  # [M] int64
     subject_ids: list  # length M
     slice_keys: list  # length M, "subject#index"
@@ -240,33 +300,25 @@ class SliceSet:
         return len(self.slice_keys)
 
 
-def load_slice_set(manifest: DatasetManifest, members) -> SliceSet:
-    """Load the slices selected by ``members`` (subject ids or slice keys)
-    and scale-normalize each by the manifest's intensity ceiling."""
+def load_slice_set(manifest: DatasetManifest, members, materialize: bool = True) -> SliceSet:
+    """The slices selected by ``members`` (subject ids or slice keys), each
+    scale-normalized by the manifest's intensity ceiling.
+
+    With ``materialize`` every slice is read now into one array; without, the
+    set's ``x`` is its ``SliceReader`` and a slice is read when a row range
+    that holds it is taken.
+    """
     keys = list(members)
     if not keys:
         raise DataError("empty member list")
     if SLICE_KEY_SEP not in keys[0]:
         keys = [f"{sid}{SLICE_KEY_SEP}{i}" for sid in keys
                 for i in range(len(manifest.subject(sid).slice_paths))]
-    rows, labels, sids = [], [], []
-    for key in keys:
-        sid, _, idx = key.rpartition(SLICE_KEY_SEP)
-        rec = manifest.subject(sid)
-        i = int(idx) if idx.isdigit() else -1
-        if not 0 <= i < len(rec.slice_paths):
-            raise DataError(f"slice index {idx!r} out of range for subject {sid}")
-        path = manifest.resolve(rec.slice_paths[i])
-        try:
-            rows.append(scale_normalize(read_array(path), manifest.intensity_ceiling))
-        except DataError as exc:
-            raise DataError(f"slice {key} ({path}): {exc}") from exc
-        labels.append(rec.label)
-        sids.append(sid)
+    reader = SliceReader(manifest, keys)
     return SliceSet(
-        x=np.stack(rows)[:, None],
-        labels=np.asarray(labels, dtype=np.int64),
-        subject_ids=sids,
+        x=reader[:] if materialize else reader,
+        labels=np.asarray([rec.label for rec in reader.subjects], dtype=np.int64),
+        subject_ids=[rec.subject_id for rec in reader.subjects],
         slice_keys=keys,
     )
 

@@ -5,17 +5,19 @@ The recipe: binary cross-entropy on logits, plain SGD, learning rate decayed
 by a fixed factor every epoch, and two-stage clipping (elementwise clamp,
 then a rescale of the global L2 norm across all parameter gradients).
 
-Slice sets arrive already normalized (``data.load_slice_set`` scales each
-slice once, at load), so training only copies and augments batch rows and
-evaluation forwards views of ``SliceSet.x``.
+Slice sets arrive already normalized (``data.SliceReader`` scales each slice
+as it reads it), so training only copies and augments batch rows and
+evaluation forwards row ranges of ``SliceSet.x``.
 
 Evaluation has one inference pass: ``predict`` runs a slice set through the
 model in infer mode and returns its logits. A fixed byte budget, not the
 caller, sizes its micro-batches: each holds as many slices as keep the largest
 block output within the budget, small enough that the next block reads it
-from cache, so peak memory does not grow with the set. A slice's infer logit
-depends on that slice alone, so the budget never changes a logit. Loss,
-accuracy, slice-level confusion counts and the subject vote are pure
+from cache. When ``x`` is a ``SliceReader`` (``sliceforge evaluate``), each
+micro-batch is read from disk as it is forwarded, so the peak is one
+micro-batch, input and forward, and does not grow with the set. A slice's
+infer logit depends on that slice alone, so the budget never changes a logit.
+Loss, accuracy, slice-level confusion counts and the subject vote are pure
 functions of those logits, so the logits ``fit`` computed for the best
 epoch's history row serve again for the final fold metrics.
 
@@ -169,16 +171,20 @@ def _batched(indices, size):
 # Bytes of the largest block output per infer micro-batch. Sweep, 128 slices, one
 # BLAS thread, 2-vCPU Xeon (4 MiB L2), min ms by micro-batch: 64x64 8: 52, 16: 40,
 # 32: 39, 64: 38, 128: 40; 128x128 4: 155, 8: 140, 16: 138, 32: 154, 64: 177.
-_INFER_BUDGET_BYTES = 8 << 20
+# 4 MiB (8 slices at 128x128, 32 at 64x64) is within 2 ms of 8 MiB at both sizes,
+# halves what one micro-batch holds, and still forwards a 32-slice 64x64 set at once.
+_INFER_BUDGET_BYTES = 4 << 20
 
 
 def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     """Infer-mode logits for every slice of ``dataset``, in dataset order.
 
     Runs micro-batches of as many slices (one at least) as keep the largest
-    block output within _INFER_BUDGET_BYTES. Infer mode uses the running
-    statistics and no dropout, and every kernel computes a slice's output from
-    that slice alone, so a logit does not depend on the micro-batch.
+    block output within _INFER_BUDGET_BYTES, each taken as ``dataset.x[b:b +
+    step]``: a view of an array, or, from a ``SliceReader``, the only rows of
+    the set in memory. Infer mode uses the running statistics and no dropout,
+    and every kernel computes a slice's output from that slice alone, so a
+    logit does not depend on the micro-batch.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
@@ -296,7 +302,11 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
 
 def evaluate(model: Model, dataset: SliceSet,
              threshold: float | None = None) -> tuple[ConfusionCounts, float]:
-    """Slice-level confusion counts and mean loss of ``predict(model, dataset)``."""
+    """Slice-level confusion counts and mean loss of ``predict(model, dataset)``.
+
+    Over a set whose ``x`` is a ``SliceReader`` the peak memory is one
+    micro-batch of ``predict``, however many slices the set holds.
+    """
     if threshold is None:
         threshold = model.config.threshold
     check_threshold(threshold)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import rewrite_sfm_header, set_sfm_value, tsr1_bytes
-from sliceforge import cli
+from sliceforge import cli, training
 from sliceforge.data import load_manifest
-from sliceforge.model import ModelConfig, build_model, extract_activation, save_model
+from sliceforge.model import ModelConfig, build_model, extract_activation, forward, save_model
 from sliceforge.splits import audit_split, kfold_split
 from sliceforge.tensor import read_array, write_array
 
@@ -110,6 +110,8 @@ def test_run_rejects_mistyped_split_config(tmp_path, manifest_path, capsys, spli
     ("model", {"kernel": 3.0}), ("model", {"input_height": 16.0}),
     ("model", {"channel_plan": [2.7, 8, 16, 16, 32, 32, 64, 64, 128]}),
     ("model", {"dropout_rate": "0.5"}), ("model", {"threshold": "0.5"}),
+    ("augment", {"horizontal_flip": "no"}), ("augment", {"horizontal_flip": 1}),
+    ("augment", {"width_shift_frac": "0.1"}), ("augment", {"height_shift_frac": [0.1]}),
 ])
 def test_run_rejects_mistyped_numeric_config(tmp_path, manifest_path, capsys, section, edit):
     doc = _config(tmp_path, manifest_path)
@@ -137,6 +139,19 @@ def test_mistyped_split_plan_exits_2(tmp_path, manifest_path, capsys, command, e
     assert cli.main(argv) == cli.EXIT_IO
     assert "bad split plan" in _assert_one_line_error(capsys)
     assert not (tmp_path / "run").exists()
+
+
+def test_bad_config_prints_the_message_itself(tmp_path, manifest_path, capsys):
+    doc = _config(tmp_path, manifest_path, train={"epochs": 1.5})
+    config = _write(tmp_path / "c.json", json.dumps(doc))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    assert _assert_one_line_error(capsys) == (
+        f"error: {config}: bad config: epochs must be an integer, got 1.5\n")
+    del doc["output_dir"]
+    _write(tmp_path / "c.json", json.dumps(doc))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_IO
+    assert _assert_one_line_error(capsys) == (
+        f"error: {config}: bad config: missing key 'output_dir'\n")
 
 
 def test_run_k_zero_exits_2(tmp_path, manifest_path, capsys):
@@ -243,6 +258,53 @@ def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
     assert str(bad) in err
     if kind == "negative":
         assert "nc-001#1" in err
+
+
+def test_evaluate_streams_to_a_bad_slice_and_writes_nothing(tmp_path, own_manifest_path, capsys,
+                                                            monkeypatch):
+    """One slice per micro-batch: the eleven slices ahead of the last are forwarded
+    before its negative second half stops the command with exit 2."""
+    bad = own_manifest_path.parent / "slices" / "ad-002" / "s001.tsr"
+    raw = read_array(bad)
+    raw[8:] = -1.0
+    write_array(bad, raw)
+    forwards = []
+
+    def counted(model, x, *args):
+        forwards.append(len(x))
+        return forward(model, x, *args)
+
+    monkeypatch.setattr(training, "_INFER_BUDGET_BYTES", 1)
+    monkeypatch.setattr(training, "forward", counted)
+    out = tmp_path / "eval.json"
+    argv = _command_argv("evaluate", tmp_path, own_manifest_path) + ["--json-out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    assert _assert_one_line_error(capsys) == (
+        f"error: slice ad-002#1 ({bad}): negative intensities in slice\n")
+    assert forwards == [1] * 11
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_repeated_member_exits_2(tmp_path, manifest_path, capsys, command):
+    if command == "evaluate":
+        argv = _command_argv("evaluate", tmp_path, manifest_path) + [
+            "--subjects", "nc-000,nc-000", "--json-out", str(tmp_path / "eval.json")]
+    else:
+        split = tmp_path / "split.json"
+        assert cli.main(["split", "--manifest", str(manifest_path), "--out", str(split),
+                         "--k", "2"]) == cli.EXIT_OK
+        plan = json.loads(split.read_text())
+        plan["folds"][0]["train"].append(plan["folds"][0]["train"][0])
+        split.write_text(json.dumps(plan))
+        config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+        argv = ["train", "--config", config, "--manifest", str(manifest_path), "--split",
+                str(split), "--fold", "0", "--output-dir", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "is listed more than once" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "eval.json").exists() and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("ceiling", [float("nan"), "nan", float("inf")], ids=["NaN", "nan", "inf"])

@@ -3,6 +3,7 @@ the CLI's exit code on a bad manifest, ``load_slice_set``'s normalized
 tensor and ``augment`` on normalized slices."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from sliceforge import cli
 from sliceforge.data import (
     AugmentConfig,
     DatasetManifest,
+    SliceReader,
     SubjectRecord,
     augment,
+    generate_synthetic,
     load_manifest,
     load_slice_set,
     save_manifest,
@@ -168,10 +171,46 @@ def test_load_slice_set_is_normalized_model_input(manifest_path):
     (["nc-0#x"], "out of range"),
     (["nobody"], "unknown subject_id"),
     ([], "empty member list"),
+    (["nc-0#1", "ad-0#0", "nc-0#1"], "slice nc-0#1 is listed more than once"),
+    (["ad-0", "nc-0", "ad-0"], "slice ad-0#0 is listed more than once"),
 ])
 def test_load_slice_set_rejections(manifest_path, members, message):
     with pytest.raises(DataError, match=message):
         load_slice_set(load_manifest(manifest_path), members)
+
+
+def test_load_slice_set_peak_is_its_array(tmp_path):
+    """Loading reads each slice straight into the set's one array: no list of
+    rows is stacked after the reads."""
+    manifest = generate_synthetic(4, 16, 64, 64, seed=2, out_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        ds = load_slice_set(manifest, manifest.slice_keys())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.x.shape == (128, 1, 64, 64)
+    assert peak <= 1.1 * ds.x.nbytes
+
+
+def test_slice_reader_reads_row_ranges_as_loaded(manifest_path):
+    manifest = load_manifest(manifest_path)
+    keys = ["ad-0#0", "nc-0#1", "nc-0#0"]
+    loaded = load_slice_set(manifest, keys)
+    reader = load_slice_set(manifest, keys, materialize=False).x
+    assert isinstance(reader, SliceReader)
+    assert len(reader) == 3 and reader.shape == loaded.x.shape
+    assert reader.itemsize == loaded.x.itemsize
+    for a, b in ((0, 3), (1, 3), (2, 2), (0, 10)):
+        rows = reader[a:b]
+        assert rows.dtype == np.float32 and rows.tobytes() == loaded.x[a:b].tobytes()
+
+
+def test_slice_reader_rejects_wrong_dims(manifest_path):
+    manifest = load_manifest(manifest_path)
+    write_array(manifest_path.parent / "slices" / "nc-0" / "s1.tsr", np.ones((1, 5), np.float32))
+    with pytest.raises(DataError, match=r"slice nc-0#1 \(.*s1\.tsr\): dims \(1, 5\)"):
+        load_slice_set(manifest, ["nc-0"])
 
 
 def test_augment_without_shift_or_flip_returns_input():

@@ -387,6 +387,58 @@ class TestPredict:
                                    "in slices s000#0 to s001#0")
 
 
+@pytest.fixture(scope="module")
+def manifest_128(tmp_path_factory):
+    """64 generated slices at 128x128: 4 subjects per class, 8 slices each."""
+    return generate_synthetic(4, 8, 128, 128, seed=3, out_dir=tmp_path_factory.mktemp("d128"))
+
+
+@pytest.fixture(scope="module")
+def manifest_16(tmp_path_factory):
+    """10 generated slices at 16x16: 5 subjects per class, 1 slice each."""
+    return generate_synthetic(5, 1, 16, 16, seed=4, out_dir=tmp_path_factory.mktemp("d16"))
+
+
+class TestStreamedEvaluate:
+    """``evaluate`` over a set whose ``x`` is its ``SliceReader``, as ``sliceforge
+    evaluate`` loads it."""
+
+    def test_memory_peak_is_one_micro_batch(self, manifest_128):
+        """Loading and evaluating 16 or 64 slices peak alike: one micro-batch's
+        forward, as ``TestPredict`` bounds it, plus its input and a few slices'
+        read buffers; the set's size adds nothing."""
+        model = M.build_model(M.ModelConfig(input_height=128, input_width=128), seed=6)
+        keys = manifest_128.slice_keys()
+        warm = load_slice_set(manifest_128, keys[:1], materialize=False)
+        per_slice, slice_bytes = _slice_bytes(model, warm), warm.x.itemsize * 128 * 128
+        step = T._INFER_BUDGET_BYTES // per_slice
+        T.evaluate(model, warm)
+        peaks = {}
+        for n in (16, 64):
+            tracemalloc.start()
+            try:
+                T.evaluate(model, load_slice_set(manifest_128, keys[:n], materialize=False))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[64] - peaks[16]) < step * slice_bytes
+        assert peaks[64] <= 1.75 * step * per_slice + (step + 4) * slice_bytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_and_step=st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n),
+                                                                     st.integers(1, n))))
+    def test_same_counts_and_loss_as_materialized(self, manifest_16, n_and_step):
+        n, step = n_and_step
+        keys = manifest_16.slice_keys()[:n]
+        model = TestPredict.MODELS[16]
+        ds = load_slice_set(manifest_16, keys, materialize=False)
+        with mock.patch.object(T, "_INFER_BUDGET_BYTES", step * _slice_bytes(model, ds)):
+            streamed = T.evaluate(model, ds)
+        loaded = T.evaluate(model, load_slice_set(manifest_16, keys))
+        assert streamed[0] == loaded[0]
+        assert streamed[1].hex() == loaded[1].hex()
+
+
 class TestSubjectVote:
     def test_majority_and_tie(self):
         ds = make_slice_set(6, seed=16)

@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError, LeakageError, NumericError, Slicefor
 from .metrics import (
     aggregate_folds,
     compute_metrics,
+    format_aggregate_cell,
     format_fold_cell,
     render_aggregate_table,
     render_folds_table,
@@ -41,7 +42,7 @@ from .model import (
     save_model,
 )
 from .splits import SplitPlan, audit_split, check_split_types, kfold_split
-from .tensor import atomic_open, read_array, write_array, write_pgm
+from .tensor import atomic_open, format_json, read_array, write_array, write_pgm
 from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
 
@@ -145,7 +146,7 @@ def cmd_audit(args) -> int:
     plan = SplitPlan.load(args.split)
     report = audit_split(plan, manifest)
     if args.json_out:
-        _json_dump(args.json_out, report.to_json_dict())
+        _json_dump(args.json_out, report)
     print(report.render_text(), end="")
     return EXIT_OK
 
@@ -173,10 +174,10 @@ def _write_fold_artifacts(fold_dir: Path, result, counts, mean_loss, subject_cou
         "best_epoch": result.best_epoch,
         "best_val_accuracy": result.history.records[result.best_epoch - 1].val_acc,
         "val_loss_best_model": mean_loss,
-        "confusion_slice_level": counts.to_json_dict(),
-        "metrics_slice_level": report.to_json_dict(),
-        "confusion_subject_vote": subject_counts.to_json_dict(),
-        "metrics_subject_vote": compute_metrics(subject_counts).to_json_dict(),
+        "confusion_slice_level": counts,
+        "metrics_slice_level": report,
+        "confusion_subject_vote": subject_counts,
+        "metrics_subject_vote": compute_metrics(subject_counts),
     }
     _json_dump(fold_dir / "metrics.json", doc)
     return report
@@ -200,7 +201,7 @@ def cmd_run(args) -> int:
     plan.save(out_dir / "split.json")
 
     report = audit_split(plan, manifest)
-    _json_dump(out_dir / "audit.json", report.to_json_dict())
+    _json_dump(out_dir / "audit.json", report)
     with atomic_open(out_dir / "audit.txt", encoding="utf-8") as fh:
         fh.write(report.render_text())
     if report.leaked_subject_ids and not args.allow_leakage:
@@ -258,15 +259,10 @@ def cmd_evaluate(args) -> int:
     ]
     dataset = load_slice_set(manifest, members, materialize=False)
     counts, mean_loss = evaluate(model, dataset, threshold=args.threshold)
-    report = compute_metrics(counts)
-    doc = {
-        "confusion": counts.to_json_dict(),
-        "metrics": report.to_json_dict(),
-        "mean_loss": mean_loss,
-    }
+    doc = {"confusion": counts, "metrics": compute_metrics(counts), "mean_loss": mean_loss}
     if args.json_out:
         _json_dump(args.json_out, doc)
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    print(format_json(doc))
     return EXIT_OK
 
 
@@ -285,7 +281,7 @@ def _write_report_files(run_dir: Path, aggregate, fold_best_acc) -> None:
     with atomic_open(run_dir / "aggregate.csv", encoding="utf-8", newline="") as fh:
         fh.write("metric,mean,std,cell\n")
         for name, (m, s) in aggregate.items():
-            fh.write(f"{name},{m!r},{s!r},{m:.4f}±{s:.4f}\n")
+            fh.write(f"{name},{m!r},{s!r},{format_aggregate_cell(m, s)}\n")
     with atomic_open(run_dir / "folds.csv", encoding="utf-8", newline="") as fh:
         fh.write("fold,best_val_accuracy,cell\n")
         for i, acc in enumerate(fold_best_acc):
@@ -401,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a saved model over manifest subjects")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--subjects", default=None, help="comma-separated subject ids")
+    p.add_argument("--subjects", default=None, help="comma-separated subject ids or slice keys")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_evaluate)

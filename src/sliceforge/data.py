@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, check_real
+from .errors import ConfigError, DataError, FormatError, check_real
 from .rng import TAG_SYNTH, SplitMixStream
 from .tensor import read_array, read_header, write_array, write_json
 
@@ -277,6 +277,8 @@ class SliceReader:
                 if raw.shape != self.shape[2:]:
                     raise DataError(f"dims {raw.shape}, manifest declares {self.shape[2:]}")
                 row[0] = scale_normalize(raw, self._ceiling)
+            except FormatError as exc:  # its message starts with the path
+                raise FormatError(f"slice {key}: {exc}") from exc
             except DataError as exc:
                 raise DataError(f"slice {key} ({path}): {exc}") from exc
         return out
@@ -301,19 +303,22 @@ class SliceSet:
 
 
 def load_slice_set(manifest: DatasetManifest, members, materialize: bool = True) -> SliceSet:
-    """The slices selected by ``members`` (subject ids or slice keys), each
-    scale-normalized by the manifest's intensity ceiling.
+    """The slices selected by ``members``, each scale-normalized by the
+    manifest's intensity ceiling. A member is a subject id, which stands for
+    all of that subject's slices, or a slice key, which stands for itself.
 
     With ``materialize`` every slice is read now into one array; without, the
     set's ``x`` is its ``SliceReader`` and a slice is read when a row range
     that holds it is taken.
     """
-    keys = list(members)
+    keys = []
+    for m in members:
+        if SLICE_KEY_SEP in m:
+            keys.append(m)
+        else:
+            keys.extend(f"{m}{SLICE_KEY_SEP}{i}" for i in range(len(manifest.subject(m).slice_paths)))
     if not keys:
         raise DataError("empty member list")
-    if SLICE_KEY_SEP not in keys[0]:
-        keys = [f"{sid}{SLICE_KEY_SEP}{i}" for sid in keys
-                for i in range(len(manifest.subject(sid).slice_paths))]
     reader = SliceReader(manifest, keys)
     return SliceSet(
         x=reader[:] if materialize else reader,

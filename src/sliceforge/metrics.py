@@ -52,9 +52,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_json_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "f1", "mcc")
 
@@ -78,14 +75,6 @@ class MetricsReport:
     f1: float
     mcc: float
     zero_denominator_flags: tuple = ()
-
-    def values(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-    def to_json_dict(self) -> dict:
-        d = self.values()
-        d["zero_denominator_flags"] = list(self.zero_denominator_flags)
-        return d
 
 
 def _ratio(num: int, den: int, name: str, flags: list) -> float:
@@ -121,18 +110,17 @@ def compute_metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
+def mean_std(values: list) -> tuple[float, float]:
+    """Mean and population standard deviation of a nonempty list."""
+    mean = sum(values) / len(values)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
 def aggregate_folds(reports: list) -> dict:
     """Per-metric (mean, population std) over fold reports."""
     if not reports:
         raise DataError("no fold reports to aggregate")
-    n = len(reports)
-    out = {}
-    for name in METRIC_NAMES:
-        vals = [getattr(r, name) for r in reports]
-        mean = sum(vals) / n
-        var = sum((v - mean) ** 2 for v in vals) / n
-        out[name] = (mean, math.sqrt(var))
-    return out
+    return {name: mean_std([getattr(r, name) for r in reports]) for name in METRIC_NAMES}
 
 
 def format_aggregate_cell(mean: float, std: float) -> str:

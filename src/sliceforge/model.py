@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,7 +30,7 @@ from . import layers
 from .errors import ConfigError, FormatError, NumericError, ShapeError, check_int, check_real
 from .layers import BatchNormParams, DenseParams, SepConvParams
 from .rng import TAG_INIT, TAG_MAXIMIZE, SplitMixStream
-from .tensor import _decode_array, _encode_array, atomic_open
+from .tensor import _decode_array, _encode_array, atomic_open, json_fields
 
 MODEL_MAGIC = b"SFM1"
 MODEL_VERSION = 1
@@ -122,16 +122,6 @@ class ModelConfig:
             w = (w + s - 1) // s
             dims.append((h, w))
         return dims
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["channel_plan"] = list(self.channel_plan)
-        d["stride_plan"] = list(self.stride_plan)
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class Slot(NamedTuple):
@@ -245,7 +235,6 @@ class ForwardCaches:
     dropout_cache: object
     output_cache: object
     logits: np.ndarray
-    probs: np.ndarray
 
 
 def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = None,
@@ -314,9 +303,9 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     out, dropout_cache = layers.dropout(out, cfg.dropout_rate, mode, dropout_rng)
     logits2d, output_cache = layers.dense(out, model.output)
     logits = logits2d[:, 0]
-    probs = layers.sigmoid(logits)
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("forward pass produced non-finite probabilities")
+    # a logit of +-inf has a finite probability, 1 or 0, so check the logits
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("forward pass produced non-finite logits")
     caches = ForwardCaches(
         block_caches=block_caches,
         pool_cache=pool_cache,
@@ -325,9 +314,8 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
         dropout_cache=dropout_cache,
         output_cache=output_cache,
         logits=logits,
-        probs=probs,
     )
-    return probs, caches
+    return layers.sigmoid(logits), caches
 
 
 def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
@@ -346,11 +334,11 @@ def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
 def save_model(path, model: Model) -> None:
     """SFM1 file: magic, u32 version, length-prefixed config JSON, TSR1 records."""
     header = {
-        "config": model.config.to_json_dict(),
+        "config": model.config,
         "bn_epsilon": model.blocks[0].norm.epsilon,
         "bn_momentum": model.blocks[0].norm.momentum,
     }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = json.dumps(header, sort_keys=True, default=json_fields).encode("utf-8")
     # encoded before the file is opened: a non-finite array leaves no file behind
     records = [_encode_array(arr, f"{path}[{name}]") for name, arr in model.state_arrays()]
     with atomic_open(path, "wb") as fh:
@@ -373,7 +361,7 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: truncated config section")
     try:
         header = json.loads(blob[12:12 + json_len].decode("utf-8"))
-        config = ModelConfig.from_json_dict(header["config"])
+        config = ModelConfig(**header["config"])
         bn = {"epsilon": float(header.get("bn_epsilon", layers.BN_EPSILON)),
               "momentum": float(header.get("bn_momentum", layers.BN_MOMENTUM))}
     except (ValueError, KeyError, TypeError) as exc:

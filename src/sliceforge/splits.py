@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .data import SLICE_KEY_SEP, DatasetManifest
 from .errors import ConfigError, DataError, FormatError, check_int
+from .metrics import mean_std
 from .rng import TAG_SPLIT, SplitMixStream
 from .tensor import write_json
 
@@ -39,17 +40,8 @@ class SplitPlan:
         if self.granularity not in ("subject", "slice"):
             raise ConfigError(f"granularity must be 'subject' or 'slice', got {self.granularity!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "stratified": self.stratified,
-            "granularity": self.granularity,
-            "folds": [{"train": f.train, "val": f.val} for f in self.folds],
-        }
-
     def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
+        write_json(path, self)
 
     @classmethod
     def load(cls, path) -> "SplitPlan":
@@ -150,22 +142,6 @@ class AuditReport:
     class_counts: dict  # label -> subject count
     demographics: dict  # label -> ClassDemographics
 
-    def to_json_dict(self) -> dict:
-        return {
-            "leaked_subject_ids": self.leaked_subject_ids,
-            "imbalance_ratio": self.imbalance_ratio,
-            "class_counts": {str(k): v for k, v in self.class_counts.items()},
-            "demographics": {
-                str(label): {
-                    "count": d.count,
-                    "age": d.age,
-                    "mmse": d.mmse,
-                    "sex_counts": d.sex_counts,
-                }
-                for label, d in self.demographics.items()
-            },
-        }
-
     def render_text(self) -> str:
         lines = []
         if self.leaked_subject_ids:
@@ -205,10 +181,8 @@ class AuditReport:
 def _summary(values: list) -> dict | None:
     if not values:
         return None
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return {"min": min(values), "max": max(values), "mean": mean, "std": math.sqrt(var)}
+    mean, std = mean_std(values)
+    return {"min": min(values), "max": max(values), "mean": mean, "std": std}
 
 
 def audit_split(plan: SplitPlan, manifest: DatasetManifest) -> AuditReport:

@@ -7,10 +7,15 @@ embeds TSR1 records through ``_encode_array`` and ``_decode_array``, which
 enforce finiteness for both formats: encoding a NaN or infinity raises
 NumericError, and decoding one raises FormatError. Every artifact the package
 writes goes through ``atomic_open``.
+
+JSON artifacts are spelled from their dataclasses by one hook: every JSON
+writer passes ``json_fields`` as ``default=``, so a dataclass anywhere in a
+document is written as its fields (``dataclasses.asdict``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -56,11 +61,22 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
+def json_fields(obj) -> dict:
+    """The ``default=`` hook of every JSON writer: a dataclass as its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def format_json(doc) -> str:
+    """``doc`` as sorted JSON, indented by one space."""
+    return json.dumps(doc, indent=1, sort_keys=True, default=json_fields)
+
+
 def write_json(path, doc) -> None:
-    """``doc`` as sorted JSON, indented by one space, plus a newline."""
+    """``format_json(doc)`` plus a newline."""
     with atomic_open(path, encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(format_json(doc) + "\n")
 
 
 def write_array(path, arr: np.ndarray) -> None:
@@ -88,8 +104,8 @@ def read_array(path) -> np.ndarray:
     return arr
 
 
-def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode the TSR1 record at ``offset``; returns it and the offset past it."""
+def _decode_header(blob: bytes, label, offset: int = 0) -> tuple[tuple[int, ...], int]:
+    """Dims of the TSR1 record at ``offset`` and the offset of its payload."""
     if len(blob) < offset + 8:
         raise FormatError(f"{label}: truncated header")
     if blob[offset:offset + 4] != MAGIC:
@@ -100,11 +116,15 @@ def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]
     need = offset + 8 + 4 * rank
     if len(blob) < need:
         raise FormatError(f"{label}: truncated dim list")
-    dims = struct.unpack_from(f"<{rank}I", blob, offset + 8)
     try:
-        dims = _validate_dims(dims)
+        return _validate_dims(struct.unpack_from(f"<{rank}I", blob, offset + 8)), need
     except ShapeError as exc:
         raise FormatError(f"{label}: {exc}") from exc
+
+
+def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode the TSR1 record at ``offset``; returns it and the offset past it."""
+    dims, need = _decode_header(blob, label, offset)
     count = int(np.prod(dims))
     end = need + 4 * count
     if len(blob) < end:
@@ -118,18 +138,7 @@ def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]
 def read_header(path) -> tuple[int, ...]:
     """Dims of a TSR1 file without loading the payload."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise FormatError(f"{path}: truncated header")
-        if head[:4] != MAGIC:
-            raise FormatError(f"{path}: bad magic {head[:4]!r}")
-        (rank,) = struct.unpack("<I", head[4:])
-        if not 1 <= rank <= MAX_RANK:
-            raise FormatError(f"{path}: rank {rank} outside 1..{MAX_RANK}")
-        raw = fh.read(4 * rank)
-        if len(raw) < 4 * rank:
-            raise FormatError(f"{path}: truncated dim list")
-        return struct.unpack(f"<{rank}I", raw)
+        return _decode_header(fh.read(8 + 4 * MAX_RANK), path)[0]
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -31,7 +31,7 @@ Only the validation columns come from an infer-mode pass.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .metrics import ConfusionCounts
 from .model import Model, check_threshold, forward
 from .rng import TAG_AUGMENT, TAG_DROPOUT, TAG_SHUFFLE, SplitMixStream
 from .tensor import atomic_open
-
-HISTORY_HEADER = ("epoch", "lr", "train_loss", "train_acc", "val_loss", "val_acc")
 
 
 @dataclass
@@ -83,12 +81,15 @@ class EpochRecord:
     val_acc: float
 
 
+HISTORY_HEADER = tuple(f.name for f in fields(EpochRecord))
+
+
 @dataclass
 class History:
     records: list = field(default_factory=list)
 
     def append(self, rec: EpochRecord):
-        for v in (rec.lr, rec.train_loss, rec.train_acc, rec.val_loss, rec.val_acc):
+        for v in astuple(rec):
             if not np.isfinite(v):
                 raise NumericError(f"non-finite history value at epoch {rec.epoch}")
         self.records.append(rec)
@@ -100,9 +101,8 @@ class History:
         with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(HISTORY_HEADER)
-            for r in self.records:
-                writer.writerow([r.epoch, repr(r.lr), repr(r.train_loss), repr(r.train_acc),
-                                 repr(r.val_loss), repr(r.val_acc)])
+            # repr keeps every float's exact value; an int's repr is its str
+            writer.writerows(map(repr, astuple(r)) for r in self.records)
 
 
 def bce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -120,10 +120,7 @@ def bce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     y = y.astype(np.float64)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     loss = float(np.mean(softplus - y * z))
-    t = np.exp(-np.abs(z))
-    p = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    grad = (p - y) / z.size
-    return loss, grad
+    return loss, (layers.sigmoid(z) - y) / z.size
 
 
 def clip_gradients(grads: dict, clip_value: float, clip_norm: float) -> dict:

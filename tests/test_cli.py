@@ -1,6 +1,8 @@
 """Command-line exit codes (0, 2, 3 and 4) and messages on a tiny generated
-dataset, and the column layout of the audit table."""
+dataset, the column layout of the audit table and the bytes of the artifacts
+whose values involve no BLAS."""
 
+import hashlib
 import json
 import re
 
@@ -10,6 +12,7 @@ import pytest
 from helpers import rewrite_sfm_header, set_sfm_value, tsr1_bytes
 from sliceforge import cli, training
 from sliceforge.data import load_manifest
+from sliceforge.metrics import ConfusionCounts
 from sliceforge.model import ModelConfig, build_model, extract_activation, forward, save_model
 from sliceforge.splits import audit_split, kfold_split
 from sliceforge.tensor import read_array, write_array
@@ -199,13 +202,23 @@ def test_evaluate_corrupt_model_header(tmp_path, manifest_path, capsys, epsilon)
 
 
 def test_evaluate_non_finite_model(tmp_path, manifest_path, capsys):
-    path = tmp_path / "m.sfm"
+    """A NaN weight fails to load (exit 2). Finite weights whose float32 logits
+    overflow exit 4, though the sigmoid of an infinite logit is finite."""
+    nan_path, inf_path, out = tmp_path / "nan.sfm", tmp_path / "inf.sfm", tmp_path / "eval.json"
     model = build_model(ModelConfig(input_height=16, input_width=16), seed=0)
-    save_model(path, model)
-    set_sfm_value(path, model, "hidden.weight", float("nan"))
-    rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path)])
-    assert rc == cli.EXIT_IO
-    _assert_one_line_error(capsys)
+    save_model(nan_path, model)
+    set_sfm_value(nan_path, model, "hidden.weight", float("nan"))
+    model.hidden.bias[...] = 1.0
+    model.output.weight[...] = 1e38
+    model.output.bias[...] = 3e38
+    save_model(inf_path, model)
+    for path, code in ((nan_path, cli.EXIT_IO), (inf_path, cli.EXIT_NUMERIC)):
+        rc = cli.main(["evaluate", "--model", str(path), "--manifest", str(manifest_path),
+                       "--json-out", str(out)])
+        assert rc == code
+        err = _assert_one_line_error(capsys)
+        assert not out.exists()
+    assert "non-finite logits" in err
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "nan", "0", "1", "inf"])
@@ -255,9 +268,7 @@ def test_bad_slice_exits_2(tmp_path, own_manifest_path, capsys, kind, command):
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_IO
     err = _assert_one_line_error(capsys)
-    assert str(bad) in err
-    if kind == "negative":
-        assert "nc-001#1" in err
+    assert str(bad) in err and "nc-001#1" in err
 
 
 def test_evaluate_streams_to_a_bad_slice_and_writes_nothing(tmp_path, own_manifest_path, capsys,
@@ -305,6 +316,17 @@ def test_repeated_member_exits_2(tmp_path, manifest_path, capsys, command):
     assert cli.main(argv) == cli.EXIT_IO
     assert "is listed more than once" in _assert_one_line_error(capsys)
     assert not (tmp_path / "eval.json").exists() and not (tmp_path / "run").exists()
+
+
+def test_evaluate_mixed_member_list(tmp_path, manifest_path, capsys):
+    """A subject id stands for all its slices and a slice key for itself."""
+    argv = _command_argv("evaluate", tmp_path, manifest_path)
+    capsys.readouterr()
+    assert cli.main(argv + ["--subjects", "nc-000#0,ad-000"]) == cli.EXIT_OK
+    confusion = json.loads(capsys.readouterr().out)["confusion"]
+    assert sum(confusion.values()) == 3
+    assert cli.main(argv + ["--subjects", "nc-000,nc-000#0"]) == cli.EXIT_IO
+    assert "slice nc-000#0 is listed more than once" in _assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("ceiling", [float("nan"), "nan", float("inf")], ids=["NaN", "nan", "inf"])
@@ -371,3 +393,40 @@ def test_audit_columns_line_up(manifest_path):
     for row in rows:
         for start in starts:
             assert row[start - 2:start] == "  " and row[start] != " ", row
+
+
+# sha256 of each file test_text_artifacts_keep_their_bytes writes
+TEXT_ARTIFACT_SHA256 = {
+    "split.json": "21fcd0da4e0d5584bff5da0e9a6e9d91f82927561bd68219517185088235218b",
+    "audit.json": "8eb25ce5dd3fbe29a9752ebdf4fdab3f973142a7e05233f9817914183d676263",
+    "metrics.json": "345ad0d2ad7d6659cad9399423e14b92db2cdc62c6e5917a2ea7ef3a765681e1",
+    "history.csv": "2e697b2f9d7fa33fd4a93322a72991ef27cc49ac02a7f8db16e6359469242eb7",
+    "best_model.sfm": "e1292cd995f5d2b13820a7edfe65d339c4539d0803514fa1570e6f84f0fbe873",
+}
+
+
+def test_text_artifacts_keep_their_bytes(tmp_path, manifest_path):
+    """Artifacts whose values involve no BLAS, pinned byte for byte: a split plan
+    and its audit of the fixture manifest, and a fold's metrics.json, history.csv
+    and best model written from fixed counts, history rows and initial weights."""
+    split, audit = tmp_path / "split.json", tmp_path / "audit.json"
+    assert cli.main(["split", "--manifest", str(manifest_path), "--out", str(split),
+                     "--k", "3", "--seed", "4"]) == cli.EXIT_OK
+    assert cli.main(["audit", "--manifest", str(manifest_path), "--split", str(split),
+                     "--json-out", str(audit)]) == cli.EXIT_OK
+    model = build_model(ModelConfig(input_height=16, input_width=16, channel_plan=(2,) * 9,
+                                    hidden_units=4), seed=3)
+    history = training.History()
+    for epoch, loss, acc in ((1, 0.7, 0.5), (2, 0.6931471805599453, 2 / 3)):
+        history.append(training.EpochRecord(epoch, 1e-4 * 0.96 ** (epoch - 1), loss, acc,
+                                            loss + 0.1, acc))
+    result = training.FitResult(final=model, best=model, best_epoch=2, history=history,
+                                val_logits=np.zeros(11, dtype=np.float32))
+    fold = tmp_path / "fold"
+    # the subject vote's counts leave precision and MCC without a denominator
+    cli._write_fold_artifacts(fold, result, ConfusionCounts(tp=3, fp=1, tn=5, fn=2), 0.5318,
+                              ConfusionCounts(tp=0, fp=0, tn=3, fn=1))
+    files = [split, audit, *(fold / name for name in (
+        "metrics.json", "history.csv", "best_model.sfm"))]
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert got == TEXT_ARTIFACT_SHA256

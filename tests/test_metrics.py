@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import metrics_from_pairs, pairs_for_counts
 from sliceforge.errors import DataError, ShapeError
 from sliceforge.metrics import METRIC_NAMES, ConfusionCounts, compute_metrics
+from sliceforge.tensor import format_json
 
 # (tp, fp, tn, fn) with at least one entry
 tables = st.tuples(*[st.integers(0, 30)] * 4).filter(lambda c: sum(c) > 0)
@@ -28,7 +31,7 @@ def test_from_pairs_recovers_the_table(table, rnd):
     counts = ConfusionCounts.from_pairs([labels[i] for i in order], [preds[i] for i in order])
     want = metrics_from_pairs(labels, preds)
     assert counts == ConfusionCounts(*table)
-    assert counts.to_json_dict() == {k: want[k] for k in ("tp", "fp", "tn", "fn")}
+    assert json.loads(format_json(counts)) == {k: want[k] for k in ("tp", "fp", "tn", "fn")}
 
 
 def test_rejections():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.errors import ConfigError, FormatError, NumericError
 from sliceforge.rng import TAG_DROPOUT, SplitMixStream
+from sliceforge.tensor import format_json, json_fields
 
 
 def small_config(**kw):
@@ -39,7 +41,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = small_config(hidden_units=32, dropout_rate=0.25)
-        back = M.ModelConfig.from_json_dict(cfg.to_json_dict())
+        back = M.ModelConfig(**json.loads(format_json(cfg)))
         assert back == cfg
 
 
@@ -251,7 +253,7 @@ class TestCorruptModelFile:
 
     def test_record_with_wrong_shape(self, saved):
         # a header that asks for 16 hidden units no longer fits hidden.weight
-        header_cfg = small_config(hidden_units=16).to_json_dict()
+        header_cfg = json_fields(small_config(hidden_units=16))
         rewrite_sfm_header(saved, config=header_cfg)
         with pytest.raises(FormatError, match="hidden.weight has shape"):
             M.load_model(saved)

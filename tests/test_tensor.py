@@ -28,8 +28,9 @@ class TestFileFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tsr"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="bad magic"):
-            tensor.read_array(path)
+        for read in (tensor.read_array, tensor.read_header):
+            with pytest.raises(FormatError, match="bad magic"):
+                read(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.tsr"
@@ -42,8 +43,9 @@ class TestFileFormat:
     def test_rank_out_of_range(self, tmp_path):
         path = tmp_path / "r.tsr"
         path.write_bytes(b"TSR1" + (9).to_bytes(4, "little") + b"\x01\x00\x00\x00" * 9)
-        with pytest.raises(FormatError, match="rank"):
-            tensor.read_array(path)
+        for read in (tensor.read_array, tensor.read_header):
+            with pytest.raises(FormatError, match="rank"):
+                read(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_payload_rejected(self, tmp_path, bad):
@@ -56,6 +58,13 @@ class TestFileFormat:
         path = tmp_path / "t.tsr"
         tensor.write_array(path, np.ones((3, 4), dtype=np.float32))
         assert tensor.read_header(path) == (3, 4)
+        # the header parse is read_array's: a short dim list or a zero dim is malformed
+        blob = path.read_bytes()
+        for bad, match in ((blob[:10], "truncated dim list"),
+                           (blob[:8] + bytes(8), "dims must be >= 1")):
+            path.write_bytes(bad)
+            with pytest.raises(FormatError, match=match):
+                tensor.read_header(path)
 
     @given(
         dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),

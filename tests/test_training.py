@@ -200,7 +200,7 @@ class TestFit:
         model = self.small_model()
         model.output.bias[...] = np.nan
         cfg = T.TrainConfig(initial_lr=1.0, epochs=2, batch_size=4, seed=0)
-        with pytest.raises(NumericError, match="probabilities at epoch 1, batch 1$"):
+        with pytest.raises(NumericError, match="logits at epoch 1, batch 1$"):
             T.fit(model, train, val, cfg, None)
 
     def test_best_model_tracked_with_earliest_tie(self):
@@ -383,7 +383,7 @@ class TestPredict:
             with np.errstate(invalid="ignore"):
                 with pytest.raises(NumericError) as info:
                     T.predict(model, ds)
-        assert str(info.value) == ("forward pass produced non-finite probabilities "
+        assert str(info.value) == ("forward pass produced non-finite logits "
                                    "in slices s000#0 to s001#0")
 
 

@@ -172,7 +172,7 @@ def _write_fold_artifacts(fold_dir: Path, result, counts, mean_loss, subject_cou
     report = compute_metrics(counts)
     doc = {
         "best_epoch": result.best_epoch,
-        "best_val_accuracy": result.history.records[result.best_epoch - 1].val_acc,
+        "best_val_accuracy": result.best_val_acc,
         "val_loss_best_model": mean_loss,
         "confusion_slice_level": counts,
         "metrics_slice_level": report,
@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
         result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, i, config, seed)
         fold_dir = out_dir / f"fold-{i + 1}"
         fold_reports.append(_write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts))
-        fold_best_acc.append(result.history.records[result.best_epoch - 1].val_acc)
+        fold_best_acc.append(result.best_val_acc)
 
     aggregate = aggregate_folds(fold_reports)
     summary = {
@@ -245,8 +245,7 @@ def cmd_train(args) -> int:
     result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, args.fold, config, seed)
     fold_dir = Path(args.output_dir) / f"fold-{args.fold + 1}"
     _write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts)
-    print(f"fold {args.fold + 1}: best val accuracy "
-          f"{format_fold_cell(result.history.records[result.best_epoch - 1].val_acc)} "
+    print(f"fold {args.fold + 1}: best val accuracy {format_fold_cell(result.best_val_acc)} "
           f"at epoch {result.best_epoch}")
     return EXIT_OK
 

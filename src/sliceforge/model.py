@@ -263,13 +263,18 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
     return out, caches
 
 
-def _backward_blocks(dout: np.ndarray, caches, grads: dict | None = None):
+def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     """Backprop through cached conv blocks; fills ``grads`` when given, which
     needs train-mode caches (an infer-mode block is a conv with fixed
-    folded weights and yields no batchnorm gradients)."""
+    folded weights and yields no batchnorm gradients).
+
+    Consumes ``caches``: each block's cache is popped off the list, so its
+    ``mid``, its output and its batchnorm cache are freed once that block's
+    backward is done, and the list is empty on return.
+    """
     g = dout
     for b in range(len(caches) - 1, -1, -1):
-        conv_cache, relu_cache = caches[b]
+        conv_cache, relu_cache = caches.pop()
         g = layers.relu_backward(g, relu_cache)
         g, *d_block = layers.sepconv2d_backward(g, conv_cache)
         if grads is not None:
@@ -319,7 +324,11 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
 
 
 def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
-    """Parameter gradients for a loss whose gradient w.r.t. the logits is given."""
+    """Parameter gradients for a loss whose gradient w.r.t. the logits is given.
+
+    Consumes ``caches.block_caches`` (see ``_backward_blocks``): the list is
+    empty on return, so a caller that keeps ``caches`` keeps no block arrays.
+    """
     g, *d_output = layers.dense_backward(dlogits[:, None], caches.output_cache)
     grads = dict(zip(_grad_names("output"), d_output, strict=True))
     g = layers.dropout_backward(g, caches.dropout_cache)

@@ -8,7 +8,6 @@ explicitly overridden.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,7 +137,7 @@ class ClassDemographics:
 @dataclass
 class AuditReport:
     leaked_subject_ids: list
-    imbalance_ratio: float
+    imbalance_ratio: float | None  # None when a class has no subjects
     class_counts: dict  # label -> subject count
     demographics: dict  # label -> ClassDemographics
 
@@ -149,7 +148,9 @@ class AuditReport:
             lines.append("  " + ", ".join(self.leaked_subject_ids))
         else:
             lines.append("Leakage: none (subject-disjoint folds)")
-        lines.append(f"Imbalance ratio (majority:minority): {self.imbalance_ratio:g}:1")
+        ratio = ("undefined, a class has no subjects" if self.imbalance_ratio is None
+                 else f"{self.imbalance_ratio:g}:1")
+        lines.append(f"Imbalance ratio (majority:minority): {ratio}")
         lines.append("")
 
         def span(stats):
@@ -211,7 +212,7 @@ def audit_split(plan: SplitPlan, manifest: DatasetManifest) -> AuditReport:
         sexes[s.label][s.sex] += 1
     minority = min(counts.values())
     majority = max(counts.values())
-    ratio = majority / minority if minority else math.inf
+    ratio = majority / minority if minority else None
 
     demographics = {
         label: ClassDemographics(

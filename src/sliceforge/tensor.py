@@ -10,7 +10,8 @@ writes goes through ``atomic_open``.
 
 JSON artifacts are spelled from their dataclasses by one hook: every JSON
 writer passes ``json_fields`` as ``default=``, so a dataclass anywhere in a
-document is written as its fields (``dataclasses.asdict``).
+document is written as its fields (``dataclasses.asdict``). The JSON text
+artifacts are strict JSON: ``format_json`` refuses a non-finite number.
 """
 
 from __future__ import annotations
@@ -69,8 +70,13 @@ def json_fields(obj) -> dict:
 
 
 def format_json(doc) -> str:
-    """``doc`` as sorted JSON, indented by one space."""
-    return json.dumps(doc, indent=1, sort_keys=True, default=json_fields)
+    """``doc`` as sorted JSON, indented by one space. Strict JSON has no
+    spelling for a NaN or an infinity, so one anywhere in ``doc`` raises
+    NumericError instead of writing the bare token ``NaN`` or ``Infinity``."""
+    try:
+        return json.dumps(doc, indent=1, sort_keys=True, default=json_fields, allow_nan=False)
+    except ValueError as exc:  # allow_nan's refusal: the documents written hold no cycles
+        raise NumericError(f"cannot write JSON: {exc}") from exc
 
 
 def write_json(path, doc) -> None:

@@ -159,6 +159,11 @@ class FitResult:
     history: History
     val_logits: np.ndarray  # infer-mode logits of ``best`` over the validation set
 
+    @property
+    def best_val_acc(self) -> float:
+        """The validation accuracy of the best epoch, as its history row holds it."""
+        return self.history.records[self.best_epoch - 1].val_acc
+
 
 def _batched(indices, size):
     for start in range(0, len(indices), size):

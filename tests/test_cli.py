@@ -342,6 +342,52 @@ def test_non_finite_intensity_ceiling_exits_2(tmp_path, own_manifest_path, capsy
     assert "intensity_ceiling" in _assert_one_line_error(capsys)
 
 
+@pytest.fixture
+def one_class_split(tmp_path, own_manifest_path):
+    """The generated manifest cut down to its 3 label-0 subjects, and an
+    unstratified 2-fold split of it."""
+    doc = json.loads(own_manifest_path.read_text())
+    doc["subjects"] = [s for s in doc["subjects"] if s["label"] == 0]
+    own_manifest_path.write_text(json.dumps(doc))
+    split = tmp_path / "split.json"
+    assert cli.main(["split", "--manifest", str(own_manifest_path), "--out", str(split),
+                     "--k", "2", "--no-stratified"]) == cli.EXIT_OK
+    return own_manifest_path, split
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_one_class_audit_is_strict_json(tmp_path, capsys, one_class_split):
+    manifest, split = one_class_split
+    out = tmp_path / "audit.json"
+    capsys.readouterr()
+    assert cli.main(["audit", "--manifest", str(manifest), "--split", str(split),
+                     "--json-out", str(out)]) == cli.EXIT_OK
+    report = _strict_json(out.read_text())
+    assert report["imbalance_ratio"] is None and report["class_counts"] == {"0": 3, "1": 0}
+    assert ("Imbalance ratio (majority:minority): undefined, a class has no subjects\n"
+            in capsys.readouterr().out)
+
+
+def test_non_finite_json_value_exits_4(tmp_path, capsys, one_class_split):
+    # the manifest's ages are not checked for finiteness; audit's demographics carry an infinite one
+    manifest, split = one_class_split
+    doc = json.loads(manifest.read_text())
+    doc["subjects"][0]["age"] = float("inf")
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "audit.json"
+    capsys.readouterr()
+    assert cli.main(["audit", "--manifest", str(manifest), "--split", str(split),
+                     "--json-out", str(out)]) == cli.EXIT_NUMERIC
+    assert "cannot write JSON: Out of range float values" in _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def _inspect_activation(tmp_path, manifest_path, *extra):
     model = build_model(ModelConfig(input_height=16, input_width=16), seed=0)
     save_model(tmp_path / "m.sfm", model)

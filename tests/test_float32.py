@@ -21,13 +21,16 @@ BATCH = 4
 
 
 def _run(model, x, labels):
-    """Train-mode forward and backward, then an infer-mode forward."""
+    """Train-mode forward and backward, then an infer-mode forward; also the
+    number of block caches the train pass made, counted before ``backward``
+    consumes them."""
     stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(len(x)))
     _, caches = M.forward(model, x, "train", stream)
+    n_block_caches = len(caches.block_caches)
     _, dlogits = T.bce_loss(caches.logits, labels)
     grads = M.backward(model, caches, dlogits.astype(x.dtype))
     probs, infer_caches = M.forward(model, x, "infer")
-    return caches, grads, probs, infer_caches
+    return caches, grads, probs, infer_caches, n_block_caches
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +47,17 @@ def shadow_runs():
 
 class TestFloat64Shadow:
     def test_train_logits_agree(self, shadow_runs):
-        (c32, _, _, _), (c64, _, _, _) = shadow_runs
+        (c32, _, _, _, _), (c64, _, _, _, _) = shadow_runs
         assert c32.logits.dtype == np.float32
         assert np.abs(c32.logits - c64.logits).max() <= LOGIT_ATOL
 
     def test_infer_logits_agree(self, shadow_runs):
-        (_, _, p32, i32), (_, _, _, i64) = shadow_runs
+        (_, _, p32, i32, _), (_, _, _, i64, _) = shadow_runs
         assert p32.dtype == np.float32
         assert np.abs(i32.logits - i64.logits).max() <= LOGIT_ATOL
 
     def test_gradients_agree(self, shadow_runs):
-        (_, g32, _, _), (_, g64, _, _) = shadow_runs
+        (_, g32, _, _, _), (_, g64, _, _, _) = shadow_runs
         assert g32.keys() == g64.keys()
         for name, want in g64.items():
             got = g32[name]
@@ -92,8 +95,9 @@ class TestFloat64Shadow:
         assert np.abs(caches.logits - want).max() <= LOGIT_ATOL
 
     def test_infer_keeps_no_block_caches(self, shadow_runs):
-        (c32, _, _, i32), _ = shadow_runs
-        assert len(c32.block_caches) == M.N_BLOCKS
+        (c32, _, _, i32, n_train), _ = shadow_runs
+        assert n_train == M.N_BLOCKS
+        assert c32.block_caches == []  # backward consumed the train pass's caches
         assert i32.block_caches == []
 
 

@@ -121,9 +121,10 @@ class TestForward:
         assert peak <= 1.75 * largest
 
     def test_train_step_memory_peak(self):
-        """One 64x64 batch-16 train-mode forward plus backward peaks no higher
-        than the 25,438,020 bytes it took while batchnorm made a centred copy
-        besides its output and a dout * x_hat product in its backward."""
+        """One 64x64 batch-16 train-mode forward plus backward, with the
+        float32 logit gradient ``fit`` passes, peaks within 5% of the measured
+        9,705,717 B. ``backward`` frees each block's cache once that block is
+        done; holding all nine until it returns peaks at 12,204,585 B."""
         cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
@@ -131,7 +132,7 @@ class TestForward:
 
         def step():
             _, caches = M.forward(model, x, "train")
-            M.backward(model, caches, T.bce_loss(caches.logits, y)[1])
+            M.backward(model, caches, T.bce_loss(caches.logits, y)[1].astype(x.dtype))
 
         step()
         tracemalloc.start()
@@ -140,7 +141,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25_438_020
+        assert peak <= 10_200_000
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)

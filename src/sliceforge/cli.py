@@ -5,12 +5,12 @@ Exit codes are ``EXIT_CODES``, the --help epilog. A --seed flag overrides
 the configured seed.
 """
 
-from __future__ import annotations
-
+# no postponed annotations: this module also runs as __main__, and from_doc
+# could not look ExperimentConfig's field types up by name from there
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,8 @@ from .model import (
     maximize_activation,
     save_model,
 )
-from .splits import SplitPlan, audit_split, check_split_types, kfold_split
-from .tensor import atomic_open, format_json, read_array, write_array, write_pgm
+from .splits import SplitConfig, SplitPlan, audit_split, kfold_split
+from .tensor import atomic_open, format_json, from_doc, read_array, write_array, write_pgm
 from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
 
@@ -59,15 +59,18 @@ EXIT_CODES = """exit codes:
 
 @dataclass
 class ExperimentConfig:
+    """The run config: ``manifest_path`` (or the --manifest flag), ``output_dir``
+    and the optional sections ``model``, ``train``, ``augment`` and ``split``,
+    each holding the fields of its dataclass; ``model``'s input size defaults
+    to the manifest's slice size. An unknown key, in any section, exits 2.
+    """
+
     manifest_path: str
     output_dir: str
     model: ModelConfig
-    train: TrainConfig
-    augment: AugmentConfig
-    split_k: int = 2
-    split_seed: int = 0
-    split_stratified: bool = True
-    split_granularity: str = "subject"
+    train: TrainConfig = field(default_factory=TrainConfig)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
 
     @classmethod
     def from_json(cls, path, manifest_path=None) -> tuple["ExperimentConfig", DatasetManifest]:
@@ -87,26 +90,15 @@ class ExperimentConfig:
         if not manifest_path or not isinstance(manifest_path, str):
             raise ConfigError(f"{path}: no manifest_path string in the config and no --manifest given")
         manifest = load_manifest(manifest_path, check_files=True)
+        model = doc.get("model", {})
+        if isinstance(model, dict):
+            model = {"input_height": manifest.slice_height, "input_width": manifest.slice_width,
+                     **model}
         try:
-            model_doc = dict(doc.get("model", {}))
-            model_doc.setdefault("input_height", manifest.slice_height)
-            model_doc.setdefault("input_width", manifest.slice_width)
-            split_doc = doc.get("split", {})
-            config = cls(
-                manifest_path=manifest_path,
-                output_dir=doc["output_dir"],
-                model=ModelConfig(**model_doc),
-                train=TrainConfig(**doc.get("train", {})),
-                augment=AugmentConfig(**doc.get("augment", {})),
-                split_k=split_doc.get("k", 2),
-                split_seed=split_doc.get("seed", 0),
-                split_stratified=split_doc.get("stratified", True),
-                split_granularity=split_doc.get("granularity", "subject"),
-            )
-            check_split_types(config.split_k, config.split_seed, config.split_stratified)
+            config = from_doc(cls, dict(doc, manifest_path=manifest_path, model=model), "config")
         except KeyError as exc:
             raise ConfigError(f"{path}: bad config: missing key {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: bad config: {exc}") from exc
         return config, manifest
 
@@ -128,7 +120,7 @@ def cmd_generate(args) -> int:
         out_dir=args.out,
     )
     print(f"wrote {len(manifest.subjects)} subjects, "
-          f"{sum(len(s.slice_paths) for s in manifest.subjects)} slices to {args.out}")
+          f"{sum(len(s.slices) for s in manifest.subjects)} slices to {args.out}")
     return EXIT_OK
 
 
@@ -189,13 +181,13 @@ def cmd_run(args) -> int:
         config.output_dir = args.output_dir
     seed = _resolve_seed(args, config.train.seed)
     config.train.seed = seed
+    split = config.split
     if args.k is not None:
-        config.split_k = args.k
+        split.k = args.k
     if args.granularity is not None:
-        config.split_granularity = args.granularity
+        split.granularity = args.granularity
 
-    plan = kfold_split(manifest, config.split_k, config.split_seed, config.split_stratified,
-                       config.split_granularity)
+    plan = kfold_split(manifest, split.k, split.seed, split.stratified, split.granularity)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan.save(out_dir / "split.json")

@@ -2,8 +2,10 @@
 dataset generator.
 
 A manifest is UTF-8 JSON naming subjects (id, CDR, label, demographics) and
-their slice files (TSR1, shape [H,W], raw intensities in [0, ceiling]).
-The label rule is fixed: label 1 (positive) iff CDR > 0.
+their slice files (TSR1, shape [H,W], raw intensities in [0, ceiling]). Its
+keys are the fields of ``DatasetManifest`` and, for each subject,
+``SubjectRecord``: it is written as those dataclasses and read back through
+``tensor.from_doc``. The label rule is fixed: label 1 (positive) iff CDR > 0.
 
 ``SliceReader`` is the only place raw slices become model input: ``reader[a:b]``
 reads slices a..b-1, checks them and scale-normalizes each by the manifest's
@@ -24,9 +26,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, FormatError, check_real
+from .errors import ConfigError, DataError, FormatError
 from .rng import TAG_SYNTH, SplitMixStream
-from .tensor import read_array, read_header, write_array, write_json
+from .tensor import from_doc, read_array, read_header, write_array, write_json
 
 VALID_CDR = (0.0, 0.5, 1.0, 2.0, 3.0)
 SLICE_KEY_SEP = "#"
@@ -39,27 +41,26 @@ class SubjectRecord:
     label: int
     age: float
     sex: str
-    mmse: int | None
-    slice_paths: list
+    slices: list[str]  # slice file paths, relative to the manifest's directory or absolute
+    mmse: int | None = None
 
     def __post_init__(self):
         if not self.subject_id:
             raise DataError("subject_id must be nonempty")
         if SLICE_KEY_SEP in self.subject_id:
             raise DataError(f"subject_id may not contain {SLICE_KEY_SEP!r}: {self.subject_id!r}")
-        if float(self.cdr) not in VALID_CDR:
+        if self.cdr not in VALID_CDR:
             raise DataError(f"{self.subject_id}: CDR must be one of {VALID_CDR}, got {self.cdr}")
-        expected = 1 if self.cdr > 0 else 0
-        if int(self.label) != expected:
+        if self.label != int(self.cdr > 0):
             raise DataError(
                 f"{self.subject_id}: label/CDR contradiction (label {self.label}, CDR {self.cdr})"
             )
         if self.sex not in ("M", "F"):
             raise DataError(f"{self.subject_id}: sex must be 'M' or 'F', got {self.sex!r}")
-        if self.mmse is not None and not 0 <= int(self.mmse) <= 30:
+        if self.mmse is not None and not 0 <= self.mmse <= 30:
             raise DataError(f"{self.subject_id}: MMSE must be in 0..30, got {self.mmse}")
-        if not self.slice_paths:
-            raise DataError(f"{self.subject_id}: slice_paths must be nonempty")
+        if not self.slices:
+            raise DataError(f"{self.subject_id}: slices must be nonempty")
 
 
 @dataclass
@@ -67,9 +68,9 @@ class DatasetManifest:
     name: str
     slice_height: int
     slice_width: int
-    subjects: list
+    subjects: list[SubjectRecord]
     intensity_ceiling: float = 255.0
-    root: Path | None = None  # directory slice paths are relative to; not serialized
+    root = None  # directory relative slice paths resolve against; not a field, so not a key
 
     def __post_init__(self):
         if self.slice_height < 1 or self.slice_width < 1:
@@ -99,7 +100,7 @@ class DatasetManifest:
         """Every slice as "subject_id#index"."""
         keys = []
         for s in self.subjects:
-            keys.extend(f"{s.subject_id}{SLICE_KEY_SEP}{i}" for i in range(len(s.slice_paths)))
+            keys.extend(f"{s.subject_id}{SLICE_KEY_SEP}{i}" for i in range(len(s.slices)))
         return keys
 
 
@@ -126,12 +127,8 @@ class AugmentConfig:
     def __post_init__(self):
         for name in ("width_shift_frac", "height_shift_frac"):
             v = getattr(self, name)
-            check_real(name, v)
             if not 0.0 <= v <= 0.5:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
-        if not isinstance(self.horizontal_flip, bool):
-            raise ConfigError(
-                f"horizontal_flip must be true or false, got {self.horizontal_flip!r}")
 
 
 def augment(batch: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np.ndarray:
@@ -161,64 +158,29 @@ def augment(batch: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    doc = {
-        "name": manifest.name,
-        "slice_height": manifest.slice_height,
-        "slice_width": manifest.slice_width,
-        "intensity_ceiling": manifest.intensity_ceiling,
-        "subjects": [
-            {
-                "subject_id": s.subject_id,
-                "cdr": s.cdr,
-                "label": s.label,
-                "age": s.age,
-                "sex": s.sex,
-                "mmse": s.mmse,
-                "slices": list(s.slice_paths),
-            }
-            for s in manifest.subjects
-        ],
-    }
-    write_json(path, doc)
+    """Write ``manifest`` as JSON: its fields and its subjects' fields are the keys."""
+    write_json(path, manifest)
 
 
 def load_manifest(path, check_files: bool = True) -> DatasetManifest:
-    """Parse and validate a manifest; rejects duplicate ids, label/CDR
-    contradictions, missing slice files and dimension mismatches."""
+    """Parse and validate a manifest; rejects unknown keys, mistyped values, duplicate
+    ids, label/CDR contradictions, missing slice files and dimension mismatches."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: unreadable manifest: {exc}") from exc
     try:
-        subjects = [
-            SubjectRecord(
-                subject_id=s["subject_id"],
-                cdr=float(s["cdr"]),
-                label=int(s["label"]),
-                age=float(s["age"]),
-                sex=s["sex"],
-                mmse=None if s.get("mmse") is None else int(s["mmse"]),
-                slice_paths=list(s["slices"]),
-            )
-            for s in doc["subjects"]
-        ]
-        manifest = DatasetManifest(
-            name=doc["name"],
-            slice_height=int(doc["slice_height"]),
-            slice_width=int(doc["slice_width"]),
-            intensity_ceiling=float(doc.get("intensity_ceiling", 255.0)),
-            subjects=subjects,
-            root=path.parent,
-        )
+        manifest = from_doc(DatasetManifest, doc, "manifest")
     except KeyError as exc:
         raise DataError(f"{path}: malformed manifest: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    manifest.root = path.parent
     if check_files:
         expect = (manifest.slice_height, manifest.slice_width)
         for s in manifest.subjects:
-            for rel in s.slice_paths:
+            for rel in s.slices:
                 f = manifest.resolve(rel)
                 if not f.is_file():
                     raise DataError(f"{s.subject_id}: missing slice file {f}")
@@ -256,10 +218,10 @@ class SliceReader:
             sid, _, idx = key.rpartition(SLICE_KEY_SEP)
             rec = manifest.subject(sid)
             i = int(idx) if idx.isdigit() else -1
-            if not 0 <= i < len(rec.slice_paths):
+            if not 0 <= i < len(rec.slices):
                 raise DataError(f"slice index {idx!r} out of range for subject {sid}")
             self.subjects.append(rec)
-            self._paths.append(manifest.resolve(rec.slice_paths[i]))
+            self._paths.append(manifest.resolve(rec.slices[i]))
         self._ceiling = manifest.intensity_ceiling
         self.shape = (len(keys), 1, manifest.slice_height, manifest.slice_width)
 
@@ -316,7 +278,7 @@ def load_slice_set(manifest: DatasetManifest, members, materialize: bool = True)
         if SLICE_KEY_SEP in m:
             keys.append(m)
         else:
-            keys.extend(f"{m}{SLICE_KEY_SEP}{i}" for i in range(len(manifest.subject(m).slice_paths)))
+            keys.extend(f"{m}{SLICE_KEY_SEP}{i}" for i in range(len(manifest.subject(m).slices)))
     if not keys:
         raise DataError("empty member list")
     reader = SliceReader(manifest, keys)
@@ -418,7 +380,7 @@ def generate_synthetic(n_per_class: int, slices_per_subject: int, h: int, w: int
             subjects.append(
                 SubjectRecord(
                     subject_id=sid, cdr=cdr, label=label, age=age, sex=sex,
-                    mmse=mmse, slice_paths=paths,
+                    mmse=mmse, slices=paths,
                 )
             )
 
@@ -428,7 +390,7 @@ def generate_synthetic(n_per_class: int, slices_per_subject: int, h: int, w: int
         slice_width=w,
         intensity_ceiling=_CEILING,
         subjects=subjects,
-        root=out_dir,
     )
+    manifest.root = out_dir
     save_manifest(out_dir / "manifest.json", manifest)
     return manifest

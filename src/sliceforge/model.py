@@ -27,10 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, FormatError, NumericError, ShapeError, check_int, check_real
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_real
 from .layers import BatchNormParams, DenseParams, SepConvParams
 from .rng import TAG_INIT, TAG_MAXIMIZE, SplitMixStream
-from .tensor import _decode_array, _encode_array, atomic_open, json_fields
+from .tensor import _decode_array, _encode_array, atomic_open, from_doc, json_fields
 
 MODEL_MAGIC = b"SFM1"
 MODEL_VERSION = 1
@@ -78,22 +78,14 @@ class ModelConfig:
     input_height: int
     input_width: int
     input_channels: int = 1
-    channel_plan: tuple = DEFAULT_CHANNEL_PLAN
-    stride_plan: tuple = DEFAULT_STRIDE_PLAN
+    channel_plan: tuple[int, ...] = DEFAULT_CHANNEL_PLAN
+    stride_plan: tuple[int, ...] = DEFAULT_STRIDE_PLAN
     kernel: int = 3
     hidden_units: int = 64
     dropout_rate: float = 0.5
     threshold: float = 0.5
 
     def __post_init__(self):
-        self.channel_plan = tuple(self.channel_plan)
-        self.stride_plan = tuple(self.stride_plan)
-        for name in ("input_height", "input_width", "input_channels", "kernel", "hidden_units"):
-            check_int(name, getattr(self, name))
-        for name in ("channel_plan", "stride_plan"):
-            for value in getattr(self, name):
-                check_int(f"{name} entry", value)
-        check_real("dropout_rate", self.dropout_rate)
         if len(self.channel_plan) != N_BLOCKS:
             raise ConfigError(f"channel_plan must have {N_BLOCKS} entries, got {len(self.channel_plan)}")
         if len(self.stride_plan) != N_BLOCKS:
@@ -157,6 +149,15 @@ def _grad_names(owner: str, prefix: str | None = None) -> list:
     returns them; ``prefix`` is the block's, and the owner's for the head."""
     return [f"{prefix or owner}.{attr}" for o, attr, trainable, _, _ in BLOCK_SLOTS + HEAD_SLOTS
             if o == owner and trainable]
+
+
+@dataclass
+class ModelHeader:
+    """The JSON header of an SFM1 file: the config and the batchnorm constants."""
+
+    config: ModelConfig
+    bn_epsilon: float = layers.BN_EPSILON
+    bn_momentum: float = layers.BN_MOMENTUM
 
 
 @dataclass
@@ -324,11 +325,13 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
 
 
 def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
-    """Parameter gradients for a loss whose gradient w.r.t. the logits is given.
+    """Parameter gradients for a loss whose gradient w.r.t. the logits is given,
+    cast to the forward's dtype (a float64 one would run every block in float64).
 
     Consumes ``caches.block_caches`` (see ``_backward_blocks``): the list is
     empty on return, so a caller that keeps ``caches`` keeps no block arrays.
     """
+    dlogits = dlogits.astype(caches.logits.dtype, copy=False)
     g, *d_output = layers.dense_backward(dlogits[:, None], caches.output_cache)
     grads = dict(zip(_grad_names("output"), d_output, strict=True))
     g = layers.dropout_backward(g, caches.dropout_cache)
@@ -342,11 +345,8 @@ def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
 
 def save_model(path, model: Model) -> None:
     """SFM1 file: magic, u32 version, length-prefixed config JSON, TSR1 records."""
-    header = {
-        "config": model.config,
-        "bn_epsilon": model.blocks[0].norm.epsilon,
-        "bn_momentum": model.blocks[0].norm.momentum,
-    }
+    norm = model.blocks[0].norm
+    header = ModelHeader(model.config, norm.epsilon, norm.momentum)
     payload = json.dumps(header, sort_keys=True, default=json_fields).encode("utf-8")
     # encoded before the file is opened: a non-finite array leaves no file behind
     records = [_encode_array(arr, f"{path}[{name}]") for name, arr in model.state_arrays()]
@@ -369,11 +369,9 @@ def load_model(path) -> Model:
     if len(blob) < 12 + json_len:
         raise FormatError(f"{path}: truncated config section")
     try:
-        header = json.loads(blob[12:12 + json_len].decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        bn = {"epsilon": float(header.get("bn_epsilon", layers.BN_EPSILON)),
-              "momentum": float(header.get("bn_momentum", layers.BN_MOMENTUM))}
-    except (ValueError, KeyError, TypeError) as exc:
+        doc = json.loads(blob[12:12 + json_len].decode("utf-8"))
+        header = from_doc(ModelHeader, doc, "SFM1 header")
+    except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}: bad config section: {exc}") from exc
 
     offset = 12 + json_len
@@ -386,7 +384,8 @@ def load_model(path) -> Model:
         return arr
 
     try:
-        model = _assemble(config, decode, **bn)
+        model = _assemble(header.config, decode, epsilon=header.bn_epsilon,
+                          momentum=header.bn_momentum)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if offset != len(blob):

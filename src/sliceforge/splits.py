@@ -12,16 +12,36 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import SLICE_KEY_SEP, DatasetManifest
-from .errors import ConfigError, DataError, FormatError, check_int
+from .errors import ConfigError, DataError, FormatError
 from .metrics import mean_std
 from .rng import TAG_SPLIT, SplitMixStream
-from .tensor import write_json
+from .tensor import from_doc, write_json
+
+
+def _check_split(split) -> None:
+    """The range checks of a SplitConfig or SplitPlan."""
+    if split.k < 2:
+        raise ConfigError(f"k must be >= 2, got {split.k}")
+    if split.granularity not in ("subject", "slice"):
+        raise ConfigError(f"granularity must be 'subject' or 'slice', got {split.granularity!r}")
+
+
+@dataclass
+class SplitConfig:
+    """The run config's ``split`` section: how ``kfold_split`` deals the folds."""
+
+    k: int = 2
+    seed: int = 0
+    stratified: bool = True
+    granularity: str = "subject"
+
+    __post_init__ = _check_split
 
 
 @dataclass
 class Fold:
-    train: list  # member ids: subject ids, or "subject#index" slice keys
-    val: list
+    train: list[str]  # member ids: subject ids, or "subject#index" slice keys
+    val: list[str]
 
 
 @dataclass
@@ -30,14 +50,9 @@ class SplitPlan:
     seed: int
     stratified: bool
     granularity: str  # "subject" | "slice"
-    folds: list
+    folds: list[Fold]
 
-    def __post_init__(self):
-        check_split_types(self.k, self.seed, self.stratified)
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.granularity not in ("subject", "slice"):
-            raise ConfigError(f"granularity must be 'subject' or 'slice', got {self.granularity!r}")
+    __post_init__ = _check_split
 
     def save(self, path) -> None:
         write_json(path, self)
@@ -45,25 +60,9 @@ class SplitPlan:
     @classmethod
     def load(cls, path) -> "SplitPlan":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(
-                k=doc["k"],
-                seed=doc["seed"],
-                stratified=doc["stratified"],
-                granularity=doc["granularity"],
-                folds=[Fold(train=list(f["train"]), val=list(f["val"])) for f in doc["folds"]],
-            )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return from_doc(cls, json.loads(Path(path).read_text(encoding="utf-8")), "split plan")
+        except (OSError, ValueError, KeyError) as exc:
             raise FormatError(f"{path}: bad split plan: {exc}") from exc
-
-
-def check_split_types(k, seed, stratified) -> None:
-    """Raise ConfigError unless ``k`` and ``seed`` are integers (a bool is not)
-    and ``stratified`` is a bool, as a JSON plan or config must give them."""
-    check_int("k", k)
-    check_int("seed", seed)
-    if not isinstance(stratified, bool):
-        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
 
 
 def _deal(members: list, k: int) -> list:
@@ -81,13 +80,10 @@ def kfold_split(manifest: DatasetManifest, k: int, seed: int, stratified: bool =
     their subject, so nearly every multi-slice subject lands on both sides of
     every fold: the leakage failure mode, for demonstration, never stratified.
     """
-    if granularity not in ("subject", "slice"):
-        raise ConfigError(f"granularity must be 'subject' or 'slice', got {granularity!r}")
-    check_split_types(k, seed, stratified)
     stratified = stratified and granularity == "subject"
     ids = ([s.subject_id for s in manifest.subjects] if granularity == "subject"
            else manifest.slice_keys())
-    if k > len(ids):  # SplitPlan rejects k < 2
+    if k > len(ids):  # SplitPlan rejects k < 2 and an unknown granularity
         raise ConfigError(f"k={k} exceeds the {len(ids)} {granularity}s")
 
     if stratified:

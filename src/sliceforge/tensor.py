@@ -8,25 +8,29 @@ enforce finiteness for both formats: encoding a NaN or infinity raises
 NumericError, and decoding one raises FormatError. Every artifact the package
 writes goes through ``atomic_open``.
 
-JSON artifacts are spelled from their dataclasses by one hook: every JSON
-writer passes ``json_fields`` as ``default=``, so a dataclass anywhere in a
-document is written as its fields (``dataclasses.asdict``). The JSON text
-artifacts are strict JSON: ``format_json`` refuses a non-finite number.
+One hook writes JSON and one rule reads it. Every JSON writer passes
+``json_fields`` as ``default=``, so a dataclass anywhere in a document is
+written as its fields; ``format_json`` writes strict JSON, refusing a
+non-finite number. ``from_doc`` builds every JSON document the package reads
+(run config, manifest, split plan, SFM1 header) back into its dataclass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import struct
+import types
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_int, check_real
 
 MAGIC = b"TSR1"
 MAX_RANK = 4
@@ -67,6 +71,55 @@ def json_fields(obj) -> dict:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+_KINDS = {bool: "true or false", str: "a string"}  # the values a bool or str field takes
+_type_hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations
+
+
+def from_doc(cls, doc, name: str):
+    """The dataclass ``cls`` from the JSON object ``doc``, the inverse of
+    ``json_fields``; ``name`` names ``doc`` in errors. An unknown key raises
+    ConfigError and a missing field without a default raises KeyError. Each
+    value must fit its field's annotation, or ConfigError names the field:
+    ``int`` (``check_int``), ``float`` (``check_real``; stored as a float),
+    ``bool``, ``str``, ``X | None``, ``list[X]`` or ``tuple[X, ...]`` from an
+    array, or a dataclass by this same rule. ``cls`` checks ranges itself."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    fields, hints = dataclasses.fields(cls), _type_hints(cls)
+    for key in doc:
+        if key not in hints:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+    for f in fields:
+        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**{f.name: _from_value(hints[f.name], doc[f.name], f.name)
+                  for f in fields if f.name in doc})
+
+
+def _from_value(ann, value, name: str):
+    """``value`` checked against the annotation ``ann`` (see ``from_doc``)."""
+    origin, args = typing.get_origin(ann), typing.get_args(ann)
+    if dataclasses.is_dataclass(ann):
+        return from_doc(ann, value, name)
+    if origin in (types.UnionType, typing.Union):
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _from_value(inner, value, name)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return origin(_from_value(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if ann is float:
+        check_real(name, value)
+        return float(value)
+    if ann is int:
+        check_int(name, value)
+    elif ann not in _KINDS:
+        raise TypeError(f"{name}: no JSON rule for {ann!r}")
+    elif not isinstance(value, ann):
+        raise ConfigError(f"{name} must be {_KINDS[ann]}, got {value!r}")
+    return value
 
 
 def format_json(doc) -> str:

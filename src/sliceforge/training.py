@@ -39,7 +39,7 @@ from . import layers
 from . import model as model_mod
 from .data import SliceSet, augment
 from .data import scale_normalize  # noqa: F401  (unused; benchmarks/tracer.py patches this name)
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_int, check_real
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import ConfusionCounts
 from .model import Model, check_threshold, forward
 from .rng import TAG_AUGMENT, TAG_DROPOUT, TAG_SHUFFLE, SplitMixStream
@@ -57,10 +57,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            check_int(name, getattr(self, name))
-        for name in ("initial_lr", "decay_factor", "clip_value", "clip_norm"):
-            check_real(name, getattr(self, name))
         if self.initial_lr <= 0:
             raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -281,7 +277,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
                 raise NumericError(f"non-finite loss {where}")
             loss_sum += loss * len(idx)
             correct += int(np.sum(logit_labels(caches.logits, model.config.threshold) == y))
-            grads = model_mod.backward(model, caches, dlogits.astype(x.dtype))
+            grads = model_mod.backward(model, caches, dlogits)
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
 

@@ -4,7 +4,10 @@ whose values involve no BLAS."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +158,19 @@ def test_bad_config_prints_the_message_itself(tmp_path, manifest_path, capsys):
     assert cli.main(["run", "--config", config]) == cli.EXIT_IO
     assert _assert_one_line_error(capsys) == (
         f"error: {config}: bad config: missing key 'output_dir'\n")
+
+
+def test_run_config_parses_beside_another_main(tmp_path, manifest_path):
+    """A profiler or runner that keeps its own __main__ module while running
+    the CLI's still gets a parsed config."""
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    code = ("import runpy, sys; sys.argv[1:1] = ['run', '--config']; "
+            "runpy.run_module('sliceforge.cli', run_name='__main__')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, config], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (tmp_path / "run" / "summary.json").is_file()
 
 
 def test_run_k_zero_exits_2(tmp_path, manifest_path, capsys):
@@ -374,8 +390,8 @@ def test_one_class_audit_is_strict_json(tmp_path, capsys, one_class_split):
             in capsys.readouterr().out)
 
 
-def test_non_finite_json_value_exits_4(tmp_path, capsys, one_class_split):
-    # the manifest's ages are not checked for finiteness; audit's demographics carry an infinite one
+def test_non_finite_age_exits_2(tmp_path, capsys, one_class_split):
+    # an infinite age stops the command at load, before audit's demographics could carry it
     manifest, split = one_class_split
     doc = json.loads(manifest.read_text())
     doc["subjects"][0]["age"] = float("inf")
@@ -383,9 +399,50 @@ def test_non_finite_json_value_exits_4(tmp_path, capsys, one_class_split):
     out = tmp_path / "audit.json"
     capsys.readouterr()
     assert cli.main(["audit", "--manifest", str(manifest), "--split", str(split),
-                     "--json-out", str(out)]) == cli.EXIT_NUMERIC
-    assert "cannot write JSON: Out of range float values" in _assert_one_line_error(capsys)
+                     "--json-out", str(out)]) == cli.EXIT_IO
+    assert _assert_one_line_error(capsys) == (
+        f"error: {manifest}: malformed manifest: age must be a finite number, got inf\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document, where, value, message", [
+    ("manifest", ("subjects", 0, "label"), "1", "label must be an integer, got '1'"),
+    ("manifest", ("subjects", 0, "cdr"), "0.5", "cdr must be a finite number, got '0.5'"),
+    ("manifest", ("subjects", 0, "age"), float("inf"), "age must be a finite number, got inf"),
+    ("manifest", ("subjects", 0, "mmse"), 29.6, "mmse must be an integer, got 29.6"),
+    ("manifest", ("slice_height",), 16.7, "slice_height must be an integer, got 16.7"),
+    ("manifest", ("subjects", 0, "slices"), "slices/nc-000/s000.tsr",
+     "slices must be a list, got 'slices/nc-000/s000.tsr'"),
+    ("config", ("trian",), {"epochs": 1}, "unknown key 'trian' in config"),
+    ("config", ("split", "K"), 3, "unknown key 'K' in split"),
+    ("plan", ("folds", 0, "train"), "nc-000", "train must be a list, got 'nc-000'"),
+], ids=["label-string", "cdr-string", "age-infinite", "mmse-fraction", "height-fraction",
+        "slices-string", "config-section", "split-key", "plan-members-string"])
+def test_mistyped_or_unknown_key_exits_2(tmp_path, own_manifest_path, capsys, document, where,
+                                         value, message):
+    """Each JSON document is read by its dataclass's fields: a value of the wrong
+    type or an unknown key exits 2 with one line and writes nothing."""
+    split, config, out = tmp_path / "split.json", tmp_path / "c.json", tmp_path / "out.json"
+    assert cli.main(["split", "--manifest", str(own_manifest_path), "--out", str(split),
+                     "--k", "2"]) == cli.EXIT_OK
+    _write(config, json.dumps(_config(tmp_path, own_manifest_path)))
+    path = {"manifest": own_manifest_path, "config": config, "plan": split}[document]
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    argv = {
+        "manifest": ["split", "--manifest", str(own_manifest_path), "--out", str(out), "--k", "2"],
+        "config": ["run", "--config", str(config)],
+        "plan": ["audit", "--manifest", str(own_manifest_path), "--split", str(split),
+                 "--json-out", str(out)],
+    }[document]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_IO
+    assert message in _assert_one_line_error(capsys)
+    assert not out.exists() and not (tmp_path / "run").exists()
 
 
 def _inspect_activation(tmp_path, manifest_path, *extra):

@@ -31,7 +31,7 @@ from sliceforge.tensor import write_array
 
 def _subject(sid, cdr, n_slices=2, **kw):
     fields = dict(subject_id=sid, cdr=cdr, label=int(cdr > 0), age=70.5, sex="F", mmse=28,
-                  slice_paths=[f"slices/{sid}/s{j}.tsr" for j in range(n_slices)])
+                  slices=[f"slices/{sid}/s{j}.tsr" for j in range(n_slices)])
     fields.update(kw)
     return SubjectRecord(**fields)
 
@@ -49,7 +49,7 @@ def manifest_path(tmp_path):
         name="tiny", slice_height=6, slice_width=5, intensity_ceiling=200.0,
         subjects=[_subject("nc-0", 0.0), _subject("ad-0", 0.5, n_slices=1, sex="M", mmse=None)],
     )
-    rels = [rel for s in manifest.subjects for rel in s.slice_paths]
+    rels = [rel for s in manifest.subjects for rel in s.slices]
     for k, rel in enumerate(rels):
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         write_array(tmp_path / rel, _raw_slice(k))
@@ -109,9 +109,9 @@ def _duplicate(doc):
     (_set_subject("slices", ["slices/nowhere.tsr"]), "missing slice file"),
     (_set("slice_width", 6), "manifest declares"),
     (_set("intensity_ceiling", 0), "positive and finite"),
-    (_set("intensity_ceiling", float("nan")), "positive and finite"),
-    (_set("intensity_ceiling", "nan"), "positive and finite"),
-    (_set("intensity_ceiling", float("inf")), "positive and finite"),
+    (_set("intensity_ceiling", float("nan")), "finite number"),
+    (_set("intensity_ceiling", "nan"), "finite number"),
+    (_set("intensity_ceiling", float("inf")), "finite number"),
 ], ids=["missing-key", "non-numeric-cdr", "non-numeric-height", "subjects-not-a-list",
         "duplicate-id", "label-cdr", "missing-slice", "dims-mismatch", "zero-ceiling",
         "nan-ceiling", "nan-string-ceiling", "inf-ceiling"])

@@ -11,7 +11,7 @@ from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.errors import ConfigError, FormatError, NumericError
 from sliceforge.rng import TAG_DROPOUT, SplitMixStream
-from sliceforge.tensor import format_json, json_fields
+from sliceforge.tensor import format_json, from_doc, json_fields
 
 
 def small_config(**kw):
@@ -41,7 +41,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = small_config(hidden_units=32, dropout_rate=0.25)
-        back = M.ModelConfig(**json.loads(format_json(cfg)))
+        back = from_doc(M.ModelConfig, json.loads(format_json(cfg)), "model")
         assert back == cfg
 
 
@@ -157,6 +157,23 @@ class TestForward:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name].tobytes() == second[name].tobytes(), name
+
+    def test_float64_logit_gradient_gives_float32_gradients(self):
+        """``backward`` casts the logit gradient to the forward's dtype: bce_loss's
+        float64 gradient and its float32 cast give the same float32 bits."""
+        model = M.build_model(small_config(dropout_rate=0.0), seed=8)
+        x = np.random.default_rng(6).uniform(size=(4, 1, 16, 16)).astype(np.float32)
+        y = np.arange(4) % 2
+
+        def grads(dtype):
+            _, caches = M.forward(model, x, "train")
+            return M.backward(model, caches, T.bce_loss(caches.logits, y)[1].astype(dtype))
+
+        wide, narrow = grads(np.float64), grads(np.float32)
+        assert wide.keys() == narrow.keys()
+        for name in wide:
+            assert wide[name].dtype == np.float32, name
+            assert wide[name].tobytes() == narrow[name].tobytes(), name
 
     def test_infer_blocks_keep_caches_only_on_request(self):
         # maximize_activation backpropagates through infer-mode blocks

@@ -15,7 +15,7 @@ def manifests(draw, min_per_class=1):
             n_slices = draw(st.integers(1, 4))
             subjects.append(SubjectRecord(
                 subject_id=f"c{label}s{i:02d}", cdr=float(label), label=label, age=70.0,
-                sex="F", mmse=None, slice_paths=[f"{i}-{j}.tsr" for j in range(n_slices)],
+                sex="F", mmse=None, slices=[f"{i}-{j}.tsr" for j in range(n_slices)],
             ))
     subjects = draw(st.permutations(subjects))
     return DatasetManifest(name="prop", slice_height=4, slice_width=4, subjects=list(subjects))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import tsr1_bytes
 from sliceforge import tensor
+from sliceforge.data import VALID_CDR, AugmentConfig, DatasetManifest, SubjectRecord
 from sliceforge.errors import FormatError, NumericError, ShapeError
+from sliceforge.model import ModelConfig, ModelHeader
+from sliceforge.splits import Fold, SplitConfig, SplitPlan
+from sliceforge.training import TrainConfig
 
 
 class TestCreate:
@@ -122,6 +128,15 @@ class TestAtomicWrites:
         assert target.read_text(encoding="utf-8") == '{\n "k": 2\n}\n'
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_non_finite_json_keeps_old_file(self, tmp_path):
+        # strict JSON has no spelling for an infinity
+        target = tmp_path / "summary.json"
+        tensor.write_json(target, {"x": 1.0})
+        with pytest.raises(NumericError, match="cannot write JSON"):
+            tensor.write_json(target, {"x": float("inf")})
+        assert target.read_text(encoding="utf-8") == '{\n "x": 1.0\n}\n'
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_non_finite_array_keeps_old_file(self, tmp_path):
         target = tmp_path / "a.tsr"
         tensor.write_array(target, np.ones((2, 2), dtype=np.float32))
@@ -137,3 +152,42 @@ class TestAtomicWrites:
             fh.write("new\n")
         assert target.read_text(encoding="utf-8") == "new\n"
         assert list(tmp_path.iterdir()) == [target]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+model_configs = st.builds(
+    ModelConfig, input_height=st.integers(1, 512), input_width=st.integers(1, 512),
+    input_channels=st.integers(1, 4), channel_plan=st.tuples(*[st.integers(1, 512)] * 9),
+    stride_plan=st.tuples(*[st.sampled_from((1, 2))] * 9),
+    kernel=st.integers(0, 4).map(lambda k: 2 * k + 1), hidden_units=st.integers(1, 512),
+    dropout_rate=st.floats(0.0, 1.0, exclude_max=True), threshold=unit)
+split_fields = dict(k=st.integers(2, 100), seed=st.integers(), stratified=st.booleans(),
+                    granularity=st.sampled_from(("subject", "slice")))
+subjects = st.sampled_from(VALID_CDR).flatmap(lambda cdr: st.builds(
+    SubjectRecord, subject_id=st.text(st.characters(blacklist_characters="#"), min_size=1),
+    cdr=st.just(cdr), label=st.just(int(cdr > 0)), age=finite, sex=st.sampled_from("MF"),
+    slices=st.lists(st.text(), min_size=1), mmse=st.none() | st.integers(0, 30)))
+documents = st.one_of(
+    model_configs,
+    st.builds(TrainConfig, initial_lr=positive, decay_factor=unit | st.just(1.0),
+              epochs=st.integers(1, 10 ** 6), batch_size=st.integers(1, 10 ** 6),
+              clip_value=positive, clip_norm=positive, seed=st.integers()),
+    st.builds(AugmentConfig, width_shift_frac=st.floats(0.0, 0.5),
+              height_shift_frac=st.floats(0.0, 0.5), horizontal_flip=st.booleans()),
+    st.builds(SplitConfig, **split_fields),
+    st.builds(SplitPlan, **split_fields, folds=st.lists(st.builds(
+        Fold, train=st.lists(st.text()), val=st.lists(st.text())))),
+    st.builds(DatasetManifest, name=st.text(), slice_height=st.integers(1, 10 ** 4),
+              slice_width=st.integers(1, 10 ** 4), intensity_ceiling=positive,
+              subjects=st.lists(subjects, unique_by=lambda s: s.subject_id)),
+    st.builds(ModelHeader, config=model_configs, bn_epsilon=finite, bn_momentum=finite),
+)
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_from_doc_inverts_format_json(doc):
+    """Every document the package reads is built back from its own JSON."""
+    assert tensor.from_doc(type(doc), json.loads(tensor.format_json(doc)), "doc") == doc

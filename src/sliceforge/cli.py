@@ -1,8 +1,11 @@
 """Command-line orchestration: generate, split, audit, train, run, evaluate,
 report, inspect.
 
-Exit codes are ``EXIT_CODES``, the --help epilog. A --seed flag overrides
-the configured seed.
+``run`` writes its record, a ``RunSummary``, to summary.json and renders its
+tables from it; ``report`` rewrites those tables from summary.json, byte for byte.
+
+Exit codes are ``EXIT_CODES``, the --help epilog. ``run`` and ``train`` take
+the config's seed unless --seed is given; elsewhere --seed defaults to 0.
 """
 
 # no postponed annotations: this module also runs as __main__, and from_doc
@@ -26,6 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, LeakageError, NumericError, SliceforgeError
 from .metrics import (
+    Aggregate,
     aggregate_folds,
     compute_metrics,
     format_aggregate_cell,
@@ -103,11 +107,24 @@ class ExperimentConfig:
         return config, manifest
 
 
-def _resolve_seed(args, config_seed: int) -> int:
-    """The --seed flag if given, else the config value."""
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return config_seed
+@dataclass
+class RunSummary:
+    """summary.json: the split's ``k`` and ``granularity``, the training
+    ``seed``, the subjects the audit found leaked, each fold's best validation
+    accuracy and the mean±std of every metric over folds. A fold list whose
+    length is not ``k`` (k >= 2) raises ConfigError."""
+
+    k: int
+    seed: int
+    granularity: str
+    leaked_subjects: list[str]
+    fold_best_val_accuracy: list[float]
+    aggregate: Aggregate
+
+    def __post_init__(self):
+        if self.k < 2 or len(self.fold_best_val_accuracy) != self.k:
+            raise ConfigError(f"k must be >= 2 and equal the {len(self.fold_best_val_accuracy)} "
+                              f"values of fold_best_val_accuracy, got {self.k}")
 
 
 def cmd_generate(args) -> int:
@@ -116,7 +133,7 @@ def cmd_generate(args) -> int:
         slices_per_subject=args.slices,
         h=args.height,
         w=args.width,
-        seed=_resolve_seed(args, 0),
+        seed=args.seed,
         out_dir=args.out,
     )
     print(f"wrote {len(manifest.subjects)} subjects, "
@@ -126,8 +143,7 @@ def cmd_generate(args) -> int:
 
 def cmd_split(args) -> int:
     manifest = load_manifest(args.manifest, check_files=False)
-    seed = _resolve_seed(args, 0)
-    plan = kfold_split(manifest, args.k, seed, args.stratified, args.granularity)
+    plan = kfold_split(manifest, args.k, args.seed, args.stratified, args.granularity)
     plan.save(args.out)
     print(f"wrote {plan.k}-fold {plan.granularity}-level split to {args.out}")
     return EXIT_OK
@@ -143,11 +159,11 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _run_fold(manifest, plan, fold_index, config, seed):
+def _run_fold(manifest, plan, fold_index, config):
     fold = plan.folds[fold_index]
     train_set = load_slice_set(manifest, fold.train)
     val_set = load_slice_set(manifest, fold.val)
-    model = build_model(config.model, seed=seed + fold_index)
+    model = build_model(config.model, seed=config.train.seed + fold_index)
     result = fit(model, train_set, val_set, config.train, config.augment)
     # fit's best-epoch validation logits came from result.best; no pass reruns them
     threshold = result.best.config.threshold
@@ -179,8 +195,8 @@ def cmd_run(args) -> int:
     config, manifest = ExperimentConfig.from_json(args.config, args.manifest)
     if args.output_dir:
         config.output_dir = args.output_dir
-    seed = _resolve_seed(args, config.train.seed)
-    config.train.seed = seed
+    if args.seed is not None:
+        config.train.seed = args.seed
     split = config.split
     if args.k is not None:
         split.k = args.k
@@ -202,22 +218,17 @@ def cmd_run(args) -> int:
     fold_reports = []
     fold_best_acc = []
     for i in range(plan.k):
-        result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, i, config, seed)
+        result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, i, config)
         fold_dir = out_dir / f"fold-{i + 1}"
         fold_reports.append(_write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts))
         fold_best_acc.append(result.best_val_acc)
 
-    aggregate = aggregate_folds(fold_reports)
-    summary = {
-        "k": plan.k,
-        "seed": seed,
-        "granularity": plan.granularity,
-        "leaked_subjects": report.leaked_subject_ids,
-        "fold_best_val_accuracy": fold_best_acc,
-        "aggregate": {name: {"mean": m, "std": s} for name, (m, s) in aggregate.items()},
-    }
+    summary = RunSummary(k=plan.k, seed=config.train.seed, granularity=plan.granularity,
+                         leaked_subjects=report.leaked_subject_ids,
+                         fold_best_val_accuracy=fold_best_acc,
+                         aggregate=aggregate_folds(fold_reports))
     _json_dump(out_dir / "summary.json", summary)
-    _write_report_files(out_dir, aggregate, fold_best_acc)
+    _write_report_files(out_dir, summary)
     print(f"run complete: {plan.k} folds, artifacts in {out_dir}")
     return EXIT_OK
 
@@ -225,8 +236,8 @@ def cmd_run(args) -> int:
 def cmd_train(args) -> int:
     config, manifest = ExperimentConfig.from_json(args.config, args.manifest)
     plan = SplitPlan.load(args.split)
-    seed = _resolve_seed(args, config.train.seed)
-    config.train.seed = seed
+    if args.seed is not None:
+        config.train.seed = args.seed
     if not 0 <= args.fold < plan.k:
         raise ConfigError(f"fold {args.fold} outside 0..{plan.k - 1}")
 
@@ -234,7 +245,7 @@ def cmd_train(args) -> int:
     if report.leaked_subject_ids and not args.allow_leakage:
         raise LeakageError(report.leaked_subject_ids)
 
-    result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, args.fold, config, seed)
+    result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, args.fold, config)
     fold_dir = Path(args.output_dir) / f"fold-{args.fold + 1}"
     _write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts)
     print(f"fold {args.fold + 1}: best val accuracy {format_fold_cell(result.best_val_acc)} "
@@ -257,42 +268,36 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _write_report_files(run_dir: Path, aggregate, fold_best_acc) -> None:
-    agg_table = render_aggregate_table(aggregate)
-    folds_table = render_folds_table(fold_best_acc)
+def _write_report_files(run_dir: Path, summary: RunSummary) -> None:
     text = (
         "# Cross-validation report\n\n"
         "## Aggregate metrics over folds (mean±std)\n\n"
-        + agg_table
+        + render_aggregate_table(summary.aggregate)
         + "\n## Best validation accuracy per fold\n\n"
-        + folds_table
+        + render_folds_table(summary.fold_best_val_accuracy)
     )
     with atomic_open(run_dir / "report.md", encoding="utf-8") as fh:
         fh.write(text)
     with atomic_open(run_dir / "aggregate.csv", encoding="utf-8", newline="") as fh:
         fh.write("metric,mean,std,cell\n")
-        for name, (m, s) in aggregate.items():
-            fh.write(f"{name},{m!r},{s!r},{format_aggregate_cell(m, s)}\n")
+        for name, cell in vars(summary.aggregate).items():  # METRIC_NAMES order
+            fh.write(f"{name},{cell.mean!r},{cell.std!r},{format_aggregate_cell(cell)}\n")
     with atomic_open(run_dir / "folds.csv", encoding="utf-8", newline="") as fh:
         fh.write("fold,best_val_accuracy,cell\n")
-        for i, acc in enumerate(fold_best_acc):
+        for i, acc in enumerate(summary.fold_best_val_accuracy):
             fh.write(f"{i + 1},{acc!r},{format_fold_cell(acc)}\n")
 
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    summary_path = run_dir / "summary.json"
-    if not summary_path.is_file():
-        raise DataError(f"{run_dir}: not a completed run directory (missing summary.json)")
+    path = run_dir / "summary.json"
     try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        aggregate = {
-            name: (float(v["mean"]), float(v["std"])) for name, v in summary["aggregate"].items()
-        }
-        fold_best_acc = [float(a) for a in summary["fold_best_val_accuracy"]]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"{summary_path}: corrupt or incomplete summary: {exc!r}") from exc
-    _write_report_files(run_dir, aggregate, fold_best_acc)
+        summary = from_doc(RunSummary, json.loads(path.read_text(encoding="utf-8")), "summary")
+    except KeyError as exc:
+        raise DataError(f"{path}: corrupt or incomplete summary: missing {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: corrupt or incomplete summary: {exc}") from exc
+    _write_report_files(run_dir, summary)
     print((run_dir / "report.md").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
@@ -315,10 +320,9 @@ def cmd_inspect(args) -> int:
         write_pgm(out_dir / f"{stem}.pgm", amap)
         print(f"wrote {stem}.tsr / .pgm ({amap.shape[0]}x{amap.shape[1]}) to {out_dir}")
     else:
-        seed = _resolve_seed(args, 0)
         image, trace = maximize_activation(
             model, args.block, args.channel, steps=args.steps,
-            step_size=args.step_size, seed=seed,
+            step_size=args.step_size, seed=args.seed,
         )
         stem = f"maximize_b{args.block}_c{args.channel}"
         write_array(out_dir / f"{stem}.tsr", image)
@@ -347,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=4)
     p.add_argument("--height", type=int, default=16)
     p.add_argument("--width", type=int, default=16)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("split", help="write a k-fold split plan")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stratified", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--granularity", choices=("subject", "slice"), default="subject")
     p.set_defaults(func=cmd_split)
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("report", help="render tables for a completed run directory")
+    p = sub.add_parser("report", help="rewrite the tables run wrote, from its summary.json")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_report)
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, required=True)
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--step-size", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect)
 

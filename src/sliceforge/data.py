@@ -157,11 +157,6 @@ def augment(batch: np.ndarray, cfg: AugmentConfig, stream: SplitMixStream) -> np
     return out
 
 
-def save_manifest(path, manifest: DatasetManifest) -> None:
-    """Write ``manifest`` as JSON: its fields and its subjects' fields are the keys."""
-    write_json(path, manifest)
-
-
 def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     """Parse and validate a manifest; rejects unknown keys, mistyped values, duplicate
     ids, label/CDR contradictions, missing slice files and dimension mismatches."""
@@ -392,5 +387,5 @@ def generate_synthetic(n_per_class: int, slices_per_subject: int, h: int, w: int
         subjects=subjects,
     )
     manifest.root = out_dir
-    save_manifest(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     return manifest

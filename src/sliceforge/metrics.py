@@ -16,7 +16,7 @@ Any metric whose denominator is zero is reported as 0.0 and named in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,22 +110,43 @@ def compute_metrics(c: ConfusionCounts) -> MetricsReport:
     )
 
 
-def mean_std(values: list) -> tuple[float, float]:
+@dataclass(frozen=True)
+class MeanStd:
+    """A mean and a population standard deviation."""
+
+    mean: float
+    std: float
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """Each metric's ``MeanStd`` over folds, its fields in ``METRIC_NAMES`` order."""
+
+    accuracy: MeanStd
+    sensitivity: MeanStd
+    specificity: MeanStd
+    precision: MeanStd
+    f1: MeanStd
+    mcc: MeanStd
+
+
+def mean_std(values: list) -> MeanStd:
     """Mean and population standard deviation of a nonempty list."""
     mean = sum(values) / len(values)
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    return MeanStd(mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values)))
 
 
-def aggregate_folds(reports: list) -> dict:
-    """Per-metric (mean, population std) over fold reports."""
+def aggregate_folds(reports: list) -> Aggregate:
+    """Each metric's mean and population std over fold reports."""
     if not reports:
         raise DataError("no fold reports to aggregate")
-    return {name: mean_std([getattr(r, name) for r in reports]) for name in METRIC_NAMES}
+    return Aggregate(**{name: mean_std([getattr(r, name) for r in reports])
+                        for name in METRIC_NAMES})
 
 
-def format_aggregate_cell(mean: float, std: float) -> str:
+def format_aggregate_cell(cell: MeanStd) -> str:
     """Four-decimal "mean±std" cell."""
-    return f"{mean:.4f}±{std:.4f}"
+    return f"{cell.mean:.4f}±{cell.std:.4f}"
 
 
 def format_fold_cell(fraction: float) -> str:
@@ -133,10 +154,10 @@ def format_fold_cell(fraction: float) -> str:
     return f"{fraction * 100:.2f}%"
 
 
-def render_aggregate_table(aggregate: dict) -> str:
+def render_aggregate_table(aggregate: Aggregate) -> str:
     """Markdown row of the six metrics as mean±std."""
     headers = [METRIC_LABELS[name] for name in METRIC_NAMES]
-    cells = [format_aggregate_cell(*aggregate[name]) for name in METRIC_NAMES]
+    cells = [format_aggregate_cell(getattr(aggregate, name)) for name in METRIC_NAMES]
     return _markdown_table(headers, cells)
 
 

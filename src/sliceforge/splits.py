@@ -8,7 +8,7 @@ explicitly overridden.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .data import SLICE_KEY_SEP, DatasetManifest
@@ -178,8 +178,7 @@ class AuditReport:
 def _summary(values: list) -> dict | None:
     if not values:
         return None
-    mean, std = mean_std(values)
-    return {"min": min(values), "max": max(values), "mean": mean, "std": std}
+    return {"min": min(values), "max": max(values), **asdict(mean_std(values))}
 
 
 def audit_split(plan: SplitPlan, manifest: DatasetManifest) -> AuditReport:
@@ -196,28 +195,20 @@ def audit_split(plan: SplitPlan, manifest: DatasetManifest) -> AuditReport:
         leaked.extend(train_subjects & val_subjects)
     leaked = sorted(set(leaked))
 
-    counts = {0: 0, 1: 0}
-    ages = {0: [], 1: []}
-    mmses = {0: [], 1: []}
-    sexes = {0: {"M": 0, "F": 0}, 1: {"M": 0, "F": 0}}
-    for s in manifest.subjects:
-        counts[s.label] += 1
-        ages[s.label].append(s.age)
-        if s.mmse is not None:
-            mmses[s.label].append(s.mmse)
-        sexes[s.label][s.sex] += 1
+    groups = {label: [s for s in manifest.subjects if s.label == label] for label in (0, 1)}
+    counts = {label: len(group) for label, group in groups.items()}
     minority = min(counts.values())
     majority = max(counts.values())
     ratio = majority / minority if minority else None
 
     demographics = {
         label: ClassDemographics(
-            count=counts[label],
-            age=_summary(ages[label]),
-            mmse=_summary(mmses[label]),
-            sex_counts=sexes[label],
+            count=len(group),
+            age=_summary([s.age for s in group]),
+            mmse=_summary([s.mmse for s in group if s.mmse is not None]),
+            sex_counts={sex: sum(s.sex == sex for s in group) for sex in ("M", "F")},
         )
-        for label in (0, 1)
+        for label, group in groups.items()
     }
     return AuditReport(
         leaked_subject_ids=leaked,

@@ -12,7 +12,8 @@ One hook writes JSON and one rule reads it. Every JSON writer passes
 ``json_fields`` as ``default=``, so a dataclass anywhere in a document is
 written as its fields; ``format_json`` writes strict JSON, refusing a
 non-finite number. ``from_doc`` builds every JSON document the package reads
-(run config, manifest, split plan, SFM1 header) back into its dataclass.
+(run config, manifest, split plan, SFM1 header, run summary) back into its
+dataclass.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from sliceforge.data import load_manifest
 from sliceforge.metrics import ConfusionCounts
 from sliceforge.model import ModelConfig, build_model, extract_activation, forward, save_model
 from sliceforge.splits import audit_split, kfold_split
-from sliceforge.tensor import read_array, write_array
+from sliceforge.tensor import format_json, from_doc, read_array, write_array
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +471,31 @@ def test_inspect_activation_normalizes_its_slice(tmp_path, manifest_path):
     assert not np.allclose(got, extract_activation(model, raw[None, None], 0, 1))
 
 
+REPORT_TABLES = ("report.md", "aggregate.csv", "folds.csv")
+
+# a summary.json as run writes it: keys sorted, so the aggregate's metrics are
+# not in METRIC_NAMES order
+SUMMARY = {
+    "aggregate": {
+        "accuracy": {"mean": 0.8333333333333334, "std": 0.11785113019775792},
+        "f1": {"mean": 0.6, "std": 0.2},
+        "mcc": {"mean": -0.1, "std": 0.05},
+        "precision": {"mean": 0.6666666666666666, "std": 0.4714045207910317},
+        "sensitivity": {"mean": 0.5, "std": 0.5},
+        "specificity": {"mean": 1.0, "std": 0.0},
+    },
+    "fold_best_val_accuracy": [0.75, 1.0, 0.7445],
+    "granularity": "subject",
+    "k": 3,
+    "leaked_subjects": [],
+    "seed": 5,
+}
+
+
+def _summary_with(**edits):
+    return json.dumps({**SUMMARY, **edits})
+
+
 @pytest.mark.parametrize("summary", [
     '{"aggregate": {',
     '{"aggregate": {}}',
@@ -478,11 +503,73 @@ def test_inspect_activation_normalizes_its_slice(tmp_path, manifest_path):
     '{"aggregate": [], "fold_best_val_accuracy": [0.5]}',
     '{"aggregate": {}, "fold_best_val_accuracy": ["high"]}',
     '[]',
+    pytest.param('{"aggregate": {}, "fold_best_val_accuracy": [0.5]}', id="no-metrics"),
+    pytest.param(_summary_with(aggregate={k: v for k, v in SUMMARY["aggregate"].items()
+                                          if k != "accuracy"}), id="missing-metric"),
+    pytest.param(_summary_with(aggregate={**SUMMARY["aggregate"],
+                                          "f1": {"mean": "0.5", "std": 0.0}}), id="string-mean"),
+    pytest.param(_summary_with(fold_best_val_accuracy=[0.75, True, 0.5]), id="true-accuracy"),
+    pytest.param(_summary_with(fold_best_val_accuracy=[]), id="no-folds"),
+    pytest.param(_summary_with(k=2), id="k-not-fold-count"),
+    pytest.param(None, id="no-summary"),
 ])
 def test_report_corrupt_summary(tmp_path, capsys, summary):
-    _write(tmp_path / "summary.json", summary)
+    if summary is not None:
+        _write(tmp_path / "summary.json", summary)
     assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_IO
-    _assert_one_line_error(capsys)
+    assert "corrupt or incomplete summary: " in _assert_one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if summary is None else ["summary.json"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"k": None}, "missing 'k'"),
+    ({"aggregate": {k: v for k, v in SUMMARY["aggregate"].items() if k != "mcc"}},
+     "missing 'mcc'"),
+    ({"aggregate": {**SUMMARY["aggregate"], "f1": {"mean": "0.5", "std": 0.0}}},
+     "mean must be a finite number, got '0.5'"),
+    ({"fold_best_val_accuracy": [0.75, True, 0.5]},
+     "fold_best_val_accuracy[1] must be a finite number, got True"),
+    ({"k": 2}, "k must be >= 2 and equal the 3 values of fold_best_val_accuracy, got 2"),
+], ids=["k", "metric", "mean", "accuracy", "fold-count"])
+def test_report_names_the_bad_key(tmp_path, capsys, edit, message):
+    doc = {k: v for k, v in {**SUMMARY, **edit}.items() if v is not None}
+    path = _write(tmp_path / "summary.json", json.dumps(doc))
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == cli.EXIT_IO
+    assert _assert_one_line_error(capsys) == (
+        f"error: {path}: corrupt or incomplete summary: {message}\n")
+
+
+def test_report_rewrites_the_tables_run_wrote(tmp_path, manifest_path, capsys):
+    """report renders the tables from summary.json byte for byte as run did, and
+    summary.json reads back into the RunSummary it was written from."""
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_OK
+    run_dir = tmp_path / "run"
+    tables = {name: (run_dir / name).read_bytes() for name in REPORT_TABLES}
+    for name in tables:
+        (run_dir / name).unlink()
+    capsys.readouterr()
+    assert cli.main(["report", "--run-dir", str(run_dir)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == tables["report.md"].decode("utf-8")
+    assert {name: (run_dir / name).read_bytes() for name in tables} == tables
+    text = (run_dir / "summary.json").read_text(encoding="utf-8")
+    summary = from_doc(cli.RunSummary, json.loads(text), "summary")
+    assert format_json(summary) + "\n" == text
+
+
+def test_seed_defaults_to_zero(tmp_path):
+    """generate and split without --seed write what they write with --seed 0."""
+    written = []
+    for name, seed in (("omitted", []), ("zero", ["--seed", "0"])):
+        root = tmp_path / name
+        assert cli.main(["generate", "--out", str(root / "data"), "--subjects-per-class", "3",
+                         "--slices", "2", "--height", "8", "--width", "8", *seed]) == cli.EXIT_OK
+        assert cli.main(["split", "--manifest", str(root / "data" / "manifest.json"), "--out",
+                         str(root / "split.json"), "--k", "2", *seed]) == cli.EXIT_OK
+        written.append({p.relative_to(root): p.read_bytes()
+                        for p in sorted(root.rglob("*")) if p.is_file()})
+    assert len(written[0]) == 2 * 3 * 2 + 2  # 12 slices, the manifest and the plan
+    assert written[0] == written[1]
 
 
 def test_audit_columns_line_up(manifest_path):
@@ -505,13 +592,17 @@ TEXT_ARTIFACT_SHA256 = {
     "metrics.json": "345ad0d2ad7d6659cad9399423e14b92db2cdc62c6e5917a2ea7ef3a765681e1",
     "history.csv": "2e697b2f9d7fa33fd4a93322a72991ef27cc49ac02a7f8db16e6359469242eb7",
     "best_model.sfm": "e1292cd995f5d2b13820a7edfe65d339c4539d0803514fa1570e6f84f0fbe873",
+    "report.md": "d4fa93bef51463a55ca81365d78112c7490a0f7719531e1b0ef0b341724ec2a4",
+    "aggregate.csv": "f4b79b5d7bab598f50539ff40582cf2904c95aa97972a81ab70aca389b7c6bd7",
+    "folds.csv": "0c8fe31d29de95e6109006e251e14a776fc7383450140db0b49477a2ca65608c",
 }
 
 
 def test_text_artifacts_keep_their_bytes(tmp_path, manifest_path):
     """Artifacts whose values involve no BLAS, pinned byte for byte: a split plan
-    and its audit of the fixture manifest, and a fold's metrics.json, history.csv
-    and best model written from fixed counts, history rows and initial weights."""
+    and its audit of the fixture manifest, a fold's metrics.json, history.csv
+    and best model written from fixed counts, history rows and initial weights,
+    and the tables report writes from the literal SUMMARY."""
     split, audit = tmp_path / "split.json", tmp_path / "audit.json"
     assert cli.main(["split", "--manifest", str(manifest_path), "--out", str(split),
                      "--k", "3", "--seed", "4"]) == cli.EXIT_OK
@@ -529,7 +620,12 @@ def test_text_artifacts_keep_their_bytes(tmp_path, manifest_path):
     # the subject vote's counts leave precision and MCC without a denominator
     cli._write_fold_artifacts(fold, result, ConfusionCounts(tp=3, fp=1, tn=5, fn=2), 0.5318,
                               ConfusionCounts(tp=0, fp=0, tn=3, fn=1))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    _write(run_dir / "summary.json", json.dumps(SUMMARY))
+    assert cli.main(["report", "--run-dir", str(run_dir)]) == cli.EXIT_OK
     files = [split, audit, *(fold / name for name in (
-        "metrics.json", "history.csv", "best_model.sfm"))]
+        "metrics.json", "history.csv", "best_model.sfm")),
+        *(run_dir / name for name in REPORT_TABLES)]
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     assert got == TEXT_ARTIFACT_SHA256

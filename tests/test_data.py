@@ -21,12 +21,11 @@ from sliceforge.data import (
     generate_synthetic,
     load_manifest,
     load_slice_set,
-    save_manifest,
     scale_normalize,
 )
 from sliceforge.errors import ConfigError, DataError
 from sliceforge.rng import TAG_AUGMENT, SplitMixStream
-from sliceforge.tensor import write_array
+from sliceforge.tensor import write_array, write_json
 
 
 def _subject(sid, cdr, n_slices=2, **kw):
@@ -54,7 +53,7 @@ def manifest_path(tmp_path):
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         write_array(tmp_path / rel, _raw_slice(k))
     path = tmp_path / "manifest.json"
-    save_manifest(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -73,7 +72,7 @@ def test_round_trip(manifest_path):
     assert loaded.subjects[1] == _subject("ad-0", 0.5, n_slices=1, sex="M", mmse=None)
     assert loaded.slice_keys() == ["nc-0#0", "nc-0#1", "ad-0#0"]
     again = manifest_path.parent / "again.json"
-    save_manifest(again, loaded)
+    write_json(again, loaded)
     assert again.read_bytes() == manifest_path.read_bytes()
 
 

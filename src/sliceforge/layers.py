@@ -34,6 +34,17 @@ taps is the ``dx`` plane and whose row dots with the ``x`` plane are the
 depthwise gradient. The pointwise stage multiplies [W | bias] with ``mid``
 plus one row of ones, so the bias is added inside the GEMM.
 
+Each call plans its chunks once: the views every chunk works on (tap stack
+slot and phase-plane run of each tap, plane regions, in the backward each
+phase's gathers and its plane, ``dx`` and ``x`` views) are built for the first
+chunk and rebuilt only for a last, partial one, so a chunk issues only copies
+and products. What a reduction needs per sample (the Gram matrix of [mid; 1]
+in train mode, the depthwise row dots in the backward) is written per chunk
+into an [N, ...] buffer and summed in float64 once per call, so chunking
+changes no bit of any result. Without a cache (infer mode), the chunk-sized
+``mid`` lives in the tap stack's storage, which is dead once the depthwise
+products are formed.
+
 A block's batchnorm is folded into the pointwise stage of the sepconv
 before it (``fold_batchnorm``), with the running statistics in infer mode and
 in train mode with the batch statistics, which ``batchnorm`` computes from the
@@ -149,11 +160,14 @@ class DropoutCache:
 
 def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
     """Zeroed phase planes [s, s, rows, C, hq + 1, wq] of ``x`` padded by
-    (kh//2, kw//2), laid out as the module docstring says; an iterator copying
-    each batch chunk onto them that yields (batch slice, rows); the (phase,
-    plane region, input region) triples of that copy. Padding stays zero.
-    A chunk holds as many samples as fit ``_CHUNK_BYTES`` of tap stack, that
-    is ``taps`` pitched runs of ceil(h/s) rows per channel."""
+    (kh//2, kw//2), laid out as the module docstring says; the (phase, plane
+    region, input region) triples of each chunk's copy onto them; and
+    ``chunks(views)``, which copies each batch chunk onto the planes and yields
+    (batch slice, ``views(k)``) for its k rows. Padding stays zero. A chunk
+    holds as many samples as fit ``_CHUNK_BYTES`` of tap stack, that is
+    ``taps`` pitched runs of ceil(h/s) rows per channel. A chunk's views (the
+    plane regions it fills, and those ``views`` makes) are built for the first
+    chunk and again only for a last, partial one."""
     n, c, h, w = x.shape
     hq, wq = -(-h // s) + (kh - 1) // s, -(-w // s) + (kw - 1) // s
     rows = max(1, min(n, _CHUNK_BYTES // (x.itemsize * c * taps * -(-h // s) * wq)))
@@ -167,14 +181,19 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
     regions = [((a, b), *zip(axis(a, kh // 2, h), axis(b, kw // 2, w)))
                for a in range(s) for b in range(s)]
 
-    def chunks():
+    def chunks(views):
         for start in range(0, n, rows):
             k = min(rows, n - start)
-            for (a, b), (us, vs), (rs, cs) in regions:
-                planes[a, b, :k, :, us, vs] = x[start:start + k, :, rs, cs]
-            yield slice(start, start + k), k
+            if start == 0 or k < rows:
+                fills = [(planes[a, b, :k, :, us, vs], rs, cs)
+                         for (a, b), (us, vs), (rs, cs) in regions]
+                made = views(k)
+            batch = slice(start, start + k)
+            for dst, rs, cs in fills:
+                dst[...] = x[batch, :, rs, cs]
+            yield batch, made
 
-    return planes, chunks(), regions
+    return planes, regions, chunks
 
 
 def _row_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,10 +220,12 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     cache-sized batch chunk, the depthwise stage is one batched matmul over a
     tap stack and the pointwise stage one of [W | bias] with ``mid`` plus a
     row of ones (see the module docstring). Infer mode folds ``norm``'s
-    running statistics in first; train mode keeps the whole ``mid``, folds in
-    the statistics ``batchnorm`` takes from it, then runs the pointwise stage.
-    With ``keep_cache`` false (infer mode) ``mid`` is chunk-sized scratch and
-    the returned cache is None.
+    running statistics in first (callers that forward fixed weights more than
+    once fold them once themselves and pass no ``norm``); train mode keeps the
+    whole ``mid``, folds in the statistics ``batchnorm`` takes from the Gram
+    matrices of its chunks, then runs the pointwise stage. With ``keep_cache``
+    false (infer mode) ``mid`` is chunk-sized scratch in the tap stack's
+    storage and the returned cache is None.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -216,34 +237,56 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     if norm is not None and mode == "infer":
         p, norm = fold_batchnorm(p, norm), None
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
-    s = p.stride
+    s, taps = p.stride, kh * kw
     ho, wo = -(-h // s), -(-w // s)
-    dw = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, kh * kw)
+    dw = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, taps)
     weights = _gemm_weights(p, x.dtype)
-    planes, chunks, _ = _phase_planes(x, kh, kw, s, kh * kw)
+    planes, _, chunks = _phase_planes(x, kh, kw, s, taps)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
     run = ho * wq
-    stack = np.empty((rows, c_in, kh * kw, run), dtype=x.dtype)
-    acc = np.empty((rows, c_in, 1, run), dtype=x.dtype)
-    # channel c_in of mid is the ones row that carries the bias through the GEMM
+    # channel c_in of mid is the ones row that carries the bias through the GEMM.
+    # Without a cache, mid is chunk scratch in the tap stack's storage, which is
+    # dead once acc is formed; each chunk then rewrites the ones row.
     full = keep_cache or norm is not None
-    mid = np.empty((n if full else rows, c_in + 1, ho, wo), dtype=x.dtype)
-    mid[:, c_in] = 1
+    scratch = 0 if full else rows * (c_in + 1) * ho * wo
+    store = np.empty(max(rows * c_in * taps * run, scratch), dtype=x.dtype)
+    stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
+    acc = np.empty((rows, c_in, 1, run), dtype=x.dtype)
+    if full:
+        mid = np.empty((n, c_in + 1, ho, wo), dtype=x.dtype)
+        mid[:, c_in] = 1
+    else:
+        mid = store[:scratch].reshape(rows, c_in + 1, ho, wo)
     mid3 = mid.reshape(len(mid), c_in + 1, ho * wo)
     out = np.empty((n, weights.shape[0], ho * wo), dtype=x.dtype)
-    for b, k in chunks:
-        for q, (i, j) in enumerate(np.ndindex(kh, kw)):
-            off = (i // s) * wq + j // s  # tap (i, j) over every output row
-            stack[:k, :, q] = flat[i % s, j % s, :k, :, off:off + run]
-        np.matmul(dw, stack[:k], out=acc[:k])
-        m = mid[b] if full else mid[:k]
-        m[:, :c_in] = acc[:k].reshape(k, c_in, ho, wq)[..., :wo]
-        if norm is None:
-            np.matmul(weights, mid3[b] if full else mid3[:k], out=out[b])
+    # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
+    gram = None if norm is None else np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
+    # tap (i, j) over every output row: its stack slot, its phase, its run offset
+    runs = [(i * kw + j, i % s, j % s, (i // s) * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+
+    def views(k):  # the copies, the products' operands, and the scratch mid
+        copies = [(stack[:k, :, q], flat[a, b, :k, :, off:off + run]) for q, a, b, off in runs]
+        return (copies, stack[:k], acc[:k], acc[:k].reshape(k, c_in, ho, wq)[..., :wo], mid[:k],
+                mid3[:k])
+
+    for b, (copies, stk, ac, valid, m, m3) in chunks(views):
+        for dst, src in copies:
+            dst[...] = src
+        np.matmul(dw, stk, out=ac)
+        if full:
+            m, m3 = mid[b], mid3[b]
+        else:
+            m[:, c_in] = 1
+        m[:, :c_in] = valid
+        if norm is not None:
+            np.matmul(m3, m3.transpose(0, 2, 1), out=gram[b])
+        else:
+            np.matmul(weights, m3, out=out[b])
     bn_cache = None
     if norm is not None:
-        folded, bn_cache = batchnorm(_row_gram(mid3, mid3), p, norm)
+        folded, bn_cache = batchnorm(gram.sum(axis=0, dtype=np.float64), p, norm)
         weights = _gemm_weights(folded, x.dtype)
         np.matmul(weights, mid3, out=out)
 
@@ -258,10 +301,11 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
     ``batchnorm_backward`` turns into the gradients and the correction A of
     ``dmid = W'^T dout + A [mid; 1]`` (W' the weights the forward used; A = 0
-    without batch statistics). Per chunk, ``dx`` and the depthwise gradient
+    without batch statistics). Per chunk, ``dx`` and the depthwise row dots
     come from one tap stack per stride phase, gathered from ``dmid`` pitched
     like the forward's accumulator (zero junk columns) and zero-padded on
     both sides, as the module docstring says; a phase without taps gets zeros.
+    Each sample's row dots are kept and summed once, after the last chunk.
     """
     p, x, mid = cache.params, cache.x, cache.mid
     dtype = dout.dtype
@@ -279,10 +323,10 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     pw_t = cache.weights[:, :c_in].astype(dtype, copy=False).T
     corr = corr.astype(dtype, copy=False)
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
-    d_dw = np.zeros((c_in, kh, kw), dtype=np.float64)
-    dx = np.empty(x.shape, dtype=dtype)
+    # a phase without taps (a kernel narrower than the stride) keeps a zero dx
+    dx = (np.zeros if min(kh, kw) < s else np.empty)(x.shape, dtype=dtype)
     most = len(range(0, kh, s)) * len(range(0, kw, s))  # phase (0, 0) has the most taps
-    planes, chunks, regions = _phase_planes(x, kh, kw, s, most)
+    planes, regions, chunks = _phase_planes(x, kh, kw, s, most)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
     run = ho * wq
@@ -295,33 +339,51 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     dm_valid = dm_pad[:, :, pre:pre + run].reshape(rows, c_in, ho, wq)[..., :wo]
     stack_buf = np.empty(rows * c_in * most * run, dtype=dtype)
     dplane_buf = np.empty(rows * c_in * run, dtype=dtype)
-    for b, k in chunks:
-        np.matmul(pw_t, g[b], out=dmid[:k])
-        np.matmul(corr, mid3[b], out=dfix[:k])
-        np.add(dmid[:k].reshape(k, c_in, ho, wo), dfix[:k].reshape(k, c_in, ho, wo),
-               out=dm_valid[:k])
+    # each sample's depthwise row dots, grouped by phase: slot t holds tap tap_ids[t] = i*kw + j
+    dots = np.empty((n, c_in, kh * kw, 1), dtype=dtype)
+    tap_ids = [i * kw + j for (a, c), _, _ in regions
+               for i in range(a, kh, s) for j in range(c, kw, s)]
+
+    def views(k):  # dmid's, then per phase with taps: gathers, operands, dx, dots slot
+        per_phase, t0 = [], 0
         for (a, c), (us, vs), (rs, cs) in regions:
             taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
-            if not taps.size:
-                dx[b, :, rs, cs] = 0
-                continue
             ni, nj = taps.shape[1:]
+            if not taps.size:
+                continue
             u0, length = us.start * wq, (us.stop - us.start) * wq
             stack = stack_buf[:k * c_in * ni * nj * length].reshape(k, c_in, ni * nj, length)
-            for q, (ii, jj) in enumerate(np.ndindex(ni, nj)):
-                start = pre - ii * wq - jj + u0
-                stack[:, :, q] = dm_pad[:k, :, start:start + length]
             dplane = dplane_buf[:k * c_in * length].reshape(k, c_in, 1, length)
-            # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
-            product = np.multiply if ni * nj == 1 else np.matmul
-            product(taps.reshape(c_in, 1, ni * nj), stack, out=dplane)
-            dx[b, :, rs, cs] = dplane.reshape(k, c_in, -1, wq)[..., vs]
-            row_dots = np.matmul(stack, flat[a, c, :k, :, u0:u0 + length, None])
-            d_dw[:, a::s, c::s] += row_dots.reshape(k, c_in, ni, nj).sum(axis=0, dtype=np.float64)
+            starts = [pre - ii * wq - jj + u0 for ii in range(ni) for jj in range(nj)]
+            per_phase.append((
+                [(stack[:, :, q], dm_pad[:k, :, t:t + length]) for q, t in enumerate(starts)],
+                # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
+                np.multiply if ni * nj == 1 else np.matmul,
+                taps.reshape(c_in, 1, ni * nj), stack, dplane,
+                flat[a, c, :k, :, u0:u0 + length, None],
+                dplane.reshape(k, c_in, -1, wq)[..., vs], (slice(None), slice(None), rs, cs),
+                slice(t0, t0 + ni * nj)))
+            t0 += ni * nj
+        return (dmid[:k], dfix[:k], dmid[:k].reshape(k, c_in, ho, wo),
+                dfix[:k].reshape(k, c_in, ho, wo), dm_valid[:k], per_phase)
+
+    for b, (dm, df, dm4, df4, valid, per_phase) in chunks(views):
+        np.matmul(pw_t, g[b], out=dm)
+        np.matmul(corr, mid3[b], out=df)
+        np.add(dm4, df4, out=valid)
+        dx_b, dots_b = dx[b], dots[b]
+        for gathers, product, taps, stack, dplane, plane, dsrc, region, slot in per_phase:
+            for dst, src in gathers:
+                dst[...] = src
+            product(taps, stack, out=dplane)
+            dx_b[region] = dsrc
+            np.matmul(stack, plane, out=dots_b[:, :, slot])
+    d_dw = np.empty((c_in, kh * kw))
+    d_dw[:, tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
 
     return (
         dx,
-        d_dw[:, None].astype(dtype, copy=False),
+        d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
         d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
         d_weights[:, c_in].astype(dtype),
         *(d.astype(dtype) for d in d_norm),
@@ -337,8 +399,9 @@ def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams, mean=None,
     ``s = gamma / sqrt(var + eps)`` the pointwise stage becomes ``W' = diag(s) W``
     and the bias ``b' = s * (b - mean) + beta``, computed in float64 and cast
     to the conv params' dtypes; the depthwise kernel is shared, not copied.
-    Callers refold on every pass: the optimizer and train-mode batchnorm
-    change the inputs in place.
+    Training refolds on every pass, as the optimizer and train-mode batchnorm
+    change the inputs in place; passes over fixed weights (``predict``,
+    ``maximize_activation``) fold once per call through ``Model.folded``.
     """
     if mean is None:
         mean, var = norm.running_mean, norm.running_var

@@ -163,7 +163,7 @@ class ModelHeader:
 @dataclass
 class Block:
     conv: SepConvParams
-    norm: BatchNormParams
+    norm: BatchNormParams | None  # None: folded into ``conv`` (``Model.folded``)
 
 
 @dataclass
@@ -188,6 +188,13 @@ class Model:
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)
+
+    def folded(self) -> "Model":
+        """This model for infer-mode passes over fixed weights: each block's
+        batchnorm folded into its conv with the running statistics, once, and
+        its ``norm`` None. Shares the head arrays and the depthwise kernels."""
+        blocks = [Block(layers.fold_batchnorm(b.conv, b.norm), None) for b in self.blocks]
+        return Model(self.config, blocks, self.hidden, self.output)
 
     def astype(self, dtype) -> "Model":
         """Clone with every array cast to ``dtype`` (float64 shadow for checks)."""
@@ -245,7 +252,8 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
     A block is one ``layers.sepconv2d`` with the block's batchnorm folded
     into its pointwise stage (batch statistics in train mode, running
     statistics in infer mode; refolded on every call, so it follows the
-    current weights), then ReLU in place on the fresh output.
+    current weights, unless ``model`` is ``Model.folded``), then ReLU in
+    place on the fresh output.
 
     With ``keep_caches`` false (infer mode only) no block makes a cache: the
     sepconv's ``mid`` is chunk-sized scratch, only the running block's input
@@ -421,6 +429,7 @@ def maximize_activation(
     """Gradient ascent on the mean post-ReLU activation of one channel.
 
     Starts from a seeded random image and climbs with RMS-normalized steps.
+    Every step runs the same weights, so the batchnorms are folded once.
     Returns (final image [1,C,H,W], objective trace of length steps+1).
     """
     _check_block_channel(model, block_index, channel)
@@ -432,8 +441,10 @@ def maximize_activation(
         np.float32
     )
 
+    fixed = model.folded()
+
     def objective_and_grad(img):
-        out, caches = _forward_blocks(model, img, "infer", upto=block_index)
+        out, caches = _forward_blocks(fixed, img, "infer", upto=block_index)
         hprime, wprime = out.shape[2], out.shape[3]
         value = float(out[0, channel].mean(dtype=np.float64))
         dout = np.zeros_like(out)

@@ -78,14 +78,16 @@ _KINDS = {bool: "true or false", str: "a string"}  # the values a bool or str fi
 _type_hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations
 
 
-def from_doc(cls, doc, name: str):
+def from_doc(cls, doc, name: str, prefix: str = ""):
     """The dataclass ``cls`` from the JSON object ``doc``, the inverse of
     ``json_fields``; ``name`` names ``doc`` in errors. An unknown key raises
     ConfigError and a missing field without a default raises KeyError. Each
     value must fit its field's annotation, or ConfigError names the field:
     ``int`` (``check_int``), ``float`` (``check_real``; stored as a float),
     ``bool``, ``str``, ``X | None``, ``list[X]`` or ``tuple[X, ...]`` from an
-    array, or a dataclass by this same rule. ``cls`` checks ranges itself."""
+    array, or a dataclass by this same rule. ``cls`` checks ranges itself.
+    A field is named by its path from the top document, ``prefix`` plus its
+    name: ``train.epochs``, ``subjects[0].label``, ``aggregate.f1.mean``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
     fields, hints = dataclasses.fields(cls), _type_hints(cls)
@@ -94,8 +96,8 @@ def from_doc(cls, doc, name: str):
             raise ConfigError(f"unknown key {key!r} in {name}")
     for f in fields:
         if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
-            raise KeyError(f.name)
-    return cls(**{f.name: _from_value(hints[f.name], doc[f.name], f.name)
+            raise KeyError(prefix + f.name)
+    return cls(**{f.name: _from_value(hints[f.name], doc[f.name], prefix + f.name)
                   for f in fields if f.name in doc})
 
 
@@ -103,7 +105,7 @@ def _from_value(ann, value, name: str):
     """``value`` checked against the annotation ``ann`` (see ``from_doc``)."""
     origin, args = typing.get_origin(ann), typing.get_args(ann)
     if dataclasses.is_dataclass(ann):
-        return from_doc(ann, value, name)
+        return from_doc(ann, value, name, f"{name}.")
     if origin in (types.UnionType, typing.Union):
         (inner,) = set(args) - {type(None)}
         return None if value is None else _from_value(inner, value, name)

@@ -182,17 +182,18 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     step]``: a view of an array, or, from a ``SliceReader``, the only rows of
     the set in memory. Infer mode uses the running statistics and no dropout,
     and every kernel computes a slice's output from that slice alone, so a
-    logit does not depend on the micro-batch.
+    logit does not depend on the micro-batch. The batchnorms are folded into
+    their convs once per call (``Model.folded``), not once per micro-batch.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
     cfg = model.config
     largest = max(c * h * w for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
     step = max(1, _INFER_BUDGET_BYTES // (largest * dataset.x.itemsize))
-    chunks = []
+    fixed, chunks = model.folded(), []
     for b in range(0, len(dataset), step):
         try:
-            _, caches = forward(model, dataset.x[b:b + step], "infer")
+            _, caches = forward(fixed, dataset.x[b:b + step], "infer")
         except NumericError as exc:
             keys = dataset.slice_keys[b:b + step]
             raise NumericError(f"{exc} in slices {keys[0]} to {keys[-1]}") from exc

@@ -152,7 +152,7 @@ def test_bad_config_prints_the_message_itself(tmp_path, manifest_path, capsys):
     config = _write(tmp_path / "c.json", json.dumps(doc))
     assert cli.main(["run", "--config", config]) == cli.EXIT_IO
     assert _assert_one_line_error(capsys) == (
-        f"error: {config}: bad config: epochs must be an integer, got 1.5\n")
+        f"error: {config}: bad config: train.epochs must be an integer, got 1.5\n")
     del doc["output_dir"]
     _write(tmp_path / "c.json", json.dumps(doc))
     assert cli.main(["run", "--config", config]) == cli.EXIT_IO
@@ -401,21 +401,24 @@ def test_non_finite_age_exits_2(tmp_path, capsys, one_class_split):
     assert cli.main(["audit", "--manifest", str(manifest), "--split", str(split),
                      "--json-out", str(out)]) == cli.EXIT_IO
     assert _assert_one_line_error(capsys) == (
-        f"error: {manifest}: malformed manifest: age must be a finite number, got inf\n")
+        f"error: {manifest}: malformed manifest: "
+        "subjects[0].age must be a finite number, got inf\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("document, where, value, message", [
-    ("manifest", ("subjects", 0, "label"), "1", "label must be an integer, got '1'"),
-    ("manifest", ("subjects", 0, "cdr"), "0.5", "cdr must be a finite number, got '0.5'"),
-    ("manifest", ("subjects", 0, "age"), float("inf"), "age must be a finite number, got inf"),
-    ("manifest", ("subjects", 0, "mmse"), 29.6, "mmse must be an integer, got 29.6"),
+    ("manifest", ("subjects", 0, "label"), "1", "subjects[0].label must be an integer, got '1'"),
+    ("manifest", ("subjects", 1, "cdr"), "0.5",
+     "subjects[1].cdr must be a finite number, got '0.5'"),
+    ("manifest", ("subjects", 0, "age"), float("inf"),
+     "subjects[0].age must be a finite number, got inf"),
+    ("manifest", ("subjects", 2, "mmse"), 29.6, "subjects[2].mmse must be an integer, got 29.6"),
     ("manifest", ("slice_height",), 16.7, "slice_height must be an integer, got 16.7"),
     ("manifest", ("subjects", 0, "slices"), "slices/nc-000/s000.tsr",
-     "slices must be a list, got 'slices/nc-000/s000.tsr'"),
+     "subjects[0].slices must be a list, got 'slices/nc-000/s000.tsr'"),
     ("config", ("trian",), {"epochs": 1}, "unknown key 'trian' in config"),
     ("config", ("split", "K"), 3, "unknown key 'K' in split"),
-    ("plan", ("folds", 0, "train"), "nc-000", "train must be a list, got 'nc-000'"),
+    ("plan", ("folds", 1, "train"), "nc-000", "folds[1].train must be a list, got 'nc-000'"),
 ], ids=["label-string", "cdr-string", "age-infinite", "mmse-fraction", "height-fraction",
         "slices-string", "config-section", "split-key", "plan-members-string"])
 def test_mistyped_or_unknown_key_exits_2(tmp_path, own_manifest_path, capsys, document, where,
@@ -524,9 +527,9 @@ def test_report_corrupt_summary(tmp_path, capsys, summary):
 @pytest.mark.parametrize("edit, message", [
     ({"k": None}, "missing 'k'"),
     ({"aggregate": {k: v for k, v in SUMMARY["aggregate"].items() if k != "mcc"}},
-     "missing 'mcc'"),
+     "missing 'aggregate.mcc'"),
     ({"aggregate": {**SUMMARY["aggregate"], "f1": {"mean": "0.5", "std": 0.0}}},
-     "mean must be a finite number, got '0.5'"),
+     "aggregate.f1.mean must be a finite number, got '0.5'"),
     ({"fold_best_val_accuracy": [0.75, True, 0.5]},
      "fold_best_val_accuracy[1] must be a finite number, got True"),
     ({"k": 2}, "k must be >= 2 and equal the 3 values of fold_best_val_accuracy, got 2"),

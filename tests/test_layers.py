@@ -141,8 +141,9 @@ class TestSepConv:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_chunking_is_invisible(self, stride, monkeypatch):
-        """One sample per chunk gives the one-chunk result bit for bit, except
-        the float64 depthwise-gradient sums, which add up chunk by chunk."""
+        """One sample per chunk gives the one-chunk result bit for bit, the
+        depthwise gradient too: its float64 sum over samples runs once per
+        call, after the last chunk."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(5, 3, 9, 8))
         p = random_sepconv(rng, 3, 4, stride=stride)
@@ -155,9 +156,67 @@ class TestSepConv:
         out, mid, dx, d_dw, d_pw, d_b = run()  # the whole batch is one chunk
         monkeypatch.setattr(layers, "_CHUNK_BYTES", 1)
         out1, mid1, dx1, d_dw1, d_pw1, d_b1 = run()
-        for a, b in ((out, out1), (mid, mid1), (dx, dx1), (d_pw, d_pw1), (d_b, d_b1)):
+        for a, b in ((out, out1), (mid, mid1), (dx, dx1), (d_dw, d_dw1), (d_pw, d_pw1),
+                     (d_b, d_b1)):
             assert a.tobytes() == b.tobytes()
-        np.testing.assert_allclose(d_dw1, d_dw, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, rows", [(5, 2), (7, 3)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_partial_chunks_match_naive(self, k, stride, n, rows, monkeypatch):
+        """Chunks of ``rows`` samples and a last, partial one: the forward in
+        infer mode (with and without a cache, with and without a batchnorm)
+        and in train mode, and the backward of each, against the naive
+        oracles, and bit for bit against one whole-batch chunk. Kernel 1 at
+        stride 2 has phases without taps."""
+        rng = np.random.default_rng(50 + 10 * k + stride + n)
+        x = rng.normal(1.0, 1.0, size=(n, 3, 7, 6))
+        p = random_sepconv(rng, 3, 4, k=k, stride=stride)
+
+        def norm():
+            return layers.BatchNormParams(
+                gamma=np.linspace(0.5, 1.5, 4), beta=np.linspace(-1.0, 1.0, 4),
+                running_mean=np.linspace(-0.5, 0.5, 4), running_var=np.linspace(0.5, 2.0, 4))
+
+        def chunk_bytes(taps):  # ``rows`` samples of ``taps`` pitched runs per channel
+            ho, wq = -(-7 // stride), -(-6 // stride) + (k - 1) // stride
+            return rows * x.itemsize * 3 * taps * ho * wq
+
+        upstream = rng.normal(size=(n, 4, -(-7 // stride), -(-6 // stride)))
+
+        def run(forward_bytes, backward_bytes):
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", forward_bytes)
+            calls = [layers.sepconv2d(x, p), layers.sepconv2d(x, p, norm(), keep_cache=False),
+                     layers.sepconv2d(x, p, keep_cache=False),
+                     layers.sepconv2d(x, p, norm(), "train")]
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", backward_bytes)
+            return ([out for out, _ in calls], layers.sepconv2d_backward(upstream, calls[0][1]),
+                    layers.sepconv2d_backward(upstream, calls[3][1]))
+
+        whole = run(1 << 30, 1 << 30)
+        taps = (k * k, len(range(0, k, stride)) ** 2)  # forward, and backward phase (0, 0)
+        for t in taps:
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(t))
+            assert layers._phase_planes(x, k, k, stride, t)[0].shape[2] == rows
+        (infer, infer_norm, scratch, train), grads, train_grads = run(*map(chunk_bytes, taps))
+        for got, ref in zip((infer, infer_norm, scratch, train, *grads, *train_grads),
+                            (*whole[0], *whole[1], *whole[2]), strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+        y = naive_sepconv2d(x, p.depthwise, p.pointwise, p.bias, stride)
+        z, _, _ = batchnorm_train(y, norm().gamma, norm().beta, norm().epsilon)
+        for got, ref in ((infer, y), (scratch, y), (infer_norm, affine_batchnorm(y, norm())),
+                         (train, z)):
+            assert max_rel_err(got, ref) <= 1e-9
+        want = naive_sepconv2d_backward(x, p.depthwise, p.pointwise, upstream, stride)
+        for got, ref in zip(grads, want, strict=True):
+            assert got.shape == ref.shape and max_rel_err(got, ref) <= 1e-9
+        dy, d_gamma, d_beta = batchnorm_train_backward(upstream, y, norm().gamma, norm().epsilon)
+        want = (*naive_sepconv2d_backward(x, p.depthwise, p.pointwise, dy, stride), d_gamma, d_beta)
+        for i, (got, ref) in enumerate(zip(train_grads, want, strict=True)):
+            # the conv bias gradient is 0 by definition: held to the scale of d_beta
+            scale = np.abs(d_beta if i == 3 else ref).max()
+            assert got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("block", range(4))
     def test_depthwise_gradient_at_model_shapes(self, block):

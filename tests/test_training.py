@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
 from sliceforge.data import AugmentConfig, SliceSet, generate_synthetic, load_slice_set
@@ -390,6 +391,24 @@ class TestPredict:
         alone = [M.forward(model, ds.x[i:i + 1], "infer")[1].logits for i in range(n)]
         assert logits.tobytes() == np.concatenate(alone).tobytes()
         assert logits.dtype == alone[0].dtype and logits.shape == (n,)
+
+    def test_folds_each_batchnorm_once(self):
+        """Four micro-batches, and each block's batchnorm is folded into its
+        conv once, in block order: the micro-batches share the folded model."""
+        model = self.MODELS[8]
+        ds = make_slice_set(7, seed=5)
+        folds = []
+        fold = layers.fold_batchnorm
+
+        def counted(conv, norm, *args):
+            folds.append(norm)
+            return fold(conv, norm, *args)
+
+        with mock.patch.object(T, "_INFER_BUDGET_BYTES", 2 * _slice_bytes(model, ds)), \
+                mock.patch.object(layers, "fold_batchnorm", counted):
+            logits = T.predict(model, ds)
+        assert [id(norm) for norm in folds] == [id(b.norm) for b in model.blocks]
+        assert logits.tobytes() == T.predict(model, ds).tobytes()
 
     def test_memory_peak_is_one_micro_batch(self):
         """64 slices at 128x128 peak near the largest block output of one

@@ -100,8 +100,6 @@ class ExperimentConfig:
                      **model}
         try:
             config = from_doc(cls, dict(doc, manifest_path=manifest_path, model=model), "config")
-        except KeyError as exc:
-            raise ConfigError(f"{path}: bad config: missing key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: bad config: {exc}") from exc
         return config, manifest
@@ -293,8 +291,6 @@ def cmd_report(args) -> int:
     path = run_dir / "summary.json"
     try:
         summary = from_doc(RunSummary, json.loads(path.read_text(encoding="utf-8")), "summary")
-    except KeyError as exc:
-        raise DataError(f"{path}: corrupt or incomplete summary: missing {exc}") from exc
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: corrupt or incomplete summary: {exc}") from exc
     _write_report_files(run_dir, summary)

@@ -167,8 +167,6 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         raise DataError(f"{path}: unreadable manifest: {exc}") from exc
     try:
         manifest = from_doc(DatasetManifest, doc, "manifest")
-    except KeyError as exc:
-        raise DataError(f"{path}: malformed manifest: missing {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     manifest.root = path.parent

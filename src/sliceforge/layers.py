@@ -39,16 +39,17 @@ slot and phase-plane run of each tap, plane regions, in the backward each
 phase's gathers and its plane, ``dx`` and ``x`` views) are built for the first
 chunk and rebuilt only for a last, partial one, so a chunk issues only copies
 and products. What a reduction needs per sample (the Gram matrix of [mid; 1]
-in train mode, the depthwise row dots in the backward) is written per chunk
+for a batchnorm, the depthwise row dots in the backward) is written per chunk
 into an [N, ...] buffer and summed in float64 once per call, so chunking
-changes no bit of any result. Without a cache (infer mode), the chunk-sized
-``mid`` lives in the tap stack's storage, which is dead once the depthwise
-products are formed.
+changes no bit of any result. Without a cache or a batchnorm, the
+chunk-sized ``mid`` lives in the tap stack's storage, which is dead once the
+depthwise products are formed.
 
-A block's batchnorm is folded into the pointwise stage of the sepconv
-before it (``fold_batchnorm``), with the running statistics in infer mode and
-in train mode with the batch statistics, which ``batchnorm`` computes from the
-Gram matrix of [mid; 1]; no block makes its pre-norm output.
+A block's batchnorm is folded into the pointwise stage of the sepconv before
+it (``fold_batchnorm``), so no block makes its pre-norm output: by
+``sepconv2d`` given a ``norm``, with the batch statistics ``batchnorm`` takes
+from the Gram matrix of [mid; 1], or ahead of a pass by ``model.Model.folded``,
+with the running statistics. No layer takes a train or infer mode.
 
 Parameter containers are mutated only by the optimizer, with one exception:
 batch normalization updates its running statistics during its forward.
@@ -155,7 +156,7 @@ class DenseCache:
 
 @dataclass
 class DropoutCache:
-    scaled_mask: np.ndarray | None  # None means identity (infer or rate 0)
+    scaled_mask: np.ndarray | None  # None means identity (rate 0)
 
 
 def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
@@ -210,32 +211,27 @@ def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
 
 
 def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
-              mode: str = "infer", keep_cache: bool = True):
+              keep_cache: bool = True):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias,
-    then the batchnorm ``norm`` if given, folded into the pointwise stage.
+    then the batchnorm ``norm`` on the batch's statistics if given, folded in.
 
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it). Per
     cache-sized batch chunk, the depthwise stage is one batched matmul over a
     tap stack and the pointwise stage one of [W | bias] with ``mid`` plus a
-    row of ones (see the module docstring). Infer mode folds ``norm``'s
-    running statistics in first (callers that forward fixed weights more than
-    once fold them once themselves and pass no ``norm``); train mode keeps the
-    whole ``mid``, folds in the statistics ``batchnorm`` takes from the Gram
-    matrices of its chunks, then runs the pointwise stage. With ``keep_cache``
-    false (infer mode) ``mid`` is chunk-sized scratch in the tap stack's
-    storage and the returned cache is None.
+    row of ones (see the module docstring). With a ``norm`` the whole ``mid``
+    is kept, and the pointwise stage runs once ``batchnorm`` has folded in the
+    statistics of its chunks' Gram matrices and updated ``norm``'s running
+    statistics. Running statistics are folded into ``p`` by the caller. With
+    neither ``keep_cache`` nor ``norm``, ``mid`` is chunk-sized scratch in the
+    tap stack's storage; without ``keep_cache`` the returned cache is None.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
     n, c_in, h, w = x.shape
     if c_in != p.depthwise.shape[0]:
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if norm is not None and mode == "infer":
-        p, norm = fold_batchnorm(p, norm), None
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s, taps = p.stride, kh * kw
     ho, wo = -(-h // s), -(-w // s)
@@ -399,9 +395,9 @@ def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams, mean=None,
     ``s = gamma / sqrt(var + eps)`` the pointwise stage becomes ``W' = diag(s) W``
     and the bias ``b' = s * (b - mean) + beta``, computed in float64 and cast
     to the conv params' dtypes; the depthwise kernel is shared, not copied.
-    Training refolds on every pass, as the optimizer and train-mode batchnorm
-    change the inputs in place; passes over fixed weights (``predict``,
-    ``maximize_activation``) fold once per call through ``Model.folded``.
+    Train-mode batchnorm refolds the batch's statistics on every pass. The
+    running statistics are folded only by ``Model.folded``, once per
+    ``predict``, ``maximize_activation`` or ``extract_activation`` call.
     """
     if mean is None:
         mean, var = norm.running_mean, norm.running_var
@@ -520,9 +516,9 @@ def dense_backward(dout: np.ndarray, cache: DenseCache):
     return dx.astype(dtype, copy=False), d_w.astype(dtype, copy=False), d_b.astype(dtype, copy=False)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
+def dropout(x: np.ndarray, rate: float, rng=None):
     """Inverted dropout: zero each element with probability ``rate`` and scale
-    survivors by 1/(1-rate) so inference is exactly the identity.
+    survivors by 1/(1-rate); at rate 0 (inference) it is the identity.
 
     ``rng`` is one batch stream with a row per row of ``x`` (a SplitMixStream
     keyed by the batch's sample indices), so each sample's mask depends only on
@@ -530,12 +526,10 @@ def dropout(x: np.ndarray, rate: float, mode: str = "train", rng=None):
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-    if mode == "infer" or rate == 0.0:
+    if rate == 0.0:
         return x, DropoutCache(scaled_mask=None)
-    if mode != "train":
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if rng is None:
-        raise ConfigError("train-mode dropout with rate > 0 needs a batch rng stream")
+        raise ConfigError("dropout with rate > 0 needs a batch rng stream")
     u = rng.uniform(x.shape[1:])
     if u.shape != x.shape:
         raise ShapeError(f"stream draws of shape {u.shape} for input of shape {x.shape}")

@@ -3,10 +3,11 @@ serialization ("SFM1" files) and feature introspection.
 
 Per-sample path: (sepconv -> batchnorm -> ReLU) x 9, global average pool,
 dense -> ReLU -> dropout, dense to one unit, sigmoid. The decision rule is
-probability >= threshold for the positive class. In both modes each block is
-one ``layers.sepconv2d`` with its batchnorm folded into the pointwise stage,
-then a ReLU applied in place; the modes differ only in the statistics folded
-in: the batch's in train mode, the running ones in infer mode.
+probability >= threshold for the positive class. Each block is one
+``layers.sepconv2d`` with its batchnorm folded into the pointwise stage, then
+a ReLU applied in place. Only ``forward`` reads the mode: train mode folds in
+the batch's statistics; infer mode runs ``Model.folded``, whose convs hold
+the running statistics, and dropout at rate 0.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -96,14 +97,12 @@ class ModelConfig:
             raise ConfigError("stride_plan entries must be 1 or 2")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
-        if min(self.input_height, self.input_width, self.input_channels, self.hidden_units) < 1:
-            raise ConfigError("input dims, channels and hidden_units must be positive")
+        for name in ("input_height", "input_width", "input_channels", "hidden_units"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         check_threshold(self.threshold)
-        h, w = self.spatial_dims()[-1]
-        if h < 1 or w < 1:
-            raise ConfigError(f"stride plan collapses the spatial dims to {h}x{w}")
 
     def spatial_dims(self):
         """Spatial size after each block under "same" padding."""
@@ -190,9 +189,13 @@ class Model:
         return copy.deepcopy(self)
 
     def folded(self) -> "Model":
-        """This model for infer-mode passes over fixed weights: each block's
-        batchnorm folded into its conv with the running statistics, once, and
-        its ``norm`` None. Shares the head arrays and the depthwise kernels."""
+        """This model for infer-mode passes, and the only fold of the running
+        statistics: each block's batchnorm folded into its conv, its ``norm``
+        None. A folded model is its own fold, so ``forward`` refolds nothing
+        after ``predict``'s one fold. Shares the head arrays and the
+        depthwise kernels."""
+        if all(b.norm is None for b in self.blocks):
+            return self
         blocks = [Block(layers.fold_batchnorm(b.conv, b.norm), None) for b in self.blocks]
         return Model(self.config, blocks, self.hidden, self.output)
 
@@ -245,17 +248,15 @@ class ForwardCaches:
     logits: np.ndarray
 
 
-def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = None,
+def _forward_blocks(model: Model, x: np.ndarray, upto: int | None = None,
                     keep_caches: bool = True):
     """Run the conv stack through block ``upto`` (inclusive; None = all).
 
-    A block is one ``layers.sepconv2d`` with the block's batchnorm folded
-    into its pointwise stage (batch statistics in train mode, running
-    statistics in infer mode; refolded on every call, so it follows the
-    current weights, unless ``model`` is ``Model.folded``), then ReLU in
-    place on the fresh output.
+    A block is one ``layers.sepconv2d`` given the block's ``norm`` (folded in
+    on the batch's statistics; None in ``Model.folded``, whose convs hold the
+    running statistics), then ReLU in place on the fresh output.
 
-    With ``keep_caches`` false (infer mode only) no block makes a cache: the
+    With ``keep_caches`` false no block makes a cache: over a folded model the
     sepconv's ``mid`` is chunk-sized scratch, only the running block's input
     and output are alive, and the returned cache list is empty.
     """
@@ -263,7 +264,7 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
     caches = []
     out = x
     for blk in model.blocks[: last + 1]:
-        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, mode, keep_cache=keep_caches)
+        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=keep_caches)
         out, relu_cache = layers.relu(out, out=out)
         if keep_caches:
             caches.append((conv_cache, relu_cache))
@@ -274,7 +275,7 @@ def _forward_blocks(model: Model, x: np.ndarray, mode: str, upto: int | None = N
 
 def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     """Backprop through cached conv blocks; fills ``grads`` when given, which
-    needs train-mode caches (an infer-mode block is a conv with fixed
+    needs train-mode caches (a block of ``Model.folded`` is a conv with fixed
     folded weights and yields no batchnorm gradients).
 
     Consumes ``caches``: each block's cache is popped off the list, so its
@@ -295,12 +296,16 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
 def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=None):
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
 
-    ``dropout_rng``, one batch stream with a row per sample, feeds the single
-    dropout layer and is required in train mode when the configured rate is
-    positive. Infer mode folds each block's batchnorm into its sepconv and
-    keeps no per-block caches (``block_caches`` is empty), so it cannot be
-    backpropagated through the conv stack; ``backward`` needs a train-mode pass.
+    ``mode`` ("train" or "infer") is read here only. Train mode runs each
+    block's batchnorm on the batch's statistics, updating its running
+    statistics, and dropout at the configured rate, which needs
+    ``dropout_rng`` (one batch stream with a row per sample) when positive.
+    Infer mode runs ``model.folded()`` with no per-block caches, so
+    ``backward`` needs a train-mode pass, and dropout at rate 0.
     """
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    train = mode == "train"
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (
         cfg.input_height,
@@ -310,11 +315,12 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
             f"batch shape {batch.shape} does not match configured input "
             f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
         )
-    out, block_caches = _forward_blocks(model, batch, mode, keep_caches=mode == "train")
+    out, block_caches = _forward_blocks(model if train else model.folded(), batch,
+                                        keep_caches=train)
     out, pool_cache = layers.global_avg_pool(out)
     out, hidden_cache = layers.dense(out, model.hidden)
     out, hidden_relu_cache = layers.relu(out)
-    out, dropout_cache = layers.dropout(out, cfg.dropout_rate, mode, dropout_rng)
+    out, dropout_cache = layers.dropout(out, cfg.dropout_rate if train else 0.0, dropout_rng)
     logits2d, output_cache = layers.dense(out, model.output)
     logits = logits2d[:, 0]
     # a logit of +-inf has a finite probability, 1 or 0, so check the logits
@@ -379,7 +385,7 @@ def load_model(path) -> Model:
     try:
         doc = json.loads(blob[12:12 + json_len].decode("utf-8"))
         header = from_doc(ModelHeader, doc, "SFM1 header")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: bad config section: {exc}") from exc
 
     offset = 12 + json_len
@@ -406,7 +412,7 @@ def extract_activation(model: Model, image: np.ndarray, block_index: int, channe
     _check_block_channel(model, block_index, channel)
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
-    out, _ = _forward_blocks(model, image, "infer", upto=block_index, keep_caches=False)
+    out, _ = _forward_blocks(model.folded(), image, upto=block_index, keep_caches=False)
     return out[0, channel]
 
 
@@ -444,7 +450,7 @@ def maximize_activation(
     fixed = model.folded()
 
     def objective_and_grad(img):
-        out, caches = _forward_blocks(fixed, img, "infer", upto=block_index)
+        out, caches = _forward_blocks(fixed, img, upto=block_index)
         hprime, wprime = out.shape[2], out.shape[3]
         value = float(out[0, channel].mean(dtype=np.float64))
         dout = np.zeros_like(out)

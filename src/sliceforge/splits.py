@@ -61,7 +61,7 @@ class SplitPlan:
     def load(cls, path) -> "SplitPlan":
         try:
             return from_doc(cls, json.loads(Path(path).read_text(encoding="utf-8")), "split plan")
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise FormatError(f"{path}: bad split plan: {exc}") from exc
 
 

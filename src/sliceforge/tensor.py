@@ -80,14 +80,15 @@ _type_hints = functools.cache(typing.get_type_hints)  # a class's resolved annot
 
 def from_doc(cls, doc, name: str, prefix: str = ""):
     """The dataclass ``cls`` from the JSON object ``doc``, the inverse of
-    ``json_fields``; ``name`` names ``doc`` in errors. An unknown key raises
-    ConfigError and a missing field without a default raises KeyError. Each
-    value must fit its field's annotation, or ConfigError names the field:
-    ``int`` (``check_int``), ``float`` (``check_real``; stored as a float),
-    ``bool``, ``str``, ``X | None``, ``list[X]`` or ``tuple[X, ...]`` from an
-    array, or a dataclass by this same rule. ``cls`` checks ranges itself.
-    A field is named by its path from the top document, ``prefix`` plus its
-    name: ``train.epochs``, ``subjects[0].label``, ``aggregate.f1.mean``."""
+    ``json_fields``; ``name`` names ``doc`` in errors. An unknown key or a
+    missing field without a default raises ConfigError. Each value must fit
+    its field's annotation, or ConfigError names the field: ``int``
+    (``check_int``), ``float`` (``check_real``; stored as a float), ``bool``,
+    ``str``, ``X | None``, ``list[X]`` or ``tuple[X, ...]`` from an array, or
+    a dataclass by this same rule. A field is named by its path from the top
+    document, ``prefix`` plus its name: ``train.epochs``, ``aggregate.f1.mean``.
+    ``cls`` checks ranges itself, in ConfigErrors that start with the field's
+    name, and ``prefix`` is put in front of them."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
     fields, hints = dataclasses.fields(cls), _type_hints(cls)
@@ -96,9 +97,13 @@ def from_doc(cls, doc, name: str, prefix: str = ""):
             raise ConfigError(f"unknown key {key!r} in {name}")
     for f in fields:
         if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
-            raise KeyError(prefix + f.name)
-    return cls(**{f.name: _from_value(hints[f.name], doc[f.name], prefix + f.name)
-                  for f in fields if f.name in doc})
+            raise ConfigError(f"missing key {prefix + f.name!r}")
+    values = {f.name: _from_value(hints[f.name], doc[f.name], prefix + f.name)
+              for f in fields if f.name in doc}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _from_value(ann, value, name: str):

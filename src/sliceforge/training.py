@@ -57,14 +57,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
+        for name in ("initial_lr", "epochs", "batch_size", "clip_value", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError(f"decay_factor must be in (0,1], got {self.decay_factor}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.clip_value <= 0 or self.clip_norm <= 0:
-            raise ConfigError("clip_value and clip_norm must be positive")
 
 
 @dataclass

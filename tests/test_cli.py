@@ -419,12 +419,21 @@ def test_non_finite_age_exits_2(tmp_path, capsys, one_class_split):
     ("config", ("trian",), {"epochs": 1}, "unknown key 'trian' in config"),
     ("config", ("split", "K"), 3, "unknown key 'K' in split"),
     ("plan", ("folds", 1, "train"), "nc-000", "folds[1].train must be a list, got 'nc-000'"),
+    ("config", ("train", "epochs"), 0, "bad config: train.epochs must be positive, got 0"),
+    ("config", ("train", "batch_size"), -1, "train.batch_size must be positive, got -1"),
+    ("config", ("model",), {"hidden_units": 0}, "model.hidden_units must be positive, got 0"),
+    ("config", ("split", "k"), 1, "split.k must be >= 2, got 1"),
+    ("plan", ("k",), None, "bad split plan: missing key 'k'"),
+    ("manifest", ("subjects", 1, "cdr"), None, "missing key 'subjects[1].cdr'"),
 ], ids=["label-string", "cdr-string", "age-infinite", "mmse-fraction", "height-fraction",
-        "slices-string", "config-section", "split-key", "plan-members-string"])
+        "slices-string", "config-section", "split-key", "plan-members-string", "epochs-zero",
+        "batch-size-negative", "hidden-units-zero", "split-k-one", "plan-missing-k",
+        "cdr-missing"])
 def test_mistyped_or_unknown_key_exits_2(tmp_path, own_manifest_path, capsys, document, where,
                                          value, message):
     """Each JSON document is read by its dataclass's fields: a value of the wrong
-    type or an unknown key exits 2 with one line and writes nothing."""
+    type or out of range, an unknown key or a missing one (``value`` None)
+    exits 2 with one line that names its path, and writes nothing."""
     split, config, out = tmp_path / "split.json", tmp_path / "c.json", tmp_path / "out.json"
     assert cli.main(["split", "--manifest", str(own_manifest_path), "--out", str(split),
                      "--k", "2"]) == cli.EXIT_OK
@@ -434,7 +443,10 @@ def test_mistyped_or_unknown_key_exits_2(tmp_path, own_manifest_path, capsys, do
     target = doc
     for key in where[:-1]:
         target = target[key]
-    target[where[-1]] = value
+    if value is None:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
     path.write_text(json.dumps(doc))
     argv = {
         "manifest": ["split", "--manifest", str(own_manifest_path), "--out", str(out), "--k", "2"],
@@ -525,9 +537,9 @@ def test_report_corrupt_summary(tmp_path, capsys, summary):
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"k": None}, "missing 'k'"),
+    ({"k": None}, "missing key 'k'"),
     ({"aggregate": {k: v for k, v in SUMMARY["aggregate"].items() if k != "mcc"}},
-     "missing 'aggregate.mcc'"),
+     "missing key 'aggregate.mcc'"),
     ({"aggregate": {**SUMMARY["aggregate"], "f1": {"mean": "0.5", "std": 0.0}}},
      "aggregate.f1.mean must be a finite number, got '0.5'"),
     ({"fold_best_val_accuracy": [0.75, True, 0.5]},

@@ -99,7 +99,7 @@ def _duplicate(doc):
 
 
 @pytest.mark.parametrize("change, message", [
-    (_drop("slice_height"), "missing 'slice_height'"),
+    (_drop("slice_height"), "missing key 'slice_height'"),
     (_set_subject("cdr", "abc"), "malformed manifest"),
     (_set("slice_height", "x"), "malformed manifest"),
     (_set("subjects", 3), "malformed manifest"),

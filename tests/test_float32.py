@@ -126,7 +126,7 @@ class TestLayerDtypes:
         conv = layers.SepConvParams(_f32(rng, 3, 1, 3, 3), _f32(rng, 3, 3, 1, 1), _f32(rng, 3))
         folded = layers.fold_batchnorm(conv, p)
         assert folded.pointwise.dtype == folded.bias.dtype == np.float32
-        out, cache = layers.sepconv2d(x, conv, p, mode)
+        out, cache = layers.sepconv2d(x, conv, p) if mode == "train" else layers.sepconv2d(x, folded)
         grads = layers.sepconv2d_backward(_f32(rng, *out.shape), cache)
         assert out.dtype == np.float32
         assert [g.dtype for g in grads] == [np.float32] * (6 if mode == "train" else 4)
@@ -144,6 +144,6 @@ class TestLayerDtypes:
         assert dense_out.dtype == np.float32
         assert [g.dtype for g in layers.dense_backward(dense_out, cache)] == [np.float32] * 3
         stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(2))
-        drop_out, cache = layers.dropout(dense_out, 0.5, "train", stream)
+        drop_out, cache = layers.dropout(dense_out, 0.5, stream)
         assert drop_out.dtype == layers.dropout_backward(drop_out, cache).dtype == np.float32
         assert layers.sigmoid(drop_out).dtype == np.float32

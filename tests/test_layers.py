@@ -164,11 +164,11 @@ class TestSepConv:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_partial_chunks_match_naive(self, k, stride, n, rows, monkeypatch):
-        """Chunks of ``rows`` samples and a last, partial one: the forward in
-        infer mode (with and without a cache, with and without a batchnorm)
-        and in train mode, and the backward of each, against the naive
-        oracles, and bit for bit against one whole-batch chunk. Kernel 1 at
-        stride 2 has phases without taps."""
+        """Chunks of ``rows`` samples and a last, partial one: the forward
+        without a batchnorm (with and without a cache, with and without the
+        running statistics folded into the conv) and with one, and the
+        backward of each, against the naive oracles, and bit for bit against
+        one whole-batch chunk. Kernel 1 at stride 2 has phases without taps."""
         rng = np.random.default_rng(50 + 10 * k + stride + n)
         x = rng.normal(1.0, 1.0, size=(n, 3, 7, 6))
         p = random_sepconv(rng, 3, 4, k=k, stride=stride)
@@ -186,9 +186,9 @@ class TestSepConv:
 
         def run(forward_bytes, backward_bytes):
             monkeypatch.setattr(layers, "_CHUNK_BYTES", forward_bytes)
-            calls = [layers.sepconv2d(x, p), layers.sepconv2d(x, p, norm(), keep_cache=False),
-                     layers.sepconv2d(x, p, keep_cache=False),
-                     layers.sepconv2d(x, p, norm(), "train")]
+            calls = [layers.sepconv2d(x, p),
+                     layers.sepconv2d(x, layers.fold_batchnorm(p, norm()), keep_cache=False),
+                     layers.sepconv2d(x, p, keep_cache=False), layers.sepconv2d(x, p, norm())]
             monkeypatch.setattr(layers, "_CHUNK_BYTES", backward_bytes)
             return ([out for out, _ in calls], layers.sepconv2d_backward(upstream, calls[0][1]),
                     layers.sepconv2d_backward(upstream, calls[3][1]))
@@ -288,7 +288,8 @@ def identity_sepconv(c):
 
 class TestBatchNorm:
     """Batchnorm as a block runs it: folded into the sepconv before it, with
-    batch statistics in train mode and running statistics in infer mode."""
+    batch statistics when passed to it (train mode), and with running
+    statistics by ``fold_batchnorm`` ahead of the pass (infer mode)."""
 
     def make_params(self, c, rng=None):
         if rng is None:
@@ -309,10 +310,10 @@ class TestBatchNorm:
         conv.pointwise[0] = 0.0
         x = rng.normal(size=(2, 2, 3, 3))
         p = self.make_params(2)
-        out, _ = layers.sepconv2d(x, conv, p, "train")
+        out, _ = layers.sepconv2d(x, conv, p)
         np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
         p.beta[0] = 0.7
-        out, _ = layers.sepconv2d(x, conv, p, "train")
+        out, _ = layers.sepconv2d(x, conv, p)
         np.testing.assert_allclose(out[:, 0], 0.7, atol=1e-12)
 
     def test_two_point_batch(self):
@@ -320,7 +321,7 @@ class TestBatchNorm:
         x = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.epsilon = 1e-3
-        out, _ = layers.sepconv2d(x, identity_sepconv(1), p, "train")
+        out, _ = layers.sepconv2d(x, identity_sepconv(1), p)
         expect = 1.0 / np.sqrt(1.0 + 1e-3)
         np.testing.assert_allclose(out.ravel(), [-expect, expect], rtol=1e-7)
 
@@ -341,7 +342,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.normal(2.0, 3.0, size=(4, 3, 5, 5))
         conv = random_sepconv(rng, 3, 3)
-        out, _ = layers.sepconv2d(x, conv, self.make_params(3), "train")
+        out, _ = layers.sepconv2d(x, conv, self.make_params(3))
         means = out.mean(axis=(0, 2, 3))
         variances = out.var(axis=(0, 2, 3))
         sigma2 = layers.sepconv2d(x, conv)[0].var(axis=(0, 2, 3))
@@ -352,13 +353,13 @@ class TestBatchNorm:
     def test_batch_too_small(self):
         p = self.make_params(2)
         with pytest.raises(ShapeError):
-            layers.sepconv2d(np.ones((1, 2, 1, 1)), identity_sepconv(2), p, "train")
+            layers.sepconv2d(np.ones((1, 2, 1, 1)), identity_sepconv(2), p)
 
     def test_running_stats_ema(self):
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
         p = self.make_params(1)
         p.momentum = 0.9
-        layers.sepconv2d(x, identity_sepconv(1), p, "train")
+        layers.sepconv2d(x, identity_sepconv(1), p)
         # batch mean 2, biased var 1
         np.testing.assert_allclose(p.running_mean, [0.9 * 0 + 0.1 * 2], rtol=1e-6)
         np.testing.assert_allclose(p.running_var, [0.9 * 1 + 0.1 * 1], rtol=1e-6)
@@ -379,17 +380,17 @@ class TestBatchNorm:
             def loss():
                 return float(np.sum(affine_batchnorm(layers.sepconv2d(x, conv)[0], p) * upstream))
 
-            _, cache = layers.sepconv2d(x, conv, p, "infer")
+            _, cache = layers.sepconv2d(x, layers.fold_batchnorm(conv, p))
             dx, d_dw = layers.sepconv2d_backward(upstream, cache)[:2]
             assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
             assert max_rel_err(d_dw, central_difference(loss, conv.depthwise, FD_H)) <= GRAD_TOL
             return
 
         def loss():
-            out, _ = layers.sepconv2d(x, conv, p, "train")
+            out, _ = layers.sepconv2d(x, conv, p)
             return float(np.sum(out * upstream))
 
-        _, cache = layers.sepconv2d(x, conv, p, "train")
+        _, cache = layers.sepconv2d(x, conv, p)
         grads = layers.sepconv2d_backward(upstream, cache)
         wrt = (x, conv.depthwise, conv.pointwise, conv.bias, p.gamma, p.beta)
         assert len(grads) == len(wrt)
@@ -433,7 +434,7 @@ class TestFoldedBlockShadow:
         dy, d_gamma, d_beta = batchnorm_train_backward(dz, y, norm.gamma, norm.epsilon)
         want = (*naive_sepconv2d_backward(*f64[:3], dy, stride), d_gamma, d_beta)
 
-        out, cache = layers.sepconv2d(x, conv, norm, "train")
+        out, cache = layers.sepconv2d(x, conv, norm)
         out, relu_cache = layers.relu(out, out=out)
         grads = layers.sepconv2d_backward(layers.relu_backward(upstream.copy(), relu_cache), cache)
 
@@ -563,36 +564,30 @@ class TestDense:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        for mode in ("train", "infer"):
-            out, _ = layers.dropout(x, 0.0, mode)
-            assert np.array_equal(out, x)
-
-    def test_infer_identity_any_rate(self):
-        x = np.arange(6.0).reshape(2, 3)
-        out, _ = layers.dropout(x, 0.7, "infer")
+        out, _ = layers.dropout(x, 0.0)
         assert np.array_equal(out, x)
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones((1, 3)), 1.0, "train", SplitMixStream(0, np.arange(1)))
+            layers.dropout(np.ones((1, 3)), 1.0, SplitMixStream(0, np.arange(1)))
         with pytest.raises(ConfigError):
-            layers.dropout(np.ones((1, 3)), -0.1, "train", SplitMixStream(0, np.arange(1)))
+            layers.dropout(np.ones((1, 3)), -0.1, SplitMixStream(0, np.arange(1)))
 
     def test_stream_count_must_match_rows(self):
         for stream in (SplitMixStream(0, np.arange(1)), SplitMixStream(0, np.arange(3)),
                        SplitMixStream(0)):
             with pytest.raises(ShapeError):
-                layers.dropout(np.ones((2, 3)), 0.5, "train", stream)
+                layers.dropout(np.ones((2, 3)), 0.5, stream)
 
     def test_mean_preserved_monte_carlo(self):
         x = np.ones((10, 10_000))
-        out, _ = layers.dropout(x, 0.5, "train", SplitMixStream(99, np.arange(10)))
+        out, _ = layers.dropout(x, 0.5, SplitMixStream(99, np.arange(10)))
         assert abs(out.mean() - 1.0) <= 0.01
 
     def test_per_row_streams(self):
         x = np.ones((3, 50))
-        out, _ = layers.dropout(x, 0.5, "train", SplitMixStream(1, np.arange(3)))
-        again, _ = layers.dropout(x, 0.5, "train", SplitMixStream(1, np.arange(3)))
+        out, _ = layers.dropout(x, 0.5, SplitMixStream(1, np.arange(3)))
+        again, _ = layers.dropout(x, 0.5, SplitMixStream(1, np.arange(3)))
         assert np.array_equal(out, again)
         assert not np.array_equal(out[0], out[1])
         # row i's mask is the one its own scalar-keyed stream draws
@@ -608,10 +603,10 @@ class TestDropout:
             return SplitMixStream(5, np.arange(len(x)))
 
         def loss():
-            out, _ = layers.dropout(x, 0.4, "train", stream())
+            out, _ = layers.dropout(x, 0.4, stream())
             return float(np.sum(out * upstream))
 
-        _, cache = layers.dropout(x, 0.4, "train", stream())
+        _, cache = layers.dropout(x, 0.4, stream())
         dx = layers.dropout_backward(upstream, cache)
         assert max_rel_err(dx, central_difference(loss, x, FD_H)) <= GRAD_TOL
 

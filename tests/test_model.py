@@ -104,6 +104,41 @@ class TestForward:
         b, _ = M.forward(model, x, "infer")
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def _model_with_running_stats(**kw):
+        model = M.build_model(small_config(**kw), seed=5)
+        rng = np.random.default_rng(9)
+        for blk in model.blocks:
+            blk.norm.running_mean[...] = rng.normal(0.0, 0.5, blk.norm.running_mean.shape)
+            blk.norm.running_var[...] = rng.uniform(0.2, 2.0, blk.norm.running_var.shape)
+        return model
+
+    def test_infer_runs_the_folded_model(self):
+        model = self._model_with_running_stats()
+        x = np.random.default_rng(2).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        fixed = model.folded()
+        assert fixed.folded() is fixed
+        assert all(blk.norm is None for blk in fixed.blocks)
+        a, caches = M.forward(model, x, "infer")
+        b, fixed_caches = M.forward(fixed, x, "infer")
+        assert a.tobytes() == b.tobytes()
+        assert caches.logits.tobytes() == fixed_caches.logits.tobytes()
+
+    def test_infer_ignores_dropout_rate(self):
+        # infer mode runs dropout at rate 0, so it needs no stream at any rate
+        x = np.random.default_rng(2).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        dropped, _ = M.forward(self._model_with_running_stats(dropout_rate=0.9), x, "infer")
+        kept, _ = M.forward(self._model_with_running_stats(dropout_rate=0.0), x, "infer")
+        assert dropped.tobytes() == kept.tobytes()
+
+    def test_unknown_mode_touches_nothing(self):
+        model = self._model_with_running_stats()
+        before = [arr.tobytes() for _, arr in model.state_arrays()]
+        x = np.random.default_rng(2).normal(size=(3, 1, 16, 16)).astype(np.float32)
+        with pytest.raises(ConfigError, match="mode must be 'train' or 'infer'"):
+            M.forward(model, x, "eval")
+        assert [arr.tobytes() for _, arr in model.state_arrays()] == before
+
     def test_infer_memory_peak(self):
         """Infer keeps no cache and no full-batch depthwise buffer, so one
         pass peaks near the largest block output (the input is not counted)."""
@@ -179,9 +214,9 @@ class TestForward:
         # maximize_activation backpropagates through infer-mode blocks
         model = M.build_model(small_config(), seed=7)
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
-        _, caches = M._forward_blocks(model, x, "infer", upto=2)
+        _, caches = M._forward_blocks(model.folded(), x, upto=2)
         assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
-        assert M._forward_blocks(model, x, "infer", keep_caches=False)[1] == []
+        assert M._forward_blocks(model.folded(), x, keep_caches=False)[1] == []
 
     def test_shape_mismatch(self):
         model = M.build_model(small_config(), seed=5)

@@ -1,7 +1,8 @@
 """Command-line orchestration: generate, split, audit, train, run, evaluate,
 report, inspect.
 
-``run`` writes its record, a ``RunSummary``, to summary.json and renders its
+``run`` and ``train`` share ``_run_fold``, which writes a fold's ``FoldRecord``
+to metrics.json. ``run`` writes a ``RunSummary`` to summary.json and renders its
 tables from it; ``report`` rewrites those tables from summary.json, byte for byte.
 
 Exit codes are ``EXIT_CODES``, the --help epilog. ``run`` and ``train`` take
@@ -30,6 +31,8 @@ from .data import (
 from .errors import ConfigError, DataError, LeakageError, NumericError, SliceforgeError
 from .metrics import (
     Aggregate,
+    ConfusionCounts,
+    MetricsReport,
     aggregate_folds,
     compute_metrics,
     format_aggregate_cell,
@@ -49,6 +52,7 @@ from .splits import SplitConfig, SplitPlan, audit_split, kfold_split
 from .tensor import atomic_open, format_json, from_doc, read_array, write_array, write_pgm
 from .tensor import write_json as _json_dump  # benchmarks/tracer.py patches this name
 from .training import TrainConfig, evaluate, evaluate_subject_vote, fit, logit_labels, score
+from .training import write_history
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -125,6 +129,20 @@ class RunSummary:
                               f"values of fold_best_val_accuracy, got {self.k}")
 
 
+@dataclass
+class FoldRecord:
+    """metrics.json: the best epoch (1-based), its validation accuracy, and the best
+    model's mean validation loss, counts and metrics per slice and by subject vote."""
+
+    best_epoch: int
+    best_val_accuracy: float
+    val_loss_best_model: float
+    confusion_slice_level: ConfusionCounts
+    metrics_slice_level: MetricsReport
+    confusion_subject_vote: ConfusionCounts
+    metrics_subject_vote: MetricsReport
+
+
 def cmd_generate(args) -> int:
     manifest = generate_synthetic(
         n_per_class=args.subjects_per_class,
@@ -157,7 +175,9 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _run_fold(manifest, plan, fold_index, config):
+def _run_fold(manifest, plan, fold_index, config, fold_dir: Path) -> FoldRecord:
+    """Train fold ``fold_index`` of ``plan``, score its best model and write
+    the fold's four files to ``fold_dir``; ``run`` and ``train`` both call it."""
     fold = plan.folds[fold_index]
     train_set = load_slice_set(manifest, fold.train)
     val_set = load_slice_set(manifest, fold.val)
@@ -167,26 +187,19 @@ def _run_fold(manifest, plan, fold_index, config):
     threshold = result.best.config.threshold
     counts, mean_loss = score(result.val_logits, val_set.labels, threshold)
     subject_counts = evaluate_subject_vote(val_set, logit_labels(result.val_logits, threshold))
-    return result, counts, mean_loss, subject_counts
+    record = FoldRecord(result.best_epoch, result.history[result.best_epoch - 1].val_acc,
+                        mean_loss, counts, compute_metrics(counts), subject_counts,
+                        compute_metrics(subject_counts))
+    _write_fold_artifacts(fold_dir, result, record)
+    return record
 
 
-def _write_fold_artifacts(fold_dir: Path, result, counts, mean_loss, subject_counts):
+def _write_fold_artifacts(fold_dir: Path, result, record: FoldRecord) -> None:
     fold_dir.mkdir(parents=True, exist_ok=True)
-    result.history.write_csv(fold_dir / "history.csv")
+    write_history(fold_dir / "history.csv", result.history)
     save_model(fold_dir / "best_model.sfm", result.best)
     save_model(fold_dir / "final_model.sfm", result.final)
-    report = compute_metrics(counts)
-    doc = {
-        "best_epoch": result.best_epoch,
-        "best_val_accuracy": result.best_val_acc,
-        "val_loss_best_model": mean_loss,
-        "confusion_slice_level": counts,
-        "metrics_slice_level": report,
-        "confusion_subject_vote": subject_counts,
-        "metrics_subject_vote": compute_metrics(subject_counts),
-    }
-    _json_dump(fold_dir / "metrics.json", doc)
-    return report
+    _json_dump(fold_dir / "metrics.json", record)
 
 
 def cmd_run(args) -> int:
@@ -213,18 +226,12 @@ def cmd_run(args) -> int:
     if report.leaked_subject_ids and not args.allow_leakage:
         raise LeakageError(report.leaked_subject_ids)
 
-    fold_reports = []
-    fold_best_acc = []
-    for i in range(plan.k):
-        result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, i, config)
-        fold_dir = out_dir / f"fold-{i + 1}"
-        fold_reports.append(_write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts))
-        fold_best_acc.append(result.best_val_acc)
-
+    folds = [_run_fold(manifest, plan, i, config, out_dir / f"fold-{i + 1}")
+             for i in range(plan.k)]
     summary = RunSummary(k=plan.k, seed=config.train.seed, granularity=plan.granularity,
                          leaked_subjects=report.leaked_subject_ids,
-                         fold_best_val_accuracy=fold_best_acc,
-                         aggregate=aggregate_folds(fold_reports))
+                         fold_best_val_accuracy=[f.best_val_accuracy for f in folds],
+                         aggregate=aggregate_folds([f.metrics_slice_level for f in folds]))
     _json_dump(out_dir / "summary.json", summary)
     _write_report_files(out_dir, summary)
     print(f"run complete: {plan.k} folds, artifacts in {out_dir}")
@@ -243,11 +250,10 @@ def cmd_train(args) -> int:
     if report.leaked_subject_ids and not args.allow_leakage:
         raise LeakageError(report.leaked_subject_ids)
 
-    result, counts, mean_loss, subject_counts = _run_fold(manifest, plan, args.fold, config)
-    fold_dir = Path(args.output_dir) / f"fold-{args.fold + 1}"
-    _write_fold_artifacts(fold_dir, result, counts, mean_loss, subject_counts)
-    print(f"fold {args.fold + 1}: best val accuracy {format_fold_cell(result.best_val_acc)} "
-          f"at epoch {result.best_epoch}")
+    fold = _run_fold(manifest, plan, args.fold, config,
+                     Path(args.output_dir) / f"fold-{args.fold + 1}")
+    print(f"fold {args.fold + 1}: best val accuracy {format_fold_cell(fold.best_val_accuracy)} "
+          f"at epoch {fold.best_epoch}")
     return EXIT_OK
 
 

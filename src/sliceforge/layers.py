@@ -2,7 +2,9 @@
 
 Every layer comes in a pair: ``<layer>(...)`` returns ``(output, cache)`` and
 ``<layer>_backward(upstream, cache)`` consumes the cache to produce the input
-gradient (plus parameter gradients where the layer has parameters). The
+gradient (plus parameter gradients where the layer has parameters). A cache
+that holds one value is that bare value: ReLU's output, the pooled input's
+shape, dropout's scaled mask; one that holds several is a dataclass. The
 sigmoid is the exception: it returns only its output and has no backward,
 because the loss is computed on logits and nothing backpropagates through it.
 
@@ -139,24 +141,9 @@ class BatchNormCache:
 
 
 @dataclass
-class ReluCache:
-    out: np.ndarray  # the gradient passes where out > 0, i.e. where x > 0
-
-
-@dataclass
-class PoolCache:
-    in_shape: tuple
-
-
-@dataclass
 class DenseCache:
     x: np.ndarray
     params: DenseParams
-
-
-@dataclass
-class DropoutCache:
-    scaled_mask: np.ndarray | None  # None means identity (rate 0)
 
 
 def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
@@ -466,30 +453,30 @@ def batchnorm_backward(d_weights: np.ndarray, cache: BatchNormCache):
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None):
-    """max(0, x), written to ``out`` when given (``out=x`` runs in place); the
-    gradient passes only where x > 0 (subgradient 0 at 0)."""
+    """max(0, x), written to ``out`` when given (``out=x`` runs in place), and
+    ``out`` again as the cache: the gradient passes where out > 0, i.e. x > 0."""
     out = np.maximum(x, x.dtype.type(0), out=out)
-    return out, ReluCache(out=out)
+    return out, out
 
 
-def relu_backward(dout: np.ndarray, cache: ReluCache):
+def relu_backward(dout: np.ndarray, out: np.ndarray):
     """``dout`` where x > 0, else 0, multiplied into ``dout`` in place and
     returned. Every caller passes a fresh gradient it does not reuse: a
     sepconv or dense input gradient, or the pooling or dropout gradient."""
-    return np.multiply(dout, cache.out > 0, out=dout)
+    return np.multiply(dout, out > 0, out=dout)
 
 
 def global_avg_pool(x: np.ndarray):
-    """Mean over the spatial dims: [N,C,H,W] -> [N,C]."""
+    """Mean over the spatial dims: [N,C,H,W] -> [N,C]. The cache is ``x.shape``."""
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
     out = x.mean(axis=(2, 3), dtype=np.float64)
-    return out.astype(x.dtype, copy=False), PoolCache(in_shape=x.shape)
+    return out.astype(x.dtype, copy=False), x.shape
 
 
-def global_avg_pool_backward(dout: np.ndarray, cache: PoolCache):
-    n, c, h, w = cache.in_shape
-    dx = np.broadcast_to(dout[:, :, None, None], cache.in_shape) / (h * w)
+def global_avg_pool_backward(dout: np.ndarray, in_shape: tuple):
+    n, c, h, w = in_shape
+    dx = np.broadcast_to(dout[:, :, None, None], in_shape) / (h * w)
     return dx.astype(dout.dtype, copy=False)
 
 
@@ -522,25 +509,23 @@ def dropout(x: np.ndarray, rate: float, rng=None):
 
     ``rng`` is one batch stream with a row per row of ``x`` (a SplitMixStream
     keyed by the batch's sample indices), so each sample's mask depends only on
-    its own key.
+    its own key. The cache is the scaled mask, or None at rate 0.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
     if rate == 0.0:
-        return x, DropoutCache(scaled_mask=None)
+        return x, None
     if rng is None:
         raise ConfigError("dropout with rate > 0 needs a batch rng stream")
     u = rng.uniform(x.shape[1:])
     if u.shape != x.shape:
         raise ShapeError(f"stream draws of shape {u.shape} for input of shape {x.shape}")
     scaled_mask = (u >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
-    return x * scaled_mask, DropoutCache(scaled_mask=scaled_mask)
+    return x * scaled_mask, scaled_mask
 
 
-def dropout_backward(dout: np.ndarray, cache: DropoutCache):
-    if cache.scaled_mask is None:
-        return dout
-    return dout * cache.scaled_mask
+def dropout_backward(dout: np.ndarray, scaled_mask: np.ndarray | None):
+    return dout if scaled_mask is None else dout * scaled_mask
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -239,12 +239,12 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 @dataclass
 class ForwardCaches:
-    block_caches: list  # per block: (conv_cache, relu_cache); batchnorm's is conv_cache.norm
-    pool_cache: object
-    hidden_cache: object
-    hidden_relu_cache: object
-    dropout_cache: object
-    output_cache: object
+    block_caches: list  # per block: (conv_cache, ReLU output); batchnorm's is conv_cache.norm
+    pool_cache: tuple  # the last block output's shape
+    hidden_cache: layers.DenseCache
+    hidden_relu_cache: np.ndarray  # the hidden ReLU's output
+    dropout_cache: np.ndarray | None  # the scaled mask; None at rate 0
+    output_cache: layers.DenseCache
     logits: np.ndarray
 
 
@@ -434,13 +434,16 @@ def maximize_activation(
 ):
     """Gradient ascent on the mean post-ReLU activation of one channel.
 
-    Starts from a seeded random image and climbs with RMS-normalized steps.
+    Climbs from a seeded random image by RMS-normalized steps of ``step_size`` > 0.
     Every step runs the same weights, so the batchnorms are folded once.
     Returns (final image [1,C,H,W], objective trace of length steps+1).
     """
     _check_block_channel(model, block_index, channel)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    check_real("step_size", step_size)
+    if step_size <= 0:
+        raise ConfigError(f"step_size must be positive, got {step_size}")
     cfg = model.config
     stream = SplitMixStream(seed, TAG_MAXIMIZE, block_index, channel)
     x = (stream.normal((1, cfg.input_channels, cfg.input_height, cfg.input_width)) * 0.1 + 0.5).astype(

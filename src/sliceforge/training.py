@@ -21,8 +21,8 @@ Loss, accuracy, slice-level confusion counts and the subject vote are pure
 functions of those logits, so the logits ``fit`` computed for the best
 epoch's history row serve again for the final fold metrics.
 
-The history's train columns need no pass of their own. As in Keras's
-``History``, ``train_loss`` and ``train_acc`` are the epoch's
+The history's train columns need no pass of their own. As in Keras's fit
+history, ``train_loss`` and ``train_acc`` are the epoch's
 batch-size-weighted means over the train-mode forwards the steps already
 make: with augmentation and dropout, each batch taken before its SGD update.
 Only the validation columns come from an infer-mode pass.
@@ -31,7 +31,7 @@ Only the validation columns come from an infer-mode pass.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -77,25 +77,13 @@ class EpochRecord:
 HISTORY_HEADER = tuple(f.name for f in fields(EpochRecord))
 
 
-@dataclass
-class History:
-    records: list = field(default_factory=list)
-
-    def append(self, rec: EpochRecord):
-        for v in astuple(rec):
-            if not np.isfinite(v):
-                raise NumericError(f"non-finite history value at epoch {rec.epoch}")
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def write_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTORY_HEADER)
-            # repr keeps every float's exact value; an int's repr is its str
-            writer.writerows(map(repr, astuple(r)) for r in self.records)
+def write_history(path, history: list[EpochRecord]) -> None:
+    """history.csv: the EpochRecord field names, then a row per epoch, by ``csv.writer``."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HISTORY_HEADER)
+        # repr keeps every float's exact value; an int's repr is its str
+        writer.writerows(map(repr, astuple(r)) for r in history)
 
 
 def bce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -146,16 +134,13 @@ def sgd_step(model: Model, grads: dict, lr: float) -> None:
 
 @dataclass
 class FitResult:
+    """``fit``'s models and history; the best epoch's row is ``history[best_epoch - 1]``."""
+
     final: Model
     best: Model
     best_epoch: int  # 1-based
-    history: History
+    history: list[EpochRecord]  # one row per epoch, every value finite
     val_logits: np.ndarray  # infer-mode logits of ``best`` over the validation set
-
-    @property
-    def best_val_acc(self) -> float:
-        """The validation accuracy of the best epoch, as its history row holds it."""
-        return self.history.records[self.best_epoch - 1].val_acc
 
 
 def _batched(indices, size):
@@ -235,7 +220,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     exactly the weights snapshotted into ``best``, so its logits are returned
     as ``val_logits`` and equal ``predict(best, val_set)``. Raises
     NumericError naming the epoch and batch if a forward pass or a loss goes
-    non-finite.
+    non-finite, and naming the epoch if a history value does.
 
     Each batch takes one augmentation stream and one dropout stream, each keyed
     ``(seed, tag, epoch, idx)`` by the batch's sample indices ``idx``, so a
@@ -251,7 +236,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     if overlap:
         raise DataError(f"train and validation sets share {len(overlap)} slices")
 
-    history = History()
+    history = []
     best_acc = -1.0  # every val_acc is >= 0, so epoch 1 sets each best_* value
     n = len(train_set)
 
@@ -286,6 +271,8 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             # so this pass is often the first to overflow
             raise NumericError(f"{exc}, history pass of epoch {epoch + 1}") from exc
         history.append(EpochRecord(epoch + 1, lr, loss_sum / n, correct / n, val_loss, val_acc))
+        if not np.all(np.isfinite(astuple(history[-1]))):
+            raise NumericError(f"non-finite history value at epoch {epoch + 1}")
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch + 1

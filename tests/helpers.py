@@ -190,6 +190,14 @@ def pairs_for_counts(tp, fp, tn, fn):
     return labels, preds
 
 
+def nan_loss_eval_pass(eval_pass):
+    """``training._eval_pass`` with the mean loss it returns replaced by NaN."""
+    def patched(model, dataset):
+        logits, _, acc = eval_pass(model, dataset)
+        return logits, math.nan, acc
+    return patched
+
+
 def rewrite_sfm_header(path, **changes):
     """Replace keys of a saved model's JSON header, keeping its records."""
     blob = path.read_bytes()

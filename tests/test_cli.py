@@ -12,10 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import rewrite_sfm_header, set_sfm_value, tsr1_bytes
+from helpers import nan_loss_eval_pass, rewrite_sfm_header, set_sfm_value, tsr1_bytes
 from sliceforge import cli, training
 from sliceforge.data import load_manifest
-from sliceforge.metrics import ConfusionCounts
+from sliceforge.metrics import ConfusionCounts, compute_metrics
 from sliceforge.model import ModelConfig, build_model, extract_activation, forward, save_model
 from sliceforge.splits import audit_split, kfold_split
 from sliceforge.tensor import format_json, from_doc, read_array, write_array
@@ -68,6 +68,27 @@ def test_run_diverging_lr_exits_4(tmp_path, manifest_path, capsys):
     err = _assert_one_line_error(capsys)
     # a train step names its batch; the history pass names the slices of its micro-batch
     assert re.search(r"epoch \d+", err) and re.search(r"batch \d+|slices \S+ to \S+,", err), err
+
+
+def test_run_non_finite_history_value_exits_4(tmp_path, manifest_path, capsys, monkeypatch):
+    monkeypatch.setattr(training, "_eval_pass", nan_loss_eval_pass(training._eval_pass))
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_NUMERIC
+    assert "non-finite history value at epoch 1" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "run" / "fold-1").exists()
+
+
+def test_train_reproduces_the_folds_of_run(tmp_path, manifest_path):
+    """train --fold i on run's split.json writes fold i's four files byte for byte."""
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_OK
+    for i in range(2):
+        assert cli.main(["train", "--config", config, "--manifest", str(manifest_path),
+                         "--split", str(tmp_path / "run" / "split.json"), "--fold", str(i),
+                         "--output-dir", str(tmp_path / "train")]) == cli.EXIT_OK
+        for name in ("metrics.json", "history.csv", "best_model.sfm", "final_model.sfm"):
+            got, want = (tmp_path / run / f"fold-{i + 1}" / name for run in ("train", "run"))
+            assert got.read_bytes() == want.read_bytes(), (i, name)
 
 
 def test_run_slice_granularity_leak_exits_3(tmp_path, manifest_path, capsys):
@@ -486,6 +507,16 @@ def test_inspect_activation_normalizes_its_slice(tmp_path, manifest_path):
     assert not np.allclose(got, extract_activation(model, raw[None, None], 0, 1))
 
 
+@pytest.mark.parametrize("step_size", ["nan", "inf", "0", "-1"])
+def test_inspect_maximize_rejects_a_step_size_that_does_not_climb(tmp_path, capsys, step_size):
+    save_model(tmp_path / "m.sfm", build_model(ModelConfig(input_height=16, input_width=16), seed=0))
+    assert cli.main(["inspect", "--model", str(tmp_path / "m.sfm"), "--mode", "maximize",
+                     "--block", "1", "--channel", "0", "--steps", "2", "--step-size", step_size,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+    assert "step_size must be" in _assert_one_line_error(capsys)
+    assert not any((tmp_path / "out").iterdir())
+
+
 REPORT_TABLES = ("report.md", "aggregate.csv", "folds.csv")
 
 # a summary.json as run writes it: keys sorted, so the aggregate's metrics are
@@ -625,16 +656,16 @@ def test_text_artifacts_keep_their_bytes(tmp_path, manifest_path):
                      "--json-out", str(audit)]) == cli.EXIT_OK
     model = build_model(ModelConfig(input_height=16, input_width=16, channel_plan=(2,) * 9,
                                     hidden_units=4), seed=3)
-    history = training.History()
-    for epoch, loss, acc in ((1, 0.7, 0.5), (2, 0.6931471805599453, 2 / 3)):
-        history.append(training.EpochRecord(epoch, 1e-4 * 0.96 ** (epoch - 1), loss, acc,
-                                            loss + 0.1, acc))
+    history = [training.EpochRecord(epoch, 1e-4 * 0.96 ** (epoch - 1), loss, acc, loss + 0.1, acc)
+               for epoch, loss, acc in ((1, 0.7, 0.5), (2, 0.6931471805599453, 2 / 3))]
     result = training.FitResult(final=model, best=model, best_epoch=2, history=history,
                                 val_logits=np.zeros(11, dtype=np.float32))
     fold = tmp_path / "fold"
     # the subject vote's counts leave precision and MCC without a denominator
-    cli._write_fold_artifacts(fold, result, ConfusionCounts(tp=3, fp=1, tn=5, fn=2), 0.5318,
-                              ConfusionCounts(tp=0, fp=0, tn=3, fn=1))
+    counts, subject_counts = ConfusionCounts(tp=3, fp=1, tn=5, fn=2), ConfusionCounts(0, 0, 3, 1)
+    cli._write_fold_artifacts(fold, result, cli.FoldRecord(
+        2, 2 / 3, 0.5318, counts, compute_metrics(counts), subject_counts,
+        compute_metrics(subject_counts)))
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     _write(run_dir / "summary.json", json.dumps(SUMMARY))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import nan_loss_eval_pass
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -153,7 +154,7 @@ class TestFit:
         res1 = T.fit(self.small_model(), train, val, cfg, AugmentConfig())
         res2 = T.fit(self.small_model(), train, val, cfg, AugmentConfig())
         assert len(res1.history) == 3
-        for r1, r2 in zip(res1.history.records, res2.history.records):
+        for r1, r2 in zip(res1.history, res2.history):
             assert r1 == r2
         for (_, a), (_, b) in zip(res1.final.state_arrays(), res2.final.state_arrays()):
             assert a.tobytes() == b.tobytes()
@@ -205,12 +206,19 @@ class TestFit:
         with pytest.raises(NumericError, match="logits at epoch 1, batch 1$"):
             T.fit(model, train, val, cfg, None)
 
+    def test_non_finite_history_value_reported_with_epoch(self, monkeypatch):
+        monkeypatch.setattr(T, "_eval_pass", nan_loss_eval_pass(T._eval_pass))
+        cfg = T.TrainConfig(initial_lr=1e-3, epochs=2, batch_size=4, seed=0)
+        with pytest.raises(NumericError, match="^non-finite history value at epoch 1$"):
+            T.fit(self.small_model(), make_slice_set(8, seed=7),
+                  make_slice_set(4, seed=8, prefix="v"), cfg, None)
+
     def test_best_model_tracked_with_earliest_tie(self):
         train = make_slice_set(12, seed=9)
         val = make_slice_set(6, seed=10, prefix="v")
         cfg = T.TrainConfig(initial_lr=1e-3, epochs=4, batch_size=4, seed=2)
         res = T.fit(self.small_model(), train, val, cfg, None)
-        accs = [r.val_acc for r in res.history.records]
+        accs = [r.val_acc for r in res.history]
         assert res.best_epoch == accs.index(max(accs)) + 1
 
     def test_val_logits_are_predict_of_best(self):
@@ -260,7 +268,7 @@ class TestFit:
         cfg = T.TrainConfig(initial_lr=1e-2, epochs=2, batch_size=4, seed=7)
         res = T.fit(model, train, val, cfg, AugmentConfig())
         assert [n for _, n, _ in steps] == [4, 4, 2] * 2
-        for epoch, rec in enumerate(res.history.records):
+        for epoch, rec in enumerate(res.history):
             batches = steps[3 * epoch:3 * epoch + 3]
             assert rec.train_loss == pytest.approx(
                 sum(loss * n for loss, n, _ in batches) / len(train), rel=1e-12, abs=0)
@@ -316,10 +324,8 @@ class TestFit:
 
 class TestHistoryCsv:
     def test_exact_header_and_rows(self, tmp_path):
-        hist = T.History()
-        hist.append(T.EpochRecord(1, 1e-4, 0.5, 0.75, 0.6, 0.5))
         path = tmp_path / "h.csv"
-        hist.write_csv(path)
+        T.write_history(path, [T.EpochRecord(1, 1e-4, 0.5, 0.75, 0.6, 0.5)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,train_acc,val_loss,val_acc"
         assert lines[1] == "1,0.0001,0.5,0.75,0.6,0.5"

@@ -194,7 +194,9 @@ class SliceReader:
     scale-normalizes it by the manifest's intensity ceiling into one new
     float32 [b-a,1,H,W] array; a failure names the slice's key and file.
     Construction reads no file: it resolves every key and rejects an unknown
-    subject, an index out of range and a key listed twice.
+    subject, a key listed twice, and an index out of range or not written in
+    its one canonical form (ASCII digits, no leading zero), so that no two
+    keys name the same slice.
     """
 
     itemsize = np.dtype(np.float32).itemsize
@@ -210,9 +212,11 @@ class SliceReader:
             seen.add(key)
             sid, _, idx = key.rpartition(SLICE_KEY_SEP)
             rec = manifest.subject(sid)
-            i = int(idx) if idx.isdigit() else -1
+            # only the canonical form: "01" or a non-ASCII digit would alias another key
+            i = int(idx) if idx.isascii() and idx.isdigit() and idx == str(int(idx)) else -1
             if not 0 <= i < len(rec.slices):
-                raise DataError(f"slice index {idx!r} out of range for subject {sid}")
+                raise DataError(f"slice {key}: index {idx!r} is out of range or not canonical "
+                                f"for subject {sid} (0..{len(rec.slices) - 1})")
             self.subjects.append(rec)
             self._paths.append(manifest.resolve(rec.slices[i]))
         self._ceiling = manifest.intensity_ceiling

@@ -36,16 +36,24 @@ taps is the ``dx`` plane and whose row dots with the ``x`` plane are the
 depthwise gradient. The pointwise stage multiplies [W | bias] with ``mid``
 plus one row of ones, so the bias is added inside the GEMM.
 
-Each call plans its chunks once: the views every chunk works on (tap stack
-slot and phase-plane run of each tap, plane regions, in the backward each
-phase's gathers and its plane, ``dx`` and ``x`` views) are built for the first
-chunk and rebuilt only for a last, partial one, so a chunk issues only copies
+The views every chunk works on (tap stack slot and phase-plane run of each
+tap, plane regions, in the backward each phase's gathers and its plane, ``dx``
+and ``x`` views) are built once per chunk size, so a chunk issues only copies
 and products. What a reduction needs per sample (the Gram matrix of [mid; 1]
 for a batchnorm, the depthwise row dots in the backward) is written per chunk
 into an [N, ...] buffer and summed in float64 once per call, so chunking
-changes no bit of any result. Without a cache or a batchnorm, the
+changes no bit of any result.
+
+The forward takes every buffer and view from a ``SepConvPlan``. There is one
+infer path: ``model.plan_infer`` builds a plan per block once for a whole
+``predict``, so every micro-batch reuses the blocks' phase planes (zeroed
+once; only their interiors are rewritten), one tap stack and accumulator
+shared by all blocks, and two output buffers that alternate by block. The
 chunk-sized ``mid`` lives in the tap stack's storage, which is dead once the
-depthwise products are formed.
+depthwise products are formed. A call given no plan builds its own; with a
+cache or a batchnorm on the batch's statistics (train mode,
+``maximize_activation``) that plan holds a whole-batch ``mid`` and output,
+which the cache keeps.
 
 A block's batchnorm is folded into the pointwise stage of the sepconv before
 it (``fold_batchnorm``), so no block makes its pre-norm output: by
@@ -59,6 +67,7 @@ batch normalization updates its running statistics during its forward.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,20 +155,27 @@ class DenseCache:
     params: DenseParams
 
 
-def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
-    """Zeroed phase planes [s, s, rows, C, hq + 1, wq] of ``x`` padded by
-    (kh//2, kw//2), laid out as the module docstring says; the (phase, plane
-    region, input region) triples of each chunk's copy onto them; and
-    ``chunks(views)``, which copies each batch chunk onto the planes and yields
-    (batch slice, ``views(k)``) for its k rows. Padding stays zero. A chunk
-    holds as many samples as fit ``_CHUNK_BYTES`` of tap stack, that is
-    ``taps`` pitched runs of ceil(h/s) rows per channel. A chunk's views (the
-    plane regions it fills, and those ``views`` makes) are built for the first
-    chunk and again only for a last, partial one."""
-    n, c, h, w = x.shape
+def _chunk_rows(n: int, sample_bytes: int) -> int:
+    """Samples per chunk: as many of ``n`` as fit ``_CHUNK_BYTES`` of tap stack
+    at ``sample_bytes`` each, one at least."""
+    return max(1, min(n, _CHUNK_BYTES // sample_bytes))
+
+
+def _phase_planes(shape: tuple, dtype, kh: int, kw: int, s: int, taps: int):
+    """Zeroed phase planes [s, s, rows, C, hq + 1, wq] for [n, C, h, w] inputs
+    of ``dtype`` padded by (kh//2, kw//2), laid out as the module docstring
+    says; the (phase, plane region, input region) triples of each chunk's copy
+    onto them; and ``chunks(x, views)``, which copies each batch chunk of an
+    input ``x`` of n rows or fewer onto the planes and yields (batch slice,
+    ``views(k)``) for its k rows. Only the regions are written, so the padding
+    stays zero for every call that shares the planes. A chunk holds as many
+    samples as fit ``_CHUNK_BYTES`` of tap stack, that is ``taps`` pitched runs
+    of ceil(h/s) rows per channel. The regions a chunk of k rows fills are
+    built once per k; ``views`` should be cached the same way."""
+    n, c, h, w = shape
     hq, wq = -(-h // s) + (kh - 1) // s, -(-w // s) + (kw - 1) // s
-    rows = max(1, min(n, _CHUNK_BYTES // (x.itemsize * c * taps * -(-h // s) * wq)))
-    planes = np.zeros((s, s, rows, c, hq + 1, wq), dtype=x.dtype)
+    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c * taps * -(-h // s) * wq)
+    planes = np.zeros((s, s, rows, c, hq + 1, wq), dtype=dtype)
 
     def axis(a, pad, size):  # plane row u of phase a holds input row s*u + a - pad
         u0 = (pad - a + s - 1) // s
@@ -169,17 +185,17 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, s: int, taps: int):
     regions = [((a, b), *zip(axis(a, kh // 2, h), axis(b, kw // 2, w)))
                for a in range(s) for b in range(s)]
 
-    def chunks(views):
-        for start in range(0, n, rows):
-            k = min(rows, n - start)
-            if start == 0 or k < rows:
-                fills = [(planes[a, b, :k, :, us, vs], rs, cs)
-                         for (a, b), (us, vs), (rs, cs) in regions]
-                made = views(k)
+    @functools.cache
+    def fills(k):
+        return [(planes[a, b, :k, :, us, vs], rs, cs) for (a, b), (us, vs), (rs, cs) in regions]
+
+    def chunks(x, views):
+        for start in range(0, len(x), rows):
+            k = min(rows, len(x) - start)
             batch = slice(start, start + k)
-            for dst, rs, cs in fills:
+            for dst, rs, cs in fills(k):
                 dst[...] = x[batch, :, rs, cs]
-            yield batch, made
+            yield batch, views(k)
 
     return planes, regions, chunks
 
@@ -197,8 +213,79 @@ def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
         dtype, copy=False)
 
 
+def sepconv_sizes(shape: tuple, dtype, p: SepConvParams, keep: bool = False):
+    """Elements of the flat buffers a ``SepConvPlan`` of ``p`` over [n, C_in,
+    h, w] inputs of ``dtype`` takes: (tap stack, which holds a chunk's ``mid``
+    unless ``keep``; accumulator; output [n, C_out, ho, wo])."""
+    n, c_in, h, w = shape
+    kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
+    s, taps = p.stride, kh * kw
+    ho, wo = -(-h // s), -(-w // s)
+    run = ho * (wo + (kw - 1) // s)
+    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c_in * taps * run)
+    stack = rows * c_in * taps * run
+    return (stack if keep else max(stack, rows * (c_in + 1) * ho * wo), rows * c_in * run,
+            n * p.pointwise.shape[0] * ho * wo)
+
+
+class SepConvPlan:
+    """Every buffer and chunk view ``sepconv2d`` uses for ``p`` over inputs
+    of ``dtype`` and shape ``shape`` = [n, C_in, h, w], or fewer rows: zeroed
+    phase planes whose padding stays zero, the tap stack, the accumulator,
+    ``mid``, the output [n, C_out, ho * wo] and the cast kernels. A chunk's
+    views are built once per chunk size.
+
+    Infer mode (not ``keep``) keeps a chunk's ``mid`` in the tap stack's
+    storage, which is dead once the depthwise products are formed, so each
+    chunk rewrites the ones row. With ``keep`` (a cache, or a batchnorm on the
+    batch's statistics) ``mid`` is the whole batch's and has its own storage.
+    ``buffers`` are flat (tap stack, accumulator, output) arrays at least
+    ``sepconv_sizes`` long, which plans run one after another may share;
+    without them the plan allocates its own.
+    """
+
+    def __init__(self, shape: tuple, dtype, p: SepConvParams, keep: bool = False,
+                 buffers: tuple | None = None):
+        n, c_in, h, w = shape
+        kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
+        s, taps = p.stride, kh * kw
+        ho, wo = -(-h // s), -(-w // s)
+        self.shape, self.dtype, self.params = tuple(shape), np.dtype(dtype), p
+        self.depthwise = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, taps)
+        self.weights = _gemm_weights(p, dtype)
+        planes, _, chunks = _phase_planes(shape, dtype, kh, kw, s, taps)
+        rows, wq = planes.shape[2], planes.shape[-1]
+        flat = planes.reshape(s, s, rows, c_in, -1)
+        run = ho * wq
+        store, acc, out = buffers or [np.empty(size, dtype) for size in
+                                      sepconv_sizes(shape, dtype, p, keep)]
+        stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
+        acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
+        # channel c_in of mid is the ones row that carries the bias through the GEMM
+        if keep:
+            mid = np.empty((n, c_in + 1, ho, wo), dtype=dtype)
+            mid[:, c_in] = 1
+        else:
+            mid = store[:rows * (c_in + 1) * ho * wo].reshape(rows, c_in + 1, ho, wo)
+        self.mid, self.mid3 = mid, mid.reshape(len(mid), c_in + 1, ho * wo)
+        self.out = out[:n * p.pointwise.shape[0] * ho * wo].reshape(n, -1, ho * wo)
+        # tap (i, j) over every output row: its stack slot, its phase, its run offset
+        runs = [(i * kw + j, i % s, j % s, (i // s) * wq + j // s)
+                for i in range(kh) for j in range(kw)]
+        mid3 = self.mid3
+
+        @functools.cache
+        def views(k):  # the copies, the products' operands, and the chunk's mid
+            copies = [(stack[:k, :, q], flat[a, b, :k, :, off:off + run])
+                      for q, a, b, off in runs]
+            return (copies, stack[:k], acc[:k], acc[:k].reshape(k, c_in, ho, wq)[..., :wo],
+                    mid[:k], mid3[:k])
+
+        self.chunks = functools.partial(chunks, views=views)
+
+
 def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
-              keep_cache: bool = True):
+              keep_cache: bool = True, plan: SepConvPlan | None = None):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias,
     then the batchnorm ``norm`` on the batch's statistics if given, folded in.
 
@@ -210,55 +297,34 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     row of ones (see the module docstring). With a ``norm`` the whole ``mid``
     is kept, and the pointwise stage runs once ``batchnorm`` has folded in the
     statistics of its chunks' Gram matrices and updated ``norm``'s running
-    statistics. Running statistics are folded into ``p`` by the caller. With
-    neither ``keep_cache`` nor ``norm``, ``mid`` is chunk-sized scratch in the
-    tap stack's storage; without ``keep_cache`` the returned cache is None.
+    statistics. Running statistics are folded into ``p`` by the caller.
+    Without ``keep_cache`` the returned cache is None.
+
+    Every buffer comes from ``plan``, a ``SepConvPlan`` of ``p`` for inputs
+    like ``x``, or from one built for this call. A given plan serves the
+    infer path only (no ``keep_cache``, no ``norm``), and the output is a view
+    of its buffer, valid until the plan's next use.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
     n, c_in, h, w = x.shape
     if c_in != p.depthwise.shape[0]:
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
-    kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
-    s, taps = p.stride, kh * kw
-    ho, wo = -(-h // s), -(-w // s)
-    dw = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, taps)
-    weights = _gemm_weights(p, x.dtype)
-    planes, _, chunks = _phase_planes(x, kh, kw, s, taps)
-    rows, wq = planes.shape[2], planes.shape[-1]
-    flat = planes.reshape(s, s, rows, c_in, -1)
-    run = ho * wq
-    # channel c_in of mid is the ones row that carries the bias through the GEMM.
-    # Without a cache, mid is chunk scratch in the tap stack's storage, which is
-    # dead once acc is formed; each chunk then rewrites the ones row.
-    full = keep_cache or norm is not None
-    scratch = 0 if full else rows * (c_in + 1) * ho * wo
-    store = np.empty(max(rows * c_in * taps * run, scratch), dtype=x.dtype)
-    stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
-    acc = np.empty((rows, c_in, 1, run), dtype=x.dtype)
-    if full:
-        mid = np.empty((n, c_in + 1, ho, wo), dtype=x.dtype)
-        mid[:, c_in] = 1
-    else:
-        mid = store[:scratch].reshape(rows, c_in + 1, ho, wo)
-    mid3 = mid.reshape(len(mid), c_in + 1, ho * wo)
-    out = np.empty((n, weights.shape[0], ho * wo), dtype=x.dtype)
+    keep = keep_cache or norm is not None
+    if plan is None:
+        plan = SepConvPlan(x.shape, x.dtype, p, keep)
+    elif keep or plan.params is not p or plan.dtype != x.dtype or not (
+            n <= plan.shape[0] and x.shape[1:] == plan.shape[1:]):
+        raise ShapeError(f"a plan for up to {plan.shape} {plan.dtype} inputs without a cache "
+                         f"does not fit these params and a {x.shape} {x.dtype} input")
+    weights, mid, mid3, out = plan.weights, plan.mid, plan.mid3, plan.out[:n]
     # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
     gram = None if norm is None else np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
-    # tap (i, j) over every output row: its stack slot, its phase, its run offset
-    runs = [(i * kw + j, i % s, j % s, (i // s) * wq + j // s)
-            for i in range(kh) for j in range(kw)]
-
-    def views(k):  # the copies, the products' operands, and the scratch mid
-        copies = [(stack[:k, :, q], flat[a, b, :k, :, off:off + run]) for q, a, b, off in runs]
-        return (copies, stack[:k], acc[:k], acc[:k].reshape(k, c_in, ho, wq)[..., :wo], mid[:k],
-                mid3[:k])
-
-    for b, (copies, stk, ac, valid, m, m3) in chunks(views):
+    for b, (copies, stk, ac, valid, m, m3) in plan.chunks(x):
         for dst, src in copies:
             dst[...] = src
-        np.matmul(dw, stk, out=ac)
-        if full:
+        np.matmul(plan.depthwise, stk, out=ac)
+        if keep:
             m, m3 = mid[b], mid3[b]
         else:
             m[:, c_in] = 1
@@ -274,7 +340,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
         np.matmul(weights, mid3, out=out)
 
     cache = SepConvCache(x, mid, p, weights, bn_cache) if keep_cache else None
-    return out.reshape(n, -1, ho, wo), cache
+    return out.reshape(n, -1, *mid.shape[2:]), cache
 
 
 def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
@@ -309,7 +375,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     # a phase without taps (a kernel narrower than the stride) keeps a zero dx
     dx = (np.zeros if min(kh, kw) < s else np.empty)(x.shape, dtype=dtype)
     most = len(range(0, kh, s)) * len(range(0, kw, s))  # phase (0, 0) has the most taps
-    planes, regions, chunks = _phase_planes(x, kh, kw, s, most)
+    planes, regions, chunks = _phase_planes(x.shape, x.dtype, kh, kw, s, most)
     rows, wq = planes.shape[2], planes.shape[-1]
     flat = planes.reshape(s, s, rows, c_in, -1)
     run = ho * wq
@@ -327,6 +393,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     tap_ids = [i * kw + j for (a, c), _, _ in regions
                for i in range(a, kh, s) for j in range(c, kw, s)]
 
+    @functools.cache
     def views(k):  # dmid's, then per phase with taps: gathers, operands, dx, dots slot
         per_phase, t0 = [], 0
         for (a, c), (us, vs), (rs, cs) in regions:
@@ -350,7 +417,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
         return (dmid[:k], dfix[:k], dmid[:k].reshape(k, c_in, ho, wo),
                 dfix[:k].reshape(k, c_in, ho, wo), dm_valid[:k], per_phase)
 
-    for b, (dm, df, dm4, df4, valid, per_phase) in chunks(views):
+    for b, (dm, df, dm4, df4, valid, per_phase) in chunks(x, views):
         np.matmul(pw_t, g[b], out=dm)
         np.matmul(corr, mid3[b], out=df)
         np.add(dm4, df4, out=valid)

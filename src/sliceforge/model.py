@@ -7,7 +7,8 @@ probability >= threshold for the positive class. Each block is one
 ``layers.sepconv2d`` with its batchnorm folded into the pointwise stage, then
 a ReLU applied in place. Only ``forward`` reads the mode: train mode folds in
 the batch's statistics; infer mode runs ``Model.folded``, whose convs hold
-the running statistics, and dropout at rate 0.
+the running statistics, in the buffers of a plan (``plan_infer``) that a
+caller may build once for many batches, and dropout at rate 0.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -248,28 +249,44 @@ class ForwardCaches:
     logits: np.ndarray
 
 
+def plan_infer(model: Model, n: int, dtype) -> list:
+    """The ``layers.SepConvPlan`` of each block of the folded ``model`` for
+    infer-mode batches of up to ``n`` inputs of ``dtype``, built once for
+    every batch they run: each block has its own zeroed phase planes; all
+    share one tap stack and one accumulator; block b writes output buffer
+    b % 2, so a block never writes the buffer it reads."""
+    cfg = model.config
+    dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
+    shapes = [(n, c, *hw) for c, hw in zip((cfg.input_channels, *cfg.channel_plan), dims)]
+    sizes = [layers.sepconv_sizes(shape, dtype, blk.conv)
+             for shape, blk in zip(shapes, model.blocks)]
+    store, acc = (np.empty(max(size[i] for size in sizes), dtype=dtype) for i in (0, 1))
+    outs = [np.empty(max(size[2] for size in sizes[parity::2]), dtype=dtype) for parity in (0, 1)]
+    return [layers.SepConvPlan(shape, dtype, blk.conv, buffers=(store, acc, outs[b % 2]))
+            for b, (shape, blk) in enumerate(zip(shapes, model.blocks))]
+
+
 def _forward_blocks(model: Model, x: np.ndarray, upto: int | None = None,
-                    keep_caches: bool = True):
+                    plan: list | None = None):
     """Run the conv stack through block ``upto`` (inclusive; None = all).
 
     A block is one ``layers.sepconv2d`` given the block's ``norm`` (folded in
     on the batch's statistics; None in ``Model.folded``, whose convs hold the
     running statistics), then ReLU in place on the fresh output.
 
-    With ``keep_caches`` false no block makes a cache: over a folded model the
-    sepconv's ``mid`` is chunk-sized scratch, only the running block's input
-    and output are alive, and the returned cache list is empty.
+    Given a ``plan`` (``plan_infer`` of the folded ``model``), no block makes
+    a cache, each writes into its plan's buffers, and the returned cache list
+    is empty. Without one, every block keeps its cache.
     """
     last = len(model.blocks) - 1 if upto is None else upto
     caches = []
     out = x
-    for blk in model.blocks[: last + 1]:
-        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=keep_caches)
+    for blk, blk_plan in zip(model.blocks[: last + 1], plan or [None] * (last + 1)):
+        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=plan is None,
+                                           plan=blk_plan)
         out, relu_cache = layers.relu(out, out=out)
-        if keep_caches:
+        if plan is None:
             caches.append((conv_cache, relu_cache))
-        # without caches, a block's output is freed as soon as the next block's exists
-        del relu_cache
     return out, caches
 
 
@@ -293,19 +310,24 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     return g
 
 
-def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=None):
+def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=None,
+            plan: list | None = None):
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
 
     ``mode`` ("train" or "infer") is read here only. Train mode runs each
     block's batchnorm on the batch's statistics, updating its running
     statistics, and dropout at the configured rate, which needs
     ``dropout_rng`` (one batch stream with a row per sample) when positive.
-    Infer mode runs ``model.folded()`` with no per-block caches, so
-    ``backward`` needs a train-mode pass, and dropout at rate 0.
+    Infer mode runs ``model.folded()`` in ``plan`` (``plan_infer`` of that
+    folded model, for batches like ``batch``; one is built for the call if
+    None) with no per-block caches, so ``backward`` needs a train-mode pass,
+    and dropout at rate 0.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     train = mode == "train"
+    if train and plan is not None:
+        raise ConfigError("a plan serves infer mode only")
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (
         cfg.input_height,
@@ -315,8 +337,13 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
             f"batch shape {batch.shape} does not match configured input "
             f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
         )
-    out, block_caches = _forward_blocks(model if train else model.folded(), batch,
-                                        keep_caches=train)
+    if train:
+        out, block_caches = _forward_blocks(model, batch)
+    else:
+        fixed = model.folded()
+        if plan is None:
+            plan = plan_infer(fixed, len(batch), batch.dtype)
+        out, block_caches = _forward_blocks(fixed, batch, plan=plan)
     out, pool_cache = layers.global_avg_pool(out)
     out, hidden_cache = layers.dense(out, model.hidden)
     out, hidden_relu_cache = layers.relu(out)
@@ -412,7 +439,8 @@ def extract_activation(model: Model, image: np.ndarray, block_index: int, channe
     _check_block_channel(model, block_index, channel)
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
-    out, _ = _forward_blocks(model.folded(), image, upto=block_index, keep_caches=False)
+    fixed = model.folded()
+    out, _ = _forward_blocks(fixed, image, upto=block_index, plan=plan_infer(fixed, 1, image.dtype))
     return out[0, channel]
 
 

@@ -56,7 +56,9 @@ def _validate_dims(dims: Sequence[int]) -> tuple[int, ...]:
 def atomic_open(path, mode: str = "w", **kwargs):
     """``open(path, mode, **kwargs)`` on a temporary name beside ``path`` that
     replaces it once the block completes; a write that raises keeps the old
-    file and removes the temporary. No fsync: guards partial files only."""
+    file and removes the temporary. A killed process leaves its temporary,
+    ``<path>.<pid>.tmp``, and no partial ``path``. No fsync: guards partial
+    files only."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -13,10 +13,15 @@ Evaluation has one inference pass: ``predict`` runs a slice set through the
 model in infer mode and returns its logits. A fixed byte budget, not the
 caller, sizes its micro-batches: each holds as many slices as keep the largest
 block output within the budget, small enough that the next block reads it
-from cache. When ``x`` is a ``SliceReader`` (``sliceforge evaluate``), each
-micro-batch is read from disk as it is forwarded, so the peak is one
-micro-batch, input and forward, and does not grow with the set. A slice's
-infer logit depends on that slice alone, so the budget never changes a logit.
+from cache. ``predict`` folds the batchnorms and builds one plan
+(``model.plan_infer``) for that micro-batch size: every block's phase planes,
+one shared tap stack and accumulator, and two alternating output buffers. Each
+micro-batch runs in the plan, so none allocates a block buffer, and the budget
+can be a few slices without the allocator's cost. When ``x`` is a
+``SliceReader`` (``sliceforge evaluate``), each micro-batch is read from disk
+as it is forwarded, so the peak is the plan plus one micro-batch's input and
+does not grow with the set. A slice's infer logit depends on that slice
+alone, so the budget never changes a logit.
 Loss, accuracy, slice-level confusion counts and the subject vote are pure
 functions of those logits, so the logits ``fit`` computed for the best
 epoch's history row serve again for the final fold metrics.
@@ -148,12 +153,20 @@ def _batched(indices, size):
         yield indices[start:start + size]
 
 
-# Bytes of the largest block output per infer micro-batch. Sweep, 128 slices, one
-# BLAS thread, 2-vCPU Xeon (4 MiB L2), min ms by micro-batch: 64x64 8: 52, 16: 40,
-# 32: 39, 64: 38, 128: 40; 128x128 4: 155, 8: 140, 16: 138, 32: 154, 64: 177.
-# 4 MiB (8 slices at 128x128, 32 at 64x64) is within 2 ms of 8 MiB at both sizes,
-# halves what one micro-batch holds, and still forwards a 32-slice 64x64 set at once.
-_INFER_BUDGET_BYTES = 4 << 20
+# Bytes of the largest block output per infer micro-batch. predict runs every
+# micro-batch in one plan, so a smaller budget costs no allocation, only the
+# Python calls of one more forward (about 0.25 ms for nine blocks and the head).
+# Sweep with the plan, 128 slices, one BLAS thread, 2-vCPU Xeon: median ms of 30
+# predicts interleaved with per-call buffers at 4 MiB in one process /
+# tracemalloc peak MiB / minor faults per predict in a fresh process, by budget:
+#   64x64   256K 56.1/1.55/1  512K 51.7/2.35/2  1M 46.8/3.25/3  2M 46.3/4.64/0  4M 45.8/7.18/0
+#   128x128 256K 128/3.60/0   512K 126/3.60/0   1M 122/4.32/0   2M 120/5.66/0   4M 116/8.17/0
+# Per-call buffers at 4 MiB: 64x64 47.1 ms, 5.56 MiB; 128x128 133 ms, 6.88 MiB.
+# Whole `evaluate` runs of 128 slices at 128x128, 30 rounds: 512K +6% wall
+# (faster in 4/30), 1M +3% (13/30), 2M -2% (18/30), at 34.3, 35.4 and 37.0 MB
+# peak RSS against 38.4 MB. 2 MiB (four slices at 128x128, sixteen at 64x64)
+# is the smallest budget whose `evaluate` is no slower.
+_INFER_BUDGET_BYTES = 2 << 20
 
 
 def predict(model: Model, dataset: SliceSet) -> np.ndarray:
@@ -165,17 +178,22 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     the set in memory. Infer mode uses the running statistics and no dropout,
     and every kernel computes a slice's output from that slice alone, so a
     logit does not depend on the micro-batch. The batchnorms are folded into
-    their convs once per call (``Model.folded``), not once per micro-batch.
+    their convs (``Model.folded``), and the buffers planned for the first,
+    largest micro-batch (``model.plan_infer``), once per call: every
+    micro-batch runs in the same plan.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
     cfg = model.config
     largest = max(c * h * w for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
     step = max(1, _INFER_BUDGET_BYTES // (largest * dataset.x.itemsize))
-    fixed, chunks = model.folded(), []
+    fixed, plan, chunks = model.folded(), None, []
     for b in range(0, len(dataset), step):
+        x = dataset.x[b:b + step]
+        if plan is None:  # the first micro-batch is the largest
+            plan = model_mod.plan_infer(fixed, len(x), x.dtype)
         try:
-            _, caches = forward(fixed, dataset.x[b:b + step], "infer")
+            _, caches = forward(fixed, x, "infer", plan=plan)
         except NumericError as exc:
             keys = dataset.slice_keys[b:b + step]
             raise NumericError(f"{exc} in slices {keys[0]} to {keys[-1]}") from exc

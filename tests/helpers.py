@@ -190,6 +190,30 @@ def pairs_for_counts(tp, fp, tn, fn):
     return labels, preds
 
 
+def infer_plan_bytes(cfg, n, chunk_bytes, itemsize=4):
+    """Bytes of the buffers an infer plan holds for batches of ``n`` inputs
+    of a model with config ``cfg``, from the config alone: per block, stride
+    s and kernel k over a [C_in, h, w] input, zeroed phase planes [s, s,
+    rows, C_in, hq + 1, wq]; the largest tap stack (which also holds a
+    chunk's [mid; 1]) and accumulator of any block; and the largest output of
+    the even and of the odd blocks. A chunk holds ``rows`` samples, as many
+    as fit ``chunk_bytes`` of tap stack, one at least."""
+    channels = (cfg.input_channels, *cfg.channel_plan)
+    dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
+    k = cfg.kernel
+    planes, stacks, accs, outs = 0, [], [], ([], [])
+    for b, s in enumerate(cfg.stride_plan):
+        c_in, c_out, (h, w) = channels[b], channels[b + 1], dims[b]
+        ho, wo = -(-h // s), -(-w // s)
+        hq, wq = ho + (k - 1) // s, wo + (k - 1) // s
+        rows = max(1, min(n, chunk_bytes // (itemsize * c_in * k * k * ho * wq)))
+        planes += s * s * rows * c_in * (hq + 1) * wq
+        stacks.append(max(rows * c_in * k * k * ho * wq, rows * (c_in + 1) * ho * wo))
+        accs.append(rows * c_in * ho * wq)
+        outs[b % 2].append(n * c_out * ho * wo)
+    return itemsize * (planes + max(stacks) + max(accs) + max(outs[0]) + max(outs[1]))
+
+
 def nan_loss_eval_pass(eval_pass):
     """``training._eval_pass`` with the mean loss it returns replaced by NaN."""
     def patched(model, dataset):

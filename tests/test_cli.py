@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -194,6 +195,53 @@ def test_run_config_parses_beside_another_main(tmp_path, manifest_path):
     assert (tmp_path / "run" / "summary.json").is_file()
 
 
+# runs ``cli.main(argv)``, SIGKILLing the process once half of eval.json is written
+_KILL_HALFWAY_THROUGH_EVAL_JSON = """
+import contextlib, os, signal, sys
+from sliceforge import cli, tensor
+
+real = tensor.atomic_open
+
+class Half:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+@contextlib.contextmanager
+def killing(path, mode="w", **kwargs):
+    with real(path, mode, **kwargs) as fh:
+        yield Half(fh) if os.path.basename(path) == "eval.json" else fh
+
+tensor.atomic_open = killing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_evaluate_killed_while_writing_leaves_no_json(tmp_path, manifest_path):
+    """A SIGKILL halfway through eval.json leaves no eval.json, only the
+    killed process's one temporary, and a rerun writes the reference bytes."""
+    argv = _command_argv("evaluate", tmp_path, manifest_path)
+    reference = tmp_path / "reference.json"
+    assert cli.main(argv + ["--json-out", str(reference)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "eval.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _KILL_HALFWAY_THROUGH_EVAL_JSON, *argv,
+                           "--json-out", str(target)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert not target.exists()
+    left = [p.name for p in out.iterdir()]
+    assert len(left) <= 1 and all(re.fullmatch(r"eval\.json\.\d+\.tmp", name) for name in left)
+    assert cli.main(argv + ["--json-out", str(target)]) == cli.EXIT_OK
+    assert target.read_bytes() == reference.read_bytes()
+
+
 def test_run_k_zero_exits_2(tmp_path, manifest_path, capsys):
     config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
     assert cli.main(["run", "--config", config, "--k", "0"]) == cli.EXIT_IO
@@ -318,9 +366,9 @@ def test_evaluate_streams_to_a_bad_slice_and_writes_nothing(tmp_path, own_manife
     write_array(bad, raw)
     forwards = []
 
-    def counted(model, x, *args):
+    def counted(model, x, *args, **kwargs):
         forwards.append(len(x))
-        return forward(model, x, *args)
+        return forward(model, x, *args, **kwargs)
 
     monkeypatch.setattr(training, "_INFER_BUDGET_BYTES", 1)
     monkeypatch.setattr(training, "forward", counted)
@@ -353,6 +401,31 @@ def test_repeated_member_exits_2(tmp_path, manifest_path, capsys, command):
     assert cli.main(argv) == cli.EXIT_IO
     assert "is listed more than once" in _assert_one_line_error(capsys)
     assert not (tmp_path / "eval.json").exists() and not (tmp_path / "run").exists()
+
+
+def test_evaluate_non_canonical_slice_key_exits_2(tmp_path, manifest_path, capsys):
+    argv = _command_argv("evaluate", tmp_path, manifest_path)
+    capsys.readouterr()
+    assert cli.main(argv + ["--subjects", "nc-000#01"]) == cli.EXIT_IO
+    assert "slice nc-000#01: index '01'" in _assert_one_line_error(capsys)
+
+
+def test_train_rejects_a_slice_alias_across_train_and_val(tmp_path, manifest_path, capsys):
+    """A hand-edited slice-level split may name nc-000#1 for training and
+    nc-000#01 for validation; fit's overlap check compares keys, so only the
+    loader can tell that both are one slice."""
+    train = ["nc-000#0", "nc-000#1", "ad-000#0", "ad-000#1"]
+    split = _write(tmp_path / "split.json", json.dumps({
+        "k": 2, "seed": 0, "stratified": False, "granularity": "slice",
+        "folds": [{"train": train, "val": ["nc-000#01", "ad-001#0"]},
+                  {"train": ["nc-001#0", "ad-001#0"], "val": train}]}))
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", config, "--manifest", str(manifest_path), "--split",
+                     split, "--fold", "0", "--output-dir", str(tmp_path / "run"),
+                     "--allow-leakage"]) == cli.EXIT_IO
+    assert "slice nc-000#01: index '01'" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "run" / "fold-1" / "metrics.json").exists()
 
 
 def test_evaluate_mixed_member_list(tmp_path, manifest_path, capsys):

@@ -178,6 +178,15 @@ def test_load_slice_set_rejections(manifest_path, members, message):
         load_slice_set(load_manifest(manifest_path), members)
 
 
+@pytest.mark.parametrize("alias", ["nc-0#01", "nc-0#\u0661"], ids=["leading-zero", "arabic-indic"])
+def test_non_canonical_slice_key_is_rejected(manifest_path, alias):
+    """Only the canonical index names a slice: int() reads "01" and an
+    Arabic-Indic one as 1, so either key would load nc-0#1's file under a
+    key the repeat check does not know."""
+    with pytest.raises(DataError, match=f"slice {alias}: index .* not canonical"):
+        load_slice_set(load_manifest(manifest_path), ["nc-0#1", alias])
+
+
 def test_load_slice_set_peak_is_its_array(tmp_path):
     """Loading reads each slice straight into the set's one array: no list of
     rows is stacked after the reads."""

@@ -197,7 +197,7 @@ class TestSepConv:
         taps = (k * k, len(range(0, k, stride)) ** 2)  # forward, and backward phase (0, 0)
         for t in taps:
             monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(t))
-            assert layers._phase_planes(x, k, k, stride, t)[0].shape[2] == rows
+            assert layers._phase_planes(x.shape, x.dtype, k, k, stride, t)[0].shape[2] == rows
         (infer, infer_norm, scratch, train), grads, train_grads = run(*map(chunk_bytes, taps))
         for got, ref in zip((infer, infer_norm, scratch, train, *grads, *train_grads),
                             (*whole[0], *whole[1], *whole[2]), strict=True):

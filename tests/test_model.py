@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err, rewrite_sfm_header, set_sfm_value
+from helpers import (central_difference, infer_plan_bytes, max_rel_err, rewrite_sfm_header,
+                     set_sfm_value)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -140,20 +141,31 @@ class TestForward:
         assert [arr.tobytes() for _, arr in model.state_arrays()] == before
 
     def test_infer_memory_peak(self):
-        """Infer keeps no cache and no full-batch depthwise buffer, so one
-        pass peaks near the largest block output (the input is not counted)."""
-        cfg = M.ModelConfig(input_height=64, input_width=64)
-        model = M.build_model(cfg, seed=6)
-        x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
-        M.forward(model, x, "infer")
+        """Infer mode keeps no cache and allocates its buffers once, in a plan.
+        For two 128x128 slices the plan holds the bytes ``infer_plan_bytes``
+        counts from the config (4,225,624 B), plus the cast [W | bias] kernels
+        (66,784 B) and its views and objects; measured 4,333,128 B. A pass in
+        that plan allocates only the head's float64 products (measured 70,696
+        B), less than two slices' input. With per-call buffers instead, a pass
+        of the same batch measured 3,271,944 B: a plan holds every block's
+        phase planes and two outputs at once, which a small micro-batch pays
+        for."""
+        cfg = M.ModelConfig(input_height=128, input_width=128)
+        fixed = M.build_model(cfg, seed=6).folded()
+        x = np.random.default_rng(3).uniform(size=(2, 1, 128, 128)).astype(np.float32)
         tracemalloc.start()
         try:
-            M.forward(model, x, "infer")
-            peak = tracemalloc.get_traced_memory()[1]
+            plan = M.plan_infer(fixed, len(x), x.dtype)
+            built = tracemalloc.get_traced_memory()[0]
+            M.forward(fixed, x, "infer", plan=plan)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            M.forward(fixed, x, "infer", plan=plan)
+            reuse = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        largest = max(16 * c * h * w * 4 for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
-        assert peak <= 1.75 * largest
+        assert built <= infer_plan_bytes(cfg, len(x), layers._CHUNK_BYTES) + (128 << 10)
+        assert reuse < 2 * x[0].nbytes
 
     def test_train_step_memory_peak(self):
         """One 64x64 batch-16 train-mode forward plus backward, with the
@@ -216,7 +228,8 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
         _, caches = M._forward_blocks(model.folded(), x, upto=2)
         assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
-        assert M._forward_blocks(model.folded(), x, keep_caches=False)[1] == []
+        fixed = model.folded()
+        assert M._forward_blocks(fixed, x, plan=M.plan_infer(fixed, 1, x.dtype))[1] == []
 
     def test_shape_mismatch(self):
         model = M.build_model(small_config(), seed=5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nan_loss_eval_pass
+from helpers import infer_plan_bytes, nan_loss_eval_pass
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -252,9 +252,9 @@ class TestFit:
         modes, steps = [], []
         forward, bce_loss = T.forward, T.bce_loss
 
-        def recording_forward(m, x, mode="infer", dropout_rng=None):
+        def recording_forward(m, x, mode="infer", dropout_rng=None, **kwargs):
             modes.append(mode)
-            return forward(m, x, mode, dropout_rng)
+            return forward(m, x, mode, dropout_rng, **kwargs)
 
         def recording_bce_loss(logits, labels):
             loss, grad = bce_loss(logits, labels)
@@ -280,9 +280,9 @@ class TestFit:
         rows = {"train": 0, "infer": 0}
         forward = T.forward
 
-        def counting_forward(m, x, mode="infer", dropout_rng=None):
+        def counting_forward(m, x, mode="infer", dropout_rng=None, **kwargs):
             rows[mode] += len(x)
-            return forward(m, x, mode, dropout_rng)
+            return forward(m, x, mode, dropout_rng, **kwargs)
 
         monkeypatch.setattr(T, "forward", counting_forward)
         cfg = T.TrainConfig(initial_lr=1e-3, epochs=3, batch_size=4, seed=8)
@@ -416,14 +416,37 @@ class TestPredict:
         assert [id(norm) for norm in folds] == [id(b.norm) for b in model.blocks]
         assert logits.tobytes() == T.predict(model, ds).tobytes()
 
+    def test_builds_its_buffers_once(self):
+        """Over 4 or 16 micro-batches ``predict`` builds one plan, a block plan
+        per block, and every micro-batch runs in it."""
+        model = self.MODELS[8]
+        built = {}
+        block_plan = layers.SepConvPlan
+
+        def counted(*args, **kwargs):
+            built[n] += 1
+            return block_plan(*args, **kwargs)
+
+        for n in (4, 16):
+            built[n] = 0
+            ds = make_slice_set(2 * n, seed=n)
+            with mock.patch.object(T, "_INFER_BUDGET_BYTES", 2 * _slice_bytes(model, ds)), \
+                    mock.patch.object(layers, "SepConvPlan", counted):
+                logits = T.predict(model, ds)
+            assert logits.tobytes() == T.predict(model, ds).tobytes()
+        assert built == {4: len(model.blocks), 16: len(model.blocks)}
+
     def test_memory_peak_is_one_micro_batch(self):
-        """64 slices at 128x128 peak near the largest block output of one
-        micro-batch, as ``test_infer_memory_peak`` counts one forward; the
-        set's own ``x`` is not counted."""
-        model = M.build_model(M.ModelConfig(input_height=128, input_width=128), seed=6)
+        """The budget holds at most four 128x128 slices per micro-batch, so 64
+        slices peak at most at a four-slice plan, as ``infer_plan_bytes``
+        counts it from the config, plus 640 KiB: the folded kernels and their
+        cast copies in the plan, the head's float64 products and the plan's
+        views and objects. Measured 5,933,792 B for a 5,628,504 B plan; with
+        per-call buffers and 8-slice micro-batches, 7,212,752 B. The set's own
+        ``x`` is not counted."""
+        cfg = M.ModelConfig(input_height=128, input_width=128)
+        model = M.build_model(cfg, seed=6)
         ds = make_slice_set(64, h=128, w=128, seed=3)
-        per_slice = _slice_bytes(model, ds)
-        step = min(len(ds), max(1, T._INFER_BUDGET_BYTES // per_slice))
         T.predict(model, ds)
         tracemalloc.start()
         try:
@@ -431,7 +454,7 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * step * per_slice
+        assert peak <= infer_plan_bytes(cfg, 4, layers._CHUNK_BYTES) + (640 << 10)
 
     def test_failure_names_slices_of_micro_batch(self):
         model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=8)
@@ -463,9 +486,10 @@ class TestStreamedEvaluate:
 
     def test_memory_peak_is_one_micro_batch(self, manifest_128):
         """Loading and evaluating 16 or 64 slices peak alike: one micro-batch's
-        forward, as ``TestPredict`` bounds it, plus its input and a few slices'
+        plan, as ``TestPredict`` bounds it, plus its input and a few slices'
         read buffers; the set's size adds nothing."""
-        model = M.build_model(M.ModelConfig(input_height=128, input_width=128), seed=6)
+        cfg = M.ModelConfig(input_height=128, input_width=128)
+        model = M.build_model(cfg, seed=6)
         keys = manifest_128.slice_keys()
         warm = load_slice_set(manifest_128, keys[:1], materialize=False)
         per_slice, slice_bytes = _slice_bytes(model, warm), warm.x.itemsize * 128 * 128
@@ -480,7 +504,8 @@ class TestStreamedEvaluate:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[64] - peaks[16]) < step * slice_bytes
-        assert peaks[64] <= 1.75 * step * per_slice + (step + 4) * slice_bytes
+        plan = infer_plan_bytes(cfg, 4, layers._CHUNK_BYTES)
+        assert peaks[64] <= plan + (640 << 10) + (step + 4) * slice_bytes
 
     @settings(max_examples=30, deadline=None)
     @given(n_and_step=st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n),

@@ -20,40 +20,39 @@ sum of its absolute terms. Batchnorm works on those float64 sums only.
 Pooling sums, the dense layers and the sigmoid compute in float64 and cast
 back; their arrays are [N, C] or smaller.
 
-Separable convolution copies each cache-sized batch chunk of its zero-padded
-input once into s x s stride-phase planes (s the stride): phase (a, b) holds
-padded rows a, a+s, ... and columns b, b+s, ..., row pitch wq = wo + (kw-1)//s
-for ho x wo outputs, plus one zero row. Depthwise tap (i, j) over all outputs
-is the contiguous run [off, off + ho*wq), off = (i//s)*wq + j//s, of phase
-(i % s, j % s); columns wo.. of the pitched sums are junk (dropped, or zero).
-The forward copies the kh*kw runs of a chunk into a tap stack [rows, C, taps,
-ho*wq] and reduces it with one batched matmul against the depthwise kernel
-[C, 1, taps]. The backward is the adjoint as a gather, not a scatter: the
-input gradient on phase plane (a, b) sums, over the taps with i % s = a and
-j % s = b, the pitched ``dmid`` (zero-padded on both sides) shifted by -off;
-those shifted runs form the phase's tap stack, whose matmul with the phase's
-taps is the ``dx`` plane and whose row dots with the ``x`` plane are the
-depthwise gradient. The pointwise stage multiplies [W | bias] with ``mid``
-plus one row of ones, so the bias is added inside the GEMM.
+Separable convolution reads its input as s x s stride-phase planes (s the
+stride, ``PlaneLayout``): phase (a, b) holds the zero-padded rows a, a+s, ...
+and columns b, b+s, ..., row pitch wq = wo + (kw-1)//s for ho x wo outputs,
+plus one zero row. Depthwise tap (i, j) over all outputs is the contiguous run
+[off, off + ho*wq), off = (i//s)*wq + j//s, of phase (i % s, j % s). Per
+cache-sized batch chunk the forward copies the kh*kw runs into a tap stack
+[rows, C, taps, ho*wq], reduces it with one batched matmul against the kernel
+[C, 1, taps], and copies the pixels of these pitched sums (columns wo.. are
+junk) into ``mid``, laid out as the next block's input planes (the last
+block's compact) and 0 elsewhere. The pointwise stage multiplies [W | bias]
+with ``mid`` and a row of ones that is 0 off the pixels too, so the bias is
+added inside the GEMM, the output is already the next block's planes, and
+ReLU keeps their padding 0: only a compact input (block 0's) is copied onto
+planes. The backward is the adjoint as a gather, not a scatter: the pixels of
+``dmid``, pitched like the sums and zero-padded on both sides, shifted by
+-off over the taps of phase (a, b), form its tap stack, whose matmul with the
+phase's taps is the ``dx`` plane and whose row dots with the ``x`` plane are
+the depthwise gradient. ``dx`` is in the input's layout, and its padding,
+which the producer's ReLU zeroes, carries no gradient.
 
-The views every chunk works on (tap stack slot and phase-plane run of each
-tap, plane regions, in the backward each phase's gathers and its plane, ``dx``
-and ``x`` views) are built once per chunk size, so a chunk issues only copies
-and products. What a reduction needs per sample (the Gram matrix of [mid; 1]
-for a batchnorm, the depthwise row dots in the backward) is written per chunk
-into an [N, ...] buffer and summed in float64 once per call, so chunking
-changes no bit of any result.
-
-The forward takes every buffer and view from a ``SepConvPlan``. There is one
-infer path: ``model.plan_infer`` builds a plan per block once for a whole
-``predict``, so every micro-batch reuses the blocks' phase planes (zeroed
-once; only their interiors are rewritten), one tap stack and accumulator
-shared by all blocks, and two output buffers that alternate by block. The
-chunk-sized ``mid`` lives in the tap stack's storage, which is dead once the
-depthwise products are formed. A call given no plan builds its own; with a
-cache or a batchnorm on the batch's statistics (train mode,
-``maximize_activation``) that plan holds a whole-batch ``mid`` and output,
-which the cache keeps.
+Every buffer and chunk view comes from a ``SepConvPlan``, so a chunk issues
+only copies and products. What a reduction needs per sample (the Gram matrix
+of [mid; 1] for a batchnorm, the depthwise row dots) is written per chunk into
+an [N, ...] buffer and summed in float64 once per call, so chunking changes no
+bit of any result. ``model.plan_infer`` builds the infer plans once for a
+whole ``predict``: the blocks share one tap stack and accumulator, alternate
+between two output buffers, and keep a chunk's ``mid`` in the tap stack's
+storage, dead once the depthwise products are formed. A plan that keeps a
+cache (train mode, ``maximize_activation``) has a whole-batch ``mid`` and
+output of its own, which the cache keeps, as it keeps the input's planes: a
+compact input is copied onto them once, by the forward, and only its ``dx``
+is copied back. Its padding and ones row are written once, so a keep plan
+reused for many batches (``training.fit``'s) rewrites only their pixels.
 
 A block's batchnorm is folded into the pointwise stage of the sepconv before
 it (``fold_batchnorm``), so no block makes its pre-norm output: by
@@ -133,11 +132,14 @@ class DenseParams:
 
 @dataclass
 class SepConvCache:
-    x: np.ndarray
-    mid: np.ndarray  # [N, C_in + 1, H', W']: the depthwise output, then a channel of ones
+    x: np.ndarray  # the input in its phase planes
+    mid: np.ndarray  # [N, C_in + 1, *layout.shape]: the depthwise output, then the ones row
     params: SepConvParams
     weights: np.ndarray  # [C_out, C_in + 1]: the [W | bias] the pointwise GEMM used
     norm: BatchNormCache | None  # the batchnorm folded in with batch statistics
+    ins: PlaneLayout
+    compact_in: bool  # the input came compact, and dx goes back compact
+    layout: PlaneLayout  # the output's and mid's
 
 
 @dataclass
@@ -161,43 +163,48 @@ def _chunk_rows(n: int, sample_bytes: int) -> int:
     return max(1, min(n, _CHUNK_BYTES // sample_bytes))
 
 
-def _phase_planes(shape: tuple, dtype, kh: int, kw: int, s: int, taps: int):
-    """Zeroed phase planes [s, s, rows, C, hq + 1, wq] for [n, C, h, w] inputs
-    of ``dtype`` padded by (kh//2, kw//2), laid out as the module docstring
-    says; the (phase, plane region, input region) triples of each chunk's copy
-    onto them; and ``chunks(x, views)``, which copies each batch chunk of an
-    input ``x`` of n rows or fewer onto the planes and yields (batch slice,
-    ``views(k)``) for its k rows. Only the regions are written, so the padding
-    stays zero for every call that shares the planes. A chunk holds as many
-    samples as fit ``_CHUNK_BYTES`` of tap stack, that is ``taps`` pitched runs
-    of ceil(h/s) rows per channel. The regions a chunk of k rows fills are
-    built once per k; ``views`` should be cached the same way."""
-    n, c, h, w = shape
-    hq, wq = -(-h // s) + (kh - 1) // s, -(-w // s) + (kw - 1) // s
-    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c * taps * -(-h // s) * wq)
-    planes = np.zeros((s, s, rows, c, hq + 1, wq), dtype=dtype)
+class PlaneLayout:
+    """[h, w] maps as the s x s stride-phase planes a consumer of stride ``s``
+    and a ``kh`` x ``kw`` kernel reads (compact with the defaults): per
+    channel one [s*s*rows, wq] array of ``shape``, phase (a, b) its rows
+    (a*s + b)*rows onwards. ``regions`` pair each phase's (index, (rows,
+    columns)) with the pixels of the map it holds."""
 
-    def axis(a, pad, size):  # plane row u of phase a holds input row s*u + a - pad
-        u0 = (pad - a + s - 1) // s
-        r0 = s * u0 + a - pad
-        return slice(u0, u0 + len(range(r0, size, s))), slice(r0, size, s)
+    def __init__(self, h: int, w: int, kh: int = 1, kw: int = 1, s: int = 1):
+        self.h, self.w, self.s = h, w, s
+        self.wq = -(-w // s) + (kw - 1) // s
+        # the extra zero row holds the overrun, (kw - 1) // s, of the last tap's run
+        rows = -(-h // s) + (kh - 1) // s + ((kw - 1) // s > 0)
+        self.shape = (s * s * rows, self.wq)
+        self.size = s * s * rows * self.wq
 
-    regions = [((a, b), *zip(axis(a, kh // 2, h), axis(b, kw // 2, w)))
-               for a in range(s) for b in range(s)]
+        def axis(a, pad, size):  # plane row u of phase a holds input row s*u + a - pad
+            u0 = (pad - a + s - 1) // s
+            r0 = s * u0 + a - pad
+            return slice(u0, u0 + len(range(r0, size, s))), slice(r0, size, s)
 
-    @functools.cache
-    def fills(k):
-        return [(planes[a, b, :k, :, us, vs], rs, cs) for (a, b), (us, vs), (rs, cs) in regions]
+        self.regions = [(a * s + b, *zip(axis(a, kh // 2, h), axis(b, kw // 2, w)))
+                        for a in range(s) for b in range(s)]
 
-    def chunks(x, views):
-        for start in range(0, len(x), rows):
-            k = min(rows, len(x) - start)
-            batch = slice(start, start + k)
-            for dst, rs, cs in fills(k):
-                dst[...] = x[batch, :, rs, cs]
-            yield batch, views(k)
+    def pairs(self, planes: np.ndarray, x: np.ndarray) -> list:
+        """(view of ``planes`` [..., *shape], view of compact [..., h, w] ``x``)
+        over the pixels of each phase."""
+        p = planes.reshape(*planes.shape[:-2], self.s * self.s, -1, self.wq)
+        return [(p[..., ph, us, vs], x[..., rs, cs]) for ph, (us, vs), (rs, cs) in self.regions]
 
-    return planes, regions, chunks
+    def to_planes(self, x: np.ndarray) -> np.ndarray:
+        """Compact [..., h, w] ``x`` in this layout, 0 at every other position."""
+        planes = np.zeros((*x.shape[:-2], *self.shape), dtype=x.dtype)
+        for dst, src in self.pairs(planes, x):
+            dst[...] = src
+        return planes
+
+    def to_compact(self, planes: np.ndarray) -> np.ndarray:
+        """The [..., h, w] maps held by ``planes`` [..., *shape]."""
+        x = np.empty((*planes.shape[:-2], self.h, self.w), dtype=planes.dtype)
+        for src, dst in self.pairs(planes, x):
+            dst[...] = src
+        return x
 
 
 def _row_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,75 +220,83 @@ def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
         dtype, copy=False)
 
 
-def sepconv_sizes(shape: tuple, dtype, p: SepConvParams, keep: bool = False):
-    """Elements of the flat buffers a ``SepConvPlan`` of ``p`` over [n, C_in,
-    h, w] inputs of ``dtype`` takes: (tap stack, which holds a chunk's ``mid``
-    unless ``keep``; accumulator; output [n, C_out, ho, wo])."""
+def sepconv_sizes(shape: tuple, dtype, p: SepConvParams, keep: bool = False,
+                  layout: PlaneLayout | None = None):
+    """Elements of the flat buffers of a ``SepConvPlan`` of ``p`` over [n,
+    C_in, h, w] inputs of ``dtype``, output in ``layout`` (compact if None):
+    (tap stack, which holds a chunk's ``mid`` unless ``keep``; accumulator;
+    output)."""
     n, c_in, h, w = shape
     kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
     s, taps = p.stride, kh * kw
     ho, wo = -(-h // s), -(-w // s)
+    size = ho * wo if layout is None else layout.size
     run = ho * (wo + (kw - 1) // s)
     rows = _chunk_rows(n, np.dtype(dtype).itemsize * c_in * taps * run)
     stack = rows * c_in * taps * run
-    return (stack if keep else max(stack, rows * (c_in + 1) * ho * wo), rows * c_in * run,
-            n * p.pointwise.shape[0] * ho * wo)
+    return (stack if keep else max(stack, rows * (c_in + 1) * size), rows * c_in * run,
+            n * p.pointwise.shape[0] * size)
 
 
 class SepConvPlan:
-    """Every buffer and chunk view ``sepconv2d`` uses for ``p`` over inputs
-    of ``dtype`` and shape ``shape`` = [n, C_in, h, w], or fewer rows: zeroed
-    phase planes whose padding stays zero, the tap stack, the accumulator,
-    ``mid``, the output [n, C_out, ho * wo] and the cast kernels. A chunk's
-    views are built once per chunk size.
-
-    Infer mode (not ``keep``) keeps a chunk's ``mid`` in the tap stack's
-    storage, which is dead once the depthwise products are formed, so each
-    chunk rewrites the ones row. With ``keep`` (a cache, or a batchnorm on the
-    batch's statistics) ``mid`` is the whole batch's and has its own storage.
-    ``buffers`` are flat (tap stack, accumulator, output) arrays at least
-    ``sepconv_sizes`` long, which plans run one after another may share;
-    without them the plan allocates its own.
-    """
+    """Every buffer and chunk view ``sepconv2d`` uses for ``p`` over up to n
+    inputs of ``dtype``, ``shape`` = [n, C_in, h, w].
+    The input arrives in its phase planes ``ins`` if ``planes_in``, else
+    compact, to be copied onto the plan's zeroed planes. ``mid`` and the
+    output are in ``layout`` (compact if None). Without ``keep``, ``mid``
+    lives in the tap stack's storage, so each chunk writes all of it. With
+    ``keep`` it is the whole batch's, zeroed with its ones row set once, and
+    each chunk writes its pixels only. ``buffers`` are flat (tap stack,
+    accumulator, output) arrays at least ``sepconv_sizes`` long, which plans
+    run one after another may share; the plan allocates any that is None.
+    ``weights``, the [W | bias] of calls without a ``norm``, is cast once,
+    when the plan is built."""
 
     def __init__(self, shape: tuple, dtype, p: SepConvParams, keep: bool = False,
-                 buffers: tuple | None = None):
+                 buffers: tuple | None = None, layout: PlaneLayout | None = None,
+                 planes_in: bool = False):
         n, c_in, h, w = shape
         kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
         s, taps = p.stride, kh * kw
         ho, wo = -(-h // s), -(-w // s)
-        self.shape, self.dtype, self.params = tuple(shape), np.dtype(dtype), p
-        self.depthwise = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, taps)
+        self.ins = ins = PlaneLayout(h, w, kh, kw, s)
+        self.layout = layout = layout or PlaneLayout(ho, wo)
+        self.shape = (n, c_in, *(ins.shape if planes_in else (h, w)))
+        self.dtype, self.params, self.keep = np.dtype(dtype), p, keep
         self.weights = _gemm_weights(p, dtype)
-        planes, _, chunks = _phase_planes(shape, dtype, kh, kw, s, taps)
-        rows, wq = planes.shape[2], planes.shape[-1]
-        flat = planes.reshape(s, s, rows, c_in, -1)
-        run = ho * wq
-        store, acc, out = buffers or [np.empty(size, dtype) for size in
-                                      sepconv_sizes(shape, dtype, p, keep)]
+        sizes = sepconv_sizes(shape, dtype, p, keep, layout)
+        store, acc, out = (np.empty(size, dtype) if buf is None else buf
+                           for buf, size in zip(buffers or (None,) * 3, sizes))
+        wq, run = ins.wq, ho * ins.wq
+        self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * taps * run)
         stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
         acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
-        # channel c_in of mid is the ones row that carries the bias through the GEMM
+        # mid's last row carries the bias through the GEMM: 1 at each pixel, else 0
+        self.mask = layout.to_planes(np.ones((ho, wo), dtype))
         if keep:
-            mid = np.empty((n, c_in + 1, ho, wo), dtype=dtype)
-            mid[:, c_in] = 1
+            self.mid = mid = np.zeros((n, c_in + 1, *layout.shape), dtype=dtype)
+            mid[:, c_in] = self.mask
         else:
-            mid = store[:rows * (c_in + 1) * ho * wo].reshape(rows, c_in + 1, ho, wo)
-        self.mid, self.mid3 = mid, mid.reshape(len(mid), c_in + 1, ho * wo)
-        self.out = out[:n * p.pointwise.shape[0] * ho * wo].reshape(n, -1, ho * wo)
-        # tap (i, j) over every output row: its stack slot, its phase, its run offset
-        runs = [(i * kw + j, i % s, j % s, (i // s) * wq + j // s)
-                for i in range(kh) for j in range(kw)]
-        mid3 = self.mid3
+            self.mid = mid = store[:rows * (c_in + 1) * layout.size].reshape(
+                rows, c_in + 1, *layout.shape)
+        self.out = out = out[:n * p.pointwise.shape[0] * layout.size].reshape(
+            n, -1, *layout.shape)
+        self.planes = None if planes_in else np.zeros((n, c_in, *ins.shape), dtype=dtype)
+        # tap (i, j) over every output row: its phase and its run's offset in the phase
+        self.taps = [((i % s) * s + j % s, (i // s) * wq + j // s, run)
+                     for i in range(kh) for j in range(kw)]
 
         @functools.cache
-        def views(k):  # the copies, the products' operands, and the chunk's mid
-            copies = [(stack[:k, :, q], flat[a, b, :k, :, off:off + run])
-                      for q, a, b, off in runs]
-            return (copies, stack[:k], acc[:k], acc[:k].reshape(k, c_in, ho, wq)[..., :wo],
-                    mid[:k], mid3[:k])
+        def views(start, stop):  # the chunk's rows, tap slots, operands, mid's, output's
+            k = min(rows, stop - start)
+            b = slice(start, start + k)
+            m = mid[b] if keep else mid[:k]
+            valid = acc[:k].reshape(k, c_in, ho, wq)[..., :wo]
+            return (b, [stack[:k, :, q] for q in range(taps)], stack[:k], acc[:k], m,
+                    m.reshape(k, c_in + 1, -1), layout.pairs(m[:, :c_in], valid),
+                    out[b].reshape(k, out.shape[1], -1))
 
-        self.chunks = functools.partial(chunks, views=views)
+        self.views = views
 
 
 def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
@@ -291,79 +306,88 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
 
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
-    Everything is computed in ``x.dtype`` (parameters are cast to it). Per
-    cache-sized batch chunk, the depthwise stage is one batched matmul over a
-    tap stack and the pointwise stage one of [W | bias] with ``mid`` plus a
-    row of ones (see the module docstring). With a ``norm`` the whole ``mid``
-    is kept, and the pointwise stage runs once ``batchnorm`` has folded in the
-    statistics of its chunks' Gram matrices and updated ``norm``'s running
-    statistics. Running statistics are folded into ``p`` by the caller.
-    Without ``keep_cache`` the returned cache is None.
+    Everything is computed in ``x.dtype`` (parameters are cast to it), per
+    cache-sized batch chunk as the module docstring says. With a ``norm`` the
+    pointwise stage runs once ``batchnorm`` has folded in the statistics of
+    the chunks' Gram matrices and updated ``norm``'s running statistics.
+    Running statistics are folded into ``p`` by the caller. Without
+    ``keep_cache`` the returned cache is None.
 
-    Every buffer comes from ``plan``, a ``SepConvPlan`` of ``p`` for inputs
-    like ``x``, or from one built for this call. A given plan serves the
-    infer path only (no ``keep_cache``, no ``norm``), and the output is a view
-    of its buffer, valid until the plan's next use.
+    Buffers and layouts come from ``plan``, a ``SepConvPlan`` of ``p`` for
+    inputs like ``x``, or from one built for this call, compact in and out.
+    ``x`` is [n, C_in, h, w], or [n, C_in, *plan.ins.shape] if the plan says
+    so; the output, [n, C_out, *plan.layout.shape] and 0 off its pixels, is a
+    view of the plan's buffer, valid until the plan's next use, and so is
+    the cache, which keeps views of the plan's ``mid`` and planes. A plan
+    without ``keep`` serves calls without a cache or a ``norm`` only.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    n, c_in, h, w = x.shape
+    n, c_in = x.shape[:2]
     if c_in != p.depthwise.shape[0]:
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
     keep = keep_cache or norm is not None
     if plan is None:
         plan = SepConvPlan(x.shape, x.dtype, p, keep)
-    elif keep or plan.params is not p or plan.dtype != x.dtype or not (
+    elif (keep and not plan.keep) or plan.params is not p or plan.dtype != x.dtype or not (
             n <= plan.shape[0] and x.shape[1:] == plan.shape[1:]):
-        raise ShapeError(f"a plan for up to {plan.shape} {plan.dtype} inputs without a cache "
+        raise ShapeError(f"a plan for up to {plan.shape} {plan.dtype} inputs (keep={plan.keep}) "
                          f"does not fit these params and a {x.shape} {x.dtype} input")
-    weights, mid, mid3, out = plan.weights, plan.mid, plan.mid3, plan.out[:n]
+    weights, planes = plan.weights, x if plan.planes is None else plan.planes[:n]
+    if plan.planes is not None:
+        for dst, pixels in plan.ins.pairs(planes, x):
+            dst[...] = pixels
+    src = planes.reshape(n, c_in, plan.ins.s ** 2, -1)
+    runs = [src[:, :, ph, off:off + run] for ph, off, run in plan.taps]
+    depthwise = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, -1)
     # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
     gram = None if norm is None else np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
-    for b, (copies, stk, ac, valid, m, m3) in plan.chunks(x):
-        for dst, src in copies:
-            dst[...] = src
-        np.matmul(plan.depthwise, stk, out=ac)
-        if keep:
-            m, m3 = mid[b], mid3[b]
-        else:
-            m[:, c_in] = 1
-        m[:, :c_in] = valid
+    for start in range(0, n, plan.rows):
+        b, slots, stk, ac, m, m3, fills, out = plan.views(start, n)
+        for dst, tap in zip(slots, runs):
+            dst[...] = tap[b]
+        np.matmul(depthwise, stk, out=ac)
+        if not plan.keep:  # the tap copies overwrote mid's zeros and ones row
+            m[:, :c_in] = 0
+            m[:, c_in] = plan.mask
+        for dst, pixels in fills:
+            dst[...] = pixels
         if norm is not None:
             np.matmul(m3, m3.transpose(0, 2, 1), out=gram[b])
         else:
-            np.matmul(weights, m3, out=out[b])
+            np.matmul(weights, m3, out=out)
+    mid, out = plan.mid[:n], plan.out[:n]
     bn_cache = None
     if norm is not None:
         folded, bn_cache = batchnorm(gram.sum(axis=0, dtype=np.float64), p, norm)
         weights = _gemm_weights(folded, x.dtype)
-        np.matmul(weights, mid3, out=out)
+        np.matmul(weights, mid.reshape(n, c_in + 1, -1), out=out.reshape(n, len(weights), -1))
 
-    cache = SepConvCache(x, mid, p, weights, bn_cache) if keep_cache else None
-    return out.reshape(n, -1, *mid.shape[2:]), cache
+    cache = SepConvCache(planes, mid, p, weights, bn_cache, plan.ins, plan.planes is not None,
+                         plan.layout) if keep_cache else None
+    return out, cache
 
 
 def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias),
     then (d_gamma, d_beta) if a batchnorm was folded in with batch statistics.
+    ``dout`` and ``dx`` are laid out like the forward's output and input.
 
     P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
     ``batchnorm_backward`` turns into the gradients and the correction A of
     ``dmid = W'^T dout + A [mid; 1]`` (W' the weights the forward used; A = 0
-    without batch statistics). Per chunk, ``dx`` and the depthwise row dots
-    come from one tap stack per stride phase, gathered from ``dmid`` pitched
-    like the forward's accumulator (zero junk columns) and zero-padded on
-    both sides, as the module docstring says; a phase without taps gets zeros.
-    Each sample's row dots are kept and summed once, after the last chunk.
+    without batch statistics). Per chunk, ``dx`` on the rows of each phase
+    that hold pixels, and the depthwise row dots, come from one tap stack
+    gathered from the pitched pixels of ``dmid``, as the module docstring
+    says; every other position of ``dx``, and a phase without taps, is 0.
     """
-    p, x, mid = cache.params, cache.x, cache.mid
-    dtype = dout.dtype
-    kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
-    s = p.stride
-    n, c_out, ho, wo = dout.shape
+    p, x, mid, ins, layout = cache.params, cache.x, cache.mid, cache.ins, cache.layout
+    kh, kw = p.depthwise.shape[2:]
+    s, dtype = p.stride, dout.dtype
+    n, c_out = dout.shape[:2]
     c_in = x.shape[1]
-    g = dout.reshape(n, c_out, ho * wo)
-    mid3 = mid.reshape(n, c_in + 1, ho * wo)
+    g = dout.reshape(n, c_out, -1)
+    mid3 = mid.reshape(n, c_in + 1, -1)
 
     d_weights, d_norm = _row_gram(g, mid3), ()
     corr = np.zeros((c_in, c_in + 1))
@@ -372,67 +396,60 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     pw_t = cache.weights[:, :c_in].astype(dtype, copy=False).T
     corr = corr.astype(dtype, copy=False)
     dw = p.depthwise[:, 0].astype(dtype, copy=False)
-    # a phase without taps (a kernel narrower than the stride) keeps a zero dx
-    dx = (np.zeros if min(kh, kw) < s else np.empty)(x.shape, dtype=dtype)
+    ho, wo = layout.h, layout.w
+    wq, plane = ins.wq, ins.size // (s * s)
     most = len(range(0, kh, s)) * len(range(0, kw, s))  # phase (0, 0) has the most taps
-    planes, regions, chunks = _phase_planes(x.shape, x.dtype, kh, kw, s, most)
-    rows, wq = planes.shape[2], planes.shape[-1]
-    flat = planes.reshape(s, s, rows, c_in, -1)
-    run = ho * wq
+    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c_in * most * ho * wq)
     pre = ((kh - 1) // s) * wq + (kw - 1) // s  # the largest tap offset
-    dmid = np.empty((rows, c_in, ho * wo), dtype=dtype)
-    dfix = np.empty((rows, c_in, ho * wo), dtype=dtype)
-    # dmid pitched and zero-padded: under tap offset off, the plane run
-    # [u0, u0 + length) meets dm_pad[pre - off + u0:][:length]
-    dm_pad = np.zeros((rows, c_in, pre + flat.shape[-1]), dtype=dtype)
-    dm_valid = dm_pad[:, :, pre:pre + run].reshape(rows, c_in, ho, wq)[..., :wo]
-    stack_buf = np.empty(rows * c_in * most * run, dtype=dtype)
-    dplane_buf = np.empty(rows * c_in * run, dtype=dtype)
+    dmid = np.empty((2, rows, c_in, *layout.shape), dtype=dtype)  # W'^T dout, A [mid; 1]
+    # dmid pitched and zero-padded: under tap offset off, phase-plane position
+    # u meets dm_pad[pre - off + u]
+    dm_pad = np.zeros((rows, c_in, pre + plane), dtype=dtype)
+    dm_valid = dm_pad[:, :, pre:pre + ho * wq].reshape(rows, c_in, ho, wq)[..., :wo]
+    stack = np.empty(rows * c_in * most * ho * wq, dtype=dtype)
+    # only the rows of a phase that hold pixels are written: the others, and
+    # a phase without taps (a kernel narrower than the stride), keep a zero dx
+    dx = np.zeros((n, c_in, s * s, plane), dtype=dtype)
+    xs = x.reshape(n, c_in, s * s, plane)
     # each sample's depthwise row dots, grouped by phase: slot t holds tap tap_ids[t] = i*kw + j
     dots = np.empty((n, c_in, kh * kw, 1), dtype=dtype)
-    tap_ids = [i * kw + j for (a, c), _, _ in regions
-               for i in range(a, kh, s) for j in range(c, kw, s)]
-
-    @functools.cache
-    def views(k):  # dmid's, then per phase with taps: gathers, operands, dx, dots slot
-        per_phase, t0 = [], 0
-        for (a, c), (us, vs), (rs, cs) in regions:
-            taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
+    tap_ids, phases = [], []
+    for ph, (us, _), _ in ins.regions:
+        a, c = divmod(ph, s)
+        taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
+        if taps.size:
             ni, nj = taps.shape[1:]
-            if not taps.size:
-                continue
-            u0, length = us.start * wq, (us.stop - us.start) * wq
-            stack = stack_buf[:k * c_in * ni * nj * length].reshape(k, c_in, ni * nj, length)
-            dplane = dplane_buf[:k * c_in * length].reshape(k, c_in, 1, length)
-            starts = [pre - ii * wq - jj + u0 for ii in range(ni) for jj in range(nj)]
-            per_phase.append((
-                [(stack[:, :, q], dm_pad[:k, :, t:t + length]) for q, t in enumerate(starts)],
+            band = slice(us.start * wq, us.stop * wq)  # the phase's rows with pixels
+            phases.append((
                 # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
-                np.multiply if ni * nj == 1 else np.matmul,
-                taps.reshape(c_in, 1, ni * nj), stack, dplane,
-                flat[a, c, :k, :, u0:u0 + length, None],
-                dplane.reshape(k, c_in, -1, wq)[..., vs], (slice(None), slice(None), rs, cs),
-                slice(t0, t0 + ni * nj)))
-            t0 += ni * nj
-        return (dmid[:k], dfix[:k], dmid[:k].reshape(k, c_in, ho, wo),
-                dfix[:k].reshape(k, c_in, ho, wo), dm_valid[:k], per_phase)
+                ph, band, np.multiply if ni * nj == 1 else np.matmul,
+                taps.reshape(c_in, 1, ni * nj),
+                [pre - ii * wq - jj + band.start for ii in range(ni) for jj in range(nj)],
+                slice(len(tap_ids), len(tap_ids) + ni * nj)))
+            tap_ids += [(a + s * ii) * kw + c + s * jj for ii in range(ni) for jj in range(nj)]
 
-    for b, (dm, df, dm4, df4, valid, per_phase) in chunks(x, views):
-        np.matmul(pw_t, g[b], out=dm)
-        np.matmul(corr, mid3[b], out=df)
-        np.add(dm4, df4, out=valid)
-        dx_b, dots_b = dx[b], dots[b]
-        for gathers, product, taps, stack, dplane, plane, dsrc, region, slot in per_phase:
-            for dst, src in gathers:
-                dst[...] = src
-            product(taps, stack, out=dplane)
-            dx_b[region] = dsrc
-            np.matmul(stack, plane, out=dots_b[:, :, slot])
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        b = slice(start, start + k)
+        dm, df = dmid[:, :k]
+        np.matmul(pw_t, g[b], out=dm.reshape(k, c_in, -1))
+        np.matmul(corr, mid3[b], out=df.reshape(k, c_in, -1))
+        dm += df  # whole, then its pixels: 2-2.5x faster than adding the pixels of each
+        for pixels, valid in layout.pairs(dm, dm_valid[:k]):
+            valid[...] = pixels
+        for ph, band, product, taps, starts, slot in phases:
+            length = band.stop - band.start
+            stk = stack[:k * c_in * len(starts) * length].reshape(k, c_in, len(starts), length)
+            for q, t in enumerate(starts):
+                stk[:, :, q] = dm_pad[:k, :, t:t + length]
+            product(taps, stk, out=dx[b, :, ph, None, band])
+            np.matmul(stk, xs[b, :, ph, band, None], out=dots[b, :, slot])
     d_dw = np.empty((c_in, kh * kw))
     d_dw[:, tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
+    dx = dx.reshape(n, c_in, *ins.shape)
 
     return (
-        dx,
+        ins.to_compact(dx) if cache.compact_in else dx,
         d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
         d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
         d_weights[:, c_in].astype(dtype),

@@ -5,10 +5,14 @@ Per-sample path: (sepconv -> batchnorm -> ReLU) x 9, global average pool,
 dense -> ReLU -> dropout, dense to one unit, sigmoid. The decision rule is
 probability >= threshold for the positive class. Each block is one
 ``layers.sepconv2d`` with its batchnorm folded into the pointwise stage, then
-a ReLU applied in place. Only ``forward`` reads the mode: train mode folds in
-the batch's statistics; infer mode runs ``Model.folded``, whose convs hold
-the running statistics, in the buffers of a plan (``plan_infer``) that a
-caller may build once for many batches, and dropout at rate 0.
+a ReLU applied in place. Between blocks the activations are laid out as the
+next block's stride-phase planes (``layers.PlaneLayout``), in train and infer
+mode alike; only the input and the last block's output are compact. Only
+``forward`` reads the mode: train mode folds in the batch's statistics; infer
+mode runs ``Model.folded``, whose convs hold the running statistics, and
+dropout at rate 0. Either mode can run in the buffers of a plan
+(``plan_infer``, with ``keep`` for train mode) that a caller builds once for
+many batches.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -193,12 +197,15 @@ class Model:
         """This model for infer-mode passes, and the only fold of the running
         statistics: each block's batchnorm folded into its conv, its ``norm``
         None. A folded model is its own fold, so ``forward`` refolds nothing
-        after ``predict``'s one fold. Shares the head arrays and the
-        depthwise kernels."""
+        after ``predict``'s one fold. Shares the depthwise kernels; the head's
+        arrays are cast to the float64 that ``layers.dense`` computes in,
+        exactly, once for every pass."""
         if all(b.norm is None for b in self.blocks):
             return self
         blocks = [Block(layers.fold_batchnorm(b.conv, b.norm), None) for b in self.blocks]
-        return Model(self.config, blocks, self.hidden, self.output)
+        head = [DenseParams(d.weight.astype(np.float64), d.bias.astype(np.float64))
+                for d in (self.hidden, self.output)]
+        return Model(self.config, blocks, *head)
 
     def astype(self, dtype) -> "Model":
         """Clone with every array cast to ``dtype`` (float64 shadow for checks)."""
@@ -249,43 +256,71 @@ class ForwardCaches:
     logits: np.ndarray
 
 
-def plan_infer(model: Model, n: int, dtype) -> list:
-    """The ``layers.SepConvPlan`` of each block of the folded ``model`` for
-    infer-mode batches of up to ``n`` inputs of ``dtype``, built once for
-    every batch they run: each block has its own zeroed phase planes; all
-    share one tap stack and one accumulator; block b writes output buffer
-    b % 2, so a block never writes the buffer it reads."""
+def _block_layouts(model: Model, n: int) -> list:
+    """(input shape [n, C_in, h, w], output layout) of each block: block b's
+    output is laid out as block b + 1's input phase planes, the last block's
+    compact (None), for pooling."""
     cfg = model.config
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     shapes = [(n, c, *hw) for c, hw in zip((cfg.input_channels, *cfg.channel_plan), dims)]
-    sizes = [layers.sepconv_sizes(shape, dtype, blk.conv)
-             for shape, blk in zip(shapes, model.blocks)]
+    layouts = [layers.PlaneLayout(*hw, *blk.conv.depthwise.shape[2:], blk.conv.stride)
+               for hw, blk in zip(dims[1:], model.blocks[1:])]
+    return list(zip(shapes, [*layouts, None]))
+
+
+def plan_infer(model: Model, n: int, dtype, keep: bool = False) -> list:
+    """The ``layers.SepConvPlan`` of each block of the folded ``model`` for
+    infer-mode batches of up to ``n`` inputs of ``dtype``, built once for
+    every batch they run. Block b > 0 takes its input in its own phase
+    planes, which block b - 1 writes as its output, so only block 0 copies
+    its (compact) input onto planes of its own; the last block's output is
+    compact. All share one tap stack and one accumulator; block b writes
+    output buffer b % 2, so a block never writes the buffer it reads.
+
+    With ``keep``, the plans of ``model`` itself for train-mode batches, as
+    ``fit`` builds them once for all its steps: each block keeps a
+    whole-batch ``mid`` and output of its own, which its cache keeps until
+    the plans' next use, and whose padding and ones row are written once."""
+    geometry = _block_layouts(model, n)
+    sizes = [layers.sepconv_sizes(shape, dtype, blk.conv, keep, layout)
+             for (shape, layout), blk in zip(geometry, model.blocks)]
     store, acc = (np.empty(max(size[i] for size in sizes), dtype=dtype) for i in (0, 1))
-    outs = [np.empty(max(size[2] for size in sizes[parity::2]), dtype=dtype) for parity in (0, 1)]
-    return [layers.SepConvPlan(shape, dtype, blk.conv, buffers=(store, acc, outs[b % 2]))
-            for b, (shape, blk) in enumerate(zip(shapes, model.blocks))]
+    outs = [None if keep else np.empty(max(size[2] for size in sizes[parity::2]), dtype=dtype)
+            for parity in (0, 1)]
+    return [layers.SepConvPlan(shape, dtype, blk.conv, keep, (store, acc, outs[b % 2]),
+                               layout=layout, planes_in=b > 0)
+            for b, ((shape, layout), blk) in enumerate(zip(geometry, model.blocks))]
 
 
 def _forward_blocks(model: Model, x: np.ndarray, upto: int | None = None,
                     plan: list | None = None):
-    """Run the conv stack through block ``upto`` (inclusive; None = all).
+    """Run the conv stack through block ``upto`` (inclusive; None = all) on
+    the compact batch ``x``. The output is laid out as block ``upto`` + 1's
+    input planes, compact after the last block: each block's plan says how.
 
     A block is one ``layers.sepconv2d`` given the block's ``norm`` (folded in
     on the batch's statistics; None in ``Model.folded``, whose convs hold the
     running statistics), then ReLU in place on the fresh output.
 
-    Given a ``plan`` (``plan_infer`` of the folded ``model``), no block makes
-    a cache, each writes into its plan's buffers, and the returned cache list
-    is empty. Without one, every block keeps its cache.
+    Each block writes into the buffers of its plan in ``plan``
+    (``plan_infer`` of ``model``), and keeps its cache exactly when the plan
+    does: with ``plan_infer(..., keep=True)`` the caches keep views of the
+    plans' buffers, and without ``keep`` the returned cache list is empty.
+    Without a ``plan``, every block keeps its cache, and runs in a keep plan
+    of its own, built as the block starts.
     """
     last = len(model.blocks) - 1 if upto is None else upto
+    if plan is None:  # each built as zip reaches its block, so one tap stack is alive at a time
+        plan = (layers.SepConvPlan(shape, x.dtype, blk.conv, True, layout=layout, planes_in=b > 0)
+                for b, ((shape, layout), blk) in enumerate(zip(_block_layouts(model, len(x)),
+                                                                model.blocks)))
     caches = []
     out = x
-    for blk, blk_plan in zip(model.blocks[: last + 1], plan or [None] * (last + 1)):
-        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=plan is None,
+    for blk, blk_plan in zip(model.blocks[: last + 1], plan):
+        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=blk_plan.keep,
                                            plan=blk_plan)
         out, relu_cache = layers.relu(out, out=out)
-        if plan is None:
+        if blk_plan.keep:
             caches.append((conv_cache, relu_cache))
     return out, caches
 
@@ -317,17 +352,19 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     ``mode`` ("train" or "infer") is read here only. Train mode runs each
     block's batchnorm on the batch's statistics, updating its running
     statistics, and dropout at the configured rate, which needs
-    ``dropout_rng`` (one batch stream with a row per sample) when positive.
-    Infer mode runs ``model.folded()`` in ``plan`` (``plan_infer`` of that
-    folded model, for batches like ``batch``; one is built for the call if
-    None) with no per-block caches, so ``backward`` needs a train-mode pass,
-    and dropout at rate 0.
+    ``dropout_rng`` (one batch stream with a row per sample) when positive;
+    given a ``plan`` (``plan_infer(model, ..., keep=True)``), its blocks run
+    in it, and their caches are valid until its next use. Infer mode runs
+    ``model.folded()`` in ``plan`` (``plan_infer`` of that folded model, for
+    batches like ``batch``; one is built for the call if None) with no
+    per-block caches, so ``backward`` needs a train-mode pass, and dropout
+    at rate 0.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     train = mode == "train"
-    if train and plan is not None:
-        raise ConfigError("a plan serves infer mode only")
+    if plan is not None and any(blk_plan.keep != train for blk_plan in plan):
+        raise ConfigError(f"{mode} mode needs plans built {'with' if train else 'without'} keep")
     cfg = model.config
     if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (
         cfg.input_height,
@@ -337,18 +374,15 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
             f"batch shape {batch.shape} does not match configured input "
             f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
         )
-    if train:
-        out, block_caches = _forward_blocks(model, batch)
-    else:
-        fixed = model.folded()
-        if plan is None:
-            plan = plan_infer(fixed, len(batch), batch.dtype)
-        out, block_caches = _forward_blocks(fixed, batch, plan=plan)
+    net = model if train else model.folded()
+    if plan is None and not train:
+        plan = plan_infer(net, len(batch), batch.dtype)
+    out, block_caches = _forward_blocks(net, batch, plan=plan)
     out, pool_cache = layers.global_avg_pool(out)
-    out, hidden_cache = layers.dense(out, model.hidden)
+    out, hidden_cache = layers.dense(out, net.hidden)
     out, hidden_relu_cache = layers.relu(out)
     out, dropout_cache = layers.dropout(out, cfg.dropout_rate if train else 0.0, dropout_rng)
-    logits2d, output_cache = layers.dense(out, model.output)
+    logits2d, output_cache = layers.dense(out, net.output)
     logits = logits2d[:, 0]
     # a logit of +-inf has a finite probability, 1 or 0, so check the logits
     if not np.all(np.isfinite(logits)):
@@ -440,8 +474,9 @@ def extract_activation(model: Model, image: np.ndarray, block_index: int, channe
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
     fixed = model.folded()
-    out, _ = _forward_blocks(fixed, image, upto=block_index, plan=plan_infer(fixed, 1, image.dtype))
-    return out[0, channel]
+    plan = plan_infer(fixed, 1, image.dtype)
+    out, _ = _forward_blocks(fixed, image, upto=block_index, plan=plan)
+    return plan[block_index].layout.to_compact(out[0, channel])
 
 
 def _check_block_channel(model: Model, block_index: int, channel: int) -> None:
@@ -482,11 +517,11 @@ def maximize_activation(
 
     def objective_and_grad(img):
         out, caches = _forward_blocks(fixed, img, upto=block_index)
-        hprime, wprime = out.shape[2], out.shape[3]
-        value = float(out[0, channel].mean(dtype=np.float64))
-        dout = np.zeros_like(out)
-        dout[0, channel] = 1.0 / (hprime * wprime)
-        dx = _backward_blocks(dout, caches)
+        layout = caches[-1][0].layout  # the output's, and so dout's
+        value = float(layout.to_compact(out[0, channel]).mean(dtype=np.float64))
+        dout = np.zeros((*out.shape[:2], layout.h, layout.w), dtype=out.dtype)
+        dout[0, channel] = 1.0 / (layout.h * layout.w)
+        dx = _backward_blocks(layout.to_planes(dout), caches)
         return value, dx
 
     trace = []

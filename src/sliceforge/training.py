@@ -14,10 +14,11 @@ model in infer mode and returns its logits. A fixed byte budget, not the
 caller, sizes its micro-batches: each holds as many slices as keep the largest
 block output within the budget, small enough that the next block reads it
 from cache. ``predict`` folds the batchnorms and builds one plan
-(``model.plan_infer``) for that micro-batch size: every block's phase planes,
-one shared tap stack and accumulator, and two alternating output buffers. Each
-micro-batch runs in the plan, so none allocates a block buffer, and the budget
-can be a few slices without the allocator's cost. When ``x`` is a
+(``model.plan_infer``) for that micro-batch size: block 0's input phase
+planes, the only ones, since each block writes its output as the next block's
+planes; one shared tap stack and accumulator; and two alternating output
+buffers. Each micro-batch runs in the plan, so none allocates a block buffer,
+and the budget can be a few slices without the allocator's cost. When ``x`` is a
 ``SliceReader`` (``sliceforge evaluate``), each micro-batch is read from disk
 as it is forwarded, so the peak is the plan plus one micro-batch's input and
 does not grow with the set. A slice's infer logit depends on that slice
@@ -31,6 +32,11 @@ history, ``train_loss`` and ``train_acc`` are the epoch's
 batch-size-weighted means over the train-mode forwards the steps already
 make: with augmentation and dropout, each batch taken before its SGD update.
 Only the validation columns come from an infer-mode pass.
+
+``fit`` runs every train step in one train plan (``model.plan_infer(...,
+keep=True)``), built once per call: its buffers are the block caches, so a
+step neither allocates them nor rewrites their padding, and ``backward``
+consumes one step's caches before the next step reuses the buffers.
 """
 
 from __future__ import annotations
@@ -165,7 +171,10 @@ def _batched(indices, size):
 # Whole `evaluate` runs of 128 slices at 128x128, 30 rounds: 512K +6% wall
 # (faster in 4/30), 1M +3% (13/30), 2M -2% (18/30), at 34.3, 35.4 and 37.0 MB
 # peak RSS against 38.4 MB. 2 MiB (four slices at 128x128, sixteen at 64x64)
-# is the smallest budget whose `evaluate` is no slower.
+# is the smallest budget whose `evaluate` is no slower. That sweep ran with
+# phase planes of every block's own; since blocks hand each other planes, the
+# four-slice 128x128 plan holds 4.30 MiB instead of 5.37, and the sweep was
+# not repeated.
 _INFER_BUDGET_BYTES = 2 << 20
 
 
@@ -178,9 +187,10 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     the set in memory. Infer mode uses the running statistics and no dropout,
     and every kernel computes a slice's output from that slice alone, so a
     logit does not depend on the micro-batch. The batchnorms are folded into
-    their convs (``Model.folded``), and the buffers planned for the first,
-    largest micro-batch (``model.plan_infer``), once per call: every
-    micro-batch runs in the same plan.
+    their convs and the head is cast to float64 (``Model.folded``), and the
+    buffers planned for the first, largest micro-batch (``model.plan_infer``),
+    once per call: every micro-batch runs in the same plan, each block's
+    output written as the next block's phase planes.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
@@ -230,7 +240,8 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     validation logits of the best epoch.
 
     Per epoch: seeded shuffle, batches (last partial batch kept), train-mode
-    forward with augmentation, loss, backprop, two-stage clip, SGD step; then
+    forward with augmentation in the call's one train plan, loss, backprop,
+    two-stage clip, SGD step; then
     one infer-mode pass over the validation set. The history row's train loss
     and accuracy are the batch-size-weighted means of the train-mode losses
     and predictions, each batch's taken before its update, so they include
@@ -257,6 +268,8 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     history = []
     best_acc = -1.0  # every val_acc is >= 0, so epoch 1 sets each best_* value
     n = len(train_set)
+    # every step runs in these buffers; backward consumes a step's caches first
+    plan = model_mod.plan_infer(model, config.batch_size, train_set.x.dtype, keep=True)
 
     for epoch in range(config.epochs):
         lr = lr_for_epoch(config, epoch)
@@ -270,7 +283,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             dropout_rng = SplitMixStream(config.seed, TAG_DROPOUT, epoch, idx)
             where = f"at epoch {epoch + 1}, batch {batch_no + 1}"
             try:
-                _, caches = forward(model, x, "train", dropout_rng)
+                _, caches = forward(model, x, "train", dropout_rng, plan=plan)
             except NumericError as exc:
                 raise NumericError(f"{exc} {where}") from exc
             loss, dlogits = bce_loss(caches.logits, y)

@@ -190,28 +190,60 @@ def pairs_for_counts(tp, fp, tn, fn):
     return labels, preds
 
 
+def plane_elements(h, w, k=1, s=1):
+    """Elements per channel of the phase planes a consumer of stride ``s``
+    and kernel ``k`` reads an [h, w] map from (compact with the defaults):
+    s x s planes of ceil(h/s) + (k-1)//s rows, plus one zero row when
+    (k-1)//s > 0, by ceil(w/s) + (k-1)//s columns."""
+    extra = (k - 1) // s
+    return s * s * (-(-h // s) + extra + (extra > 0)) * (-(-w // s) + extra)
+
+
+def block_output_elements(cfg):
+    """Per block, the elements per channel of its output: block b + 1's input
+    planes, the last block's compact map."""
+    dims = cfg.spatial_dims()
+    return [plane_elements(*dims[b], cfg.kernel, cfg.stride_plan[b + 1]) for b in range(8)] + [
+        plane_elements(*dims[8])]
+
+
 def infer_plan_bytes(cfg, n, chunk_bytes, itemsize=4):
     """Bytes of the buffers an infer plan holds for batches of ``n`` inputs
-    of a model with config ``cfg``, from the config alone: per block, stride
-    s and kernel k over a [C_in, h, w] input, zeroed phase planes [s, s,
-    rows, C_in, hq + 1, wq]; the largest tap stack (which also holds a
-    chunk's [mid; 1]) and accumulator of any block; and the largest output of
-    the even and of the odd blocks. A chunk holds ``rows`` samples, as many
-    as fit ``chunk_bytes`` of tap stack, one at least."""
+    of a model with config ``cfg``, from the config alone: block 0's input
+    phase planes [n, C_in, ...], the only ones; the largest tap stack (which
+    also holds a chunk's [mid; 1]) and accumulator of any block; the largest
+    output of the even and of the odd blocks; and each block's ones row of
+    ``mid``. Outputs and ``mid`` are in the next block's planes, the last
+    block's compact. A chunk holds ``rows`` samples, as many as fit
+    ``chunk_bytes`` of tap stack, one at least."""
     channels = (cfg.input_channels, *cfg.channel_plan)
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     k = cfg.kernel
-    planes, stacks, accs, outs = 0, [], [], ([], [])
+    sizes = block_output_elements(cfg)
+    planes = n * channels[0] * plane_elements(*dims[0], k, cfg.stride_plan[0])
+    stacks, accs, outs = [], [], ([], [])
     for b, s in enumerate(cfg.stride_plan):
         c_in, c_out, (h, w) = channels[b], channels[b + 1], dims[b]
-        ho, wo = -(-h // s), -(-w // s)
-        hq, wq = ho + (k - 1) // s, wo + (k - 1) // s
+        ho, wq = -(-h // s), -(-w // s) + (k - 1) // s
         rows = max(1, min(n, chunk_bytes // (itemsize * c_in * k * k * ho * wq)))
-        planes += s * s * rows * c_in * (hq + 1) * wq
-        stacks.append(max(rows * c_in * k * k * ho * wq, rows * (c_in + 1) * ho * wo))
+        stacks.append(max(rows * c_in * k * k * ho * wq, rows * (c_in + 1) * sizes[b]))
         accs.append(rows * c_in * ho * wq)
-        outs[b % 2].append(n * c_out * ho * wo)
-    return itemsize * (planes + max(stacks) + max(accs) + max(outs[0]) + max(outs[1]))
+        outs[b % 2].append(n * c_out * sizes[b])
+    return itemsize * (planes + max(stacks) + max(accs) + max(outs[0]) + max(outs[1])
+                       + sum(sizes))
+
+
+def train_cache_bytes(cfg, n, itemsize=4):
+    """Bytes of the block caches a train-mode forward of ``n`` inputs keeps,
+    from the config alone: per block its [mid; 1] (C_in + 1 channels) and
+    its ReLU'd output (C_out channels), in the next block's planes or, for
+    the last block, compact. A block's input is its producer's output, or,
+    for block 0, the phase planes its plan copies the batch onto."""
+    channels = (cfg.input_channels, *cfg.channel_plan)
+    planes = channels[0] * plane_elements(cfg.input_height, cfg.input_width, cfg.kernel,
+                                          cfg.stride_plan[0])
+    return itemsize * n * (planes + sum((channels[b] + 1 + channels[b + 1]) * size
+                                        for b, size in enumerate(block_output_elements(cfg))))
 
 
 def nan_loss_eval_pass(eval_pass):

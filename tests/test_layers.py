@@ -178,8 +178,9 @@ class TestSepConv:
                 gamma=np.linspace(0.5, 1.5, 4), beta=np.linspace(-1.0, 1.0, 4),
                 running_mean=np.linspace(-0.5, 0.5, 4), running_var=np.linspace(0.5, 2.0, 4))
 
+        ho, wq = -(-7 // stride), -(-6 // stride) + (k - 1) // stride
+
         def chunk_bytes(taps):  # ``rows`` samples of ``taps`` pitched runs per channel
-            ho, wq = -(-7 // stride), -(-6 // stride) + (k - 1) // stride
             return rows * x.itemsize * 3 * taps * ho * wq
 
         upstream = rng.normal(size=(n, 4, -(-7 // stride), -(-6 // stride)))
@@ -195,9 +196,21 @@ class TestSepConv:
 
         whole = run(1 << 30, 1 << 30)
         taps = (k * k, len(range(0, k, stride)) ** 2)  # forward, and backward phase (0, 0)
-        for t in taps:
-            monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(t))
-            assert layers._phase_planes(x.shape, x.dtype, k, k, stride, t)[0].shape[2] == rows
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(taps[0]))
+        assert layers.SepConvPlan(x.shape, x.dtype, p).rows == rows
+        cache, chunks = layers.sepconv2d(x, p)[1], []
+        pairs = layers.PlaneLayout.pairs
+
+        def pairs_spy(layout, planes, a):  # once per backward chunk, for dmid's pixels
+            if layout is cache.layout:
+                chunks.append(len(planes))
+            return pairs(layout, planes, a)
+
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(taps[1]))
+        with monkeypatch.context() as spy:
+            spy.setattr(layers.PlaneLayout, "pairs", pairs_spy)
+            layers.sepconv2d_backward(upstream, cache)
+        assert chunks == [min(rows, n - start) for start in range(0, n, rows)]
         (infer, infer_norm, scratch, train), grads, train_grads = run(*map(chunk_bytes, taps))
         for got, ref in zip((infer, infer_norm, scratch, train, *grads, *train_grads),
                             (*whole[0], *whole[1], *whole[2]), strict=True):
@@ -249,6 +262,193 @@ class TestSepConv:
         out, cache = layers.sepconv2d(x, p, keep_cache=False)
         assert cache is None
         assert out.tobytes() == layers.sepconv2d(x, p)[0].tobytes()
+
+
+def _relu64(a):
+    return np.maximum(a, 0.0)
+
+
+def _c(v):
+    return np.asarray(v, dtype=np.float64)[None, :, None, None]
+
+
+class TestPlaneHandOff:
+    """Two blocks as the model chains them: the first writes its output in
+    the second's phase planes (``SepConvPlan(layout=...)``), which the second
+    reads as its input (``planes_in``), with ReLU between and after. In infer
+    mode (shared tap stack and accumulator, as ``model.plan_infer`` shares
+    them), in a pass that keeps its caches (``maximize_activation``'s) and in
+    train mode, the outputs and every gradient match the compact naive
+    oracles, and every position of a handed plane that holds no pixel (its
+    padding, its junk columns, its extra row) reads exactly 0.0. The shared
+    and output buffers start as NaN, so a position no chunk writes fails.
+
+    Each result's error is held to a tolerance times the sum of the
+    magnitudes of its terms, which the oracles give when run on magnitudes,
+    as ``layers``' row rule states it: ``SHADOW_TOL``'s float32 values and
+    the float64 1e-9 of the oracle properties above. In train mode
+    float32's grow with mean^2 / var per channel: the batch variance comes
+    from the Gram matrix of [mid; 1], whose relative error grows so."""
+
+    @staticmethod
+    def params(rng, c_in, c_out, k, s, dtype):
+        p = random_sepconv(rng, c_in, c_out, k=k, stride=s)
+        for name in ("depthwise", "pointwise", "bias"):
+            setattr(p, name, getattr(p, name).astype(dtype))
+        return p
+
+    @staticmethod
+    def check_block(grads, x, p, s, dy, dy_terms, tol, norm=None):
+        """``grads`` of one block (its dx and then its parameters') against
+        the naive backward of ``dy``; ``dy_terms`` bounds the magnitudes of
+        dy's terms. Returns dx's term magnitudes."""
+        f64 = [np.abs(a.astype(np.float64)) for a in (p.depthwise, p.pointwise)]
+        want = naive_sepconv2d_backward(x, p.depthwise, p.pointwise, dy, s)
+        terms = naive_sepconv2d_backward(np.abs(x), *f64, dy_terms, s)
+        if norm is not None:
+            want, terms = (*want, *norm[0]), (*terms, *norm[1])
+        assert len(grads) == len(want)
+        for i, (got, ref, scale) in enumerate(zip(grads, want, terms)):
+            if got is None:  # not checked here
+                continue
+            assert got.dtype == grads[-1].dtype and got.shape == ref.shape, i
+            assert np.abs(got - ref).max() <= tol * np.abs(scale).max(), i
+        return terms[0]
+
+    @staticmethod
+    def norm_backward(dz, dz_terms, y, norm):
+        """Float64 (dy, dy's term magnitudes, (d_gamma, d_beta), their term
+        magnitudes) of train-mode batchnorm, written out from its definition."""
+        eps, gamma = norm.epsilon, np.abs(norm.gamma.astype(np.float64))
+        dy, d_gamma, d_beta = batchnorm_train_backward(dz, y, norm.gamma, eps)
+        mean, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))
+        m = y.size // y.shape[1]
+        x_hat = (np.abs(y) + np.abs(_c(mean))) / np.sqrt(_c(var) + eps)  # its terms
+        beta_terms = dz_terms.sum(axis=(0, 2, 3))
+        gamma_terms = (dz_terms * x_hat).sum(axis=(0, 2, 3))
+        dy_terms = _c(gamma / np.sqrt(var + eps)) * (
+            dz_terms + _c(beta_terms) / m + x_hat * _c(gamma_terms) / m)
+        return dy, dy_terms, (d_gamma, d_beta), (gamma_terms, beta_terms)
+
+    @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+           st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 3), st.sampled_from([np.float32, np.float64]),
+           st.booleans(), st.integers(0, 2 ** 32))
+    @example(k=3, s1=2, s2=2, h=7, w=8, c0=2, c1=3, c2=2, n=3, dtype=np.float64,
+             per_sample=True, seed=0)
+    @example(k=1, s1=1, s2=2, h=5, w=4, c0=1, c1=2, c2=2, n=2, dtype=np.float32,
+             per_sample=False, seed=1)  # three of block 2's phases without taps
+    @example(k=1, s1=2, s2=2, h=1, w=8, c0=1, c1=1, c2=1, n=1, dtype=np.float32,
+             per_sample=False, seed=182656)  # a depthwise gradient summing to about 0
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_naive(self, k, s1, s2, h, w, c0, c1, c2, n, dtype, per_sample,
+                                 seed):
+        rng = np.random.default_rng(seed)
+        h1, w1 = -(-h // s1), -(-w // s1)
+        h2, w2 = -(-h1 // s2), -(-w1 // s2)
+        x = rng.normal(1.0, 1.0, size=(n, c0, h, w)).astype(dtype)
+        pa, pb = self.params(rng, c0, c1, k, s1, dtype), self.params(rng, c1, c2, k, s2, dtype)
+        handed = layers.PlaneLayout(h1, w1, k, k, s2)
+        off = handed.to_planes(np.ones((h1, w1))) == 0  # the positions without a pixel
+        x64 = x.astype(np.float64)
+        ya = naive_sepconv2d(x64, pa.depthwise, pa.pointwise, pa.bias, s1)
+        tol = SHADOW_TOL[dtype] if dtype == np.float32 else (1e-9, 1e-9)
+
+        def close(got, ref, terms, tolerance):
+            assert got.dtype == dtype and got.shape == ref.shape
+            return np.abs(got - ref).max() <= tolerance * terms.max()
+
+        def conv_terms(a, p, s):  # the magnitudes of the terms of each output
+            return naive_sepconv2d(a, *(np.abs(t.astype(np.float64)) for t in (
+                p.depthwise, p.pointwise, p.bias)), s)
+
+        def norm_terms(y_terms, norm, mean, var):
+            return (np.abs(_c(norm.gamma)) * (y_terms + np.abs(_c(mean)))
+                    / np.sqrt(_c(var) + norm.epsilon) + np.abs(_c(norm.beta)))
+
+        def chain(norms, plans):
+            a, cache_a = layers.sepconv2d(x, pa, norms[0], keep_cache=plans[0].keep,
+                                          plan=plans[0])
+            a, relu_a = layers.relu(a, out=a)
+            assert a.shape == (n, c1, *handed.shape) and not a[..., off].any()
+            out, cache_b = layers.sepconv2d(a, pb, norms[1], keep_cache=plans[1].keep,
+                                            plan=plans[1])
+            out, relu_b = layers.relu(out, out=out)
+            if not plans[0].keep:
+                return a, out, None
+            assert not cache_a.mid[..., off].any()
+            grads_b = layers.sepconv2d_backward(layers.relu_backward(upstream.copy(), relu_b),
+                                                cache_b)
+            assert grads_b[0].shape == a.shape
+            grads_a = layers.sepconv2d_backward(layers.relu_backward(grads_b[0], relu_a),
+                                                cache_a)
+            return a, out, (grads_a, grads_b[1:])
+
+        def keep_plans():
+            return (layers.SepConvPlan(shapes[0], dtype, pa, True, layout=handed),
+                    layers.SepConvPlan(shapes[1], dtype, pb, True, planes_in=True))
+
+        upstream = rng.normal(size=(n, c2, h2, w2)).astype(dtype)
+        shapes = ((n, c0, h, w), (n, c1, h1, w1))
+        norms = [layers.BatchNormParams(
+            gamma=rng.uniform(0.5, 1.5, c).astype(dtype), beta=rng.normal(size=c).astype(dtype),
+            running_mean=np.zeros(c, dtype), running_var=np.ones(c, dtype)) for c in (c1, c2)]
+        old_chunk = layers._CHUNK_BYTES
+        if per_sample:
+            layers._CHUNK_BYTES = 1
+        try:
+            # infer: the plans share a NaN-filled tap stack and accumulator
+            sizes = [layers.sepconv_sizes(shapes[0], dtype, pa, layout=handed),
+                     layers.sepconv_sizes(shapes[1], dtype, pb)]
+            store, acc, out_a, out_b = (np.full(size, np.nan, dtype=dtype) for size in (
+                max(s[0] for s in sizes), max(s[1] for s in sizes), sizes[0][2], sizes[1][2]))
+            infer = (layers.SepConvPlan(shapes[0], dtype, pa, buffers=(store, acc, out_a),
+                                        layout=handed),
+                     layers.SepConvPlan(shapes[1], dtype, pb, buffers=(store, acc, out_b),
+                                        planes_in=True))
+            chain((None, None), infer)  # the second pass reuses every buffer
+            infer_run = chain((None, None), infer)
+            keep_run = chain((None, None), keep_plans())
+            # train mode needs two values per channel
+            train_run = chain(norms, keep_plans()) if n * h2 * w2 >= 2 else None
+        finally:
+            layers._CHUNK_BYTES = old_chunk
+
+        aa = _relu64(ya)
+        yb = naive_sepconv2d(aa, pb.depthwise, pb.pointwise, pb.bias, s2)
+        ya_terms = conv_terms(np.abs(x64), pa, s1)
+        for a, out, _ in (infer_run, keep_run):
+            assert close(handed.to_compact(a), aa, ya_terms, tol[0])
+            assert close(out, _relu64(yb), conv_terms(ya_terms, pb, s2), tol[0])
+        grads_a, grads_b = keep_run[2]
+        dyb = upstream * (yb > 0)
+        dxb_terms = self.check_block((None, *grads_b), aa, pb, s2, dyb, np.abs(dyb), tol[1])
+        # block 2's dx is in block 1's planes: it is checked through block 1's gradients
+        daa = naive_sepconv2d_backward(aa, pb.depthwise, pb.pointwise, dyb, s2)[0]
+        self.check_block(grads_a, x64, pa, s1, daa * (ya > 0), dxb_terms * (ya > 0), tol[1])
+        if train_run is None:
+            return
+
+        a, out, (grads_a, grads_b) = train_run
+        eps = layers.BN_EPSILON
+        za, mean_a, var_a = batchnorm_train(ya, norms[0].gamma, norms[0].beta, eps)
+        yb = naive_sepconv2d(_relu64(za), pb.depthwise, pb.pointwise, pb.bias, s2)
+        zb, mean_b, var_b = batchnorm_train(yb, norms[1].gamma, norms[1].beta, eps)
+        amp = 1.0 if dtype == np.float64 else float(
+            np.max((mean_a ** 2 + var_a + eps) / (var_a + eps))
+            * np.max((mean_b ** 2 + var_b + eps) / (var_b + eps)))
+        za_terms = norm_terms(ya_terms, norms[0], mean_a, var_a)
+        assert close(handed.to_compact(a), _relu64(za), za_terms, tol[0] * amp)
+        assert close(out, _relu64(zb), norm_terms(conv_terms(za_terms, pb, s2), norms[1], mean_b,
+                                                  var_b), tol[0] * amp)
+        dzb = upstream * (zb > 0)
+        dyb, dyb_terms, *norm_b = self.norm_backward(dzb, np.abs(dzb), yb, norms[1])
+        dxb_terms = self.check_block((None, *grads_b), _relu64(za), pb, s2, dyb, dyb_terms,
+                                     tol[1] * amp, norm_b)
+        daa = naive_sepconv2d_backward(_relu64(za), pb.depthwise, pb.pointwise, dyb, s2)[0]
+        dya, dya_terms, *norm_a = self.norm_backward(daa * (za > 0), dxb_terms * (za > 0), ya,
+                                                     norms[0])
+        self.check_block(grads_a, x64, pa, s1, dya, dya_terms, tol[1] * amp, norm_a)
 
 
 class TestChannelReductions:

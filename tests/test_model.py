@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (central_difference, infer_plan_bytes, max_rel_err, rewrite_sfm_header,
-                     set_sfm_value)
+                     set_sfm_value, train_cache_bytes)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -143,35 +143,46 @@ class TestForward:
     def test_infer_memory_peak(self):
         """Infer mode keeps no cache and allocates its buffers once, in a plan.
         For two 128x128 slices the plan holds the bytes ``infer_plan_bytes``
-        counts from the config (4,225,624 B), plus the cast [W | bias] kernels
-        (66,784 B) and its views and objects; measured 4,333,128 B. A pass in
-        that plan allocates only the head's float64 products (measured 70,696
-        B), less than two slices' input. With per-call buffers instead, a pass
-        of the same batch measured 3,271,944 B: a plan holds every block's
-        phase planes and two outputs at once, which a small micro-batch pays
-        for."""
-        cfg = M.ModelConfig(input_height=128, input_width=128)
-        fixed = M.build_model(cfg, seed=6).folded()
-        x = np.random.default_rng(3).uniform(size=(2, 1, 128, 128)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            plan = M.plan_infer(fixed, len(x), x.dtype)
-            built = tracemalloc.get_traced_memory()[0]
-            M.forward(fixed, x, "infer", plan=plan)
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            M.forward(fixed, x, "infer", plan=plan)
-            reuse = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert built <= infer_plan_bytes(cfg, len(x), layers._CHUNK_BYTES) + (128 << 10)
-        assert reuse < 2 * x[0].nbytes
+        counts from the config (2,986,608 B: no phase planes after block 0's,
+        each block writing its output as the next block's planes), plus the
+        cast [W | bias] kernels and its views and objects; measured 3,103,720
+        B, against 4,348,656 B when every block filled planes of its own. A
+        pass in that plan allocates only the head's and the pool's small
+        arrays: the head's float64 weights are cast once, by
+        ``Model.folded``, where each ``dense`` call cast its weight (65,536 B
+        for the hidden layer). At 64x64 a pass measured 36,016 B, below 64
+        KiB, against 70,608 B with the per-call cast. At 128x128 the pool's
+        float64 mean of 16,384 values takes numpy's 8,192-value cast buffer,
+        64 KiB, so a pass measured 68,730 B there; that stays under two
+        slices' input."""
+        for size, bound in ((128, 2 * 4 * 128 * 128), (64, 64 << 10)):
+            cfg = M.ModelConfig(input_height=size, input_width=size)
+            fixed = M.build_model(cfg, seed=6).folded()
+            x = np.random.default_rng(3).uniform(size=(2, 1, size, size)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                plan = M.plan_infer(fixed, len(x), x.dtype)
+                built = tracemalloc.get_traced_memory()[0]
+                M.forward(fixed, x, "infer", plan=plan)
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                M.forward(fixed, x, "infer", plan=plan)
+                reuse = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert built <= infer_plan_bytes(cfg, len(x), layers._CHUNK_BYTES) + (128 << 10)
+            assert reuse < bound, size
 
     def test_train_step_memory_peak(self):
         """One 64x64 batch-16 train-mode forward plus backward, with the
-        float32 logit gradient ``fit`` passes, peaks within 5% of the measured
-        9,705,717 B. ``backward`` frees each block's cache once that block is
-        done; holding all nine until it returns peaks at 12,204,585 B."""
+        float32 logit gradient ``fit`` passes, peaks within the block caches,
+        as ``train_cache_bytes`` counts them from the config (10,006,656 B),
+        plus 2.5 MiB for what one block's backward holds beside them;
+        measured 11,897,735 B. The caches are laid out as the next block's
+        phase planes, so they hold the padding too, and block 0's keeps the
+        input planes: compact, they were 7,710,720 B and the step peaked at
+        9,744,421 B. ``backward`` frees each block's cache once that block
+        is done; holding all nine until it returns peaks at 14,320,737 B."""
         cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
@@ -188,7 +199,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10_200_000
+        assert peak <= train_cache_bytes(cfg, len(x)) + (5 << 19)
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
@@ -231,10 +242,110 @@ class TestForward:
         fixed = model.folded()
         assert M._forward_blocks(fixed, x, plan=M.plan_infer(fixed, 1, x.dtype))[1] == []
 
+    def test_train_plan_matches_plans_per_call(self):
+        """``fit`` runs every train step in one ``plan_infer(..., keep=True)``,
+        whose padding and ones rows are written once. Three steps in it, the
+        second on a smaller batch, each followed by an in-place SGD update,
+        give the logits, gradients and parameters, bit for bit, of steps that
+        build their plans per call. (The first step's conv gradients are 0:
+        the output layer starts at 0.)"""
+        rng = np.random.default_rng(5)
+        batches = [rng.uniform(size=(n, 1, 16, 16)).astype(np.float32) for n in (4, 3, 4)]
+        runs = []
+        for keep_plan in (False, True):
+            model = M.build_model(small_config(input_height=16, input_width=16), seed=4)
+            plan = M.plan_infer(model, 4, np.float32, keep=True) if keep_plan else None
+            steps = []
+            for x in batches:
+                stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(len(x)))
+                _, caches = M.forward(model, x, "train", stream, plan=plan)
+                grads = M.backward(model, caches,
+                                   T.bce_loss(caches.logits, np.arange(len(x)) % 2)[1])
+                steps.append([caches.logits.tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
+                T.sgd_step(model, grads, 0.5)
+            runs.append((steps, [a.tobytes() for _, a in model.state_arrays()]))
+        assert runs[0] == runs[1]
+
+    def test_plan_must_match_the_mode(self):
+        model = M.build_model(small_config(), seed=5)
+        x = np.zeros((2, 1, 16, 16), dtype=np.float32)
+        with pytest.raises(ConfigError, match="train mode needs plans built with keep"):
+            M.forward(model, x, "train", plan=M.plan_infer(model.folded(), 2, x.dtype))
+        with pytest.raises(ConfigError, match="infer mode needs plans built without keep"):
+            M.forward(model, x, "infer", plan=M.plan_infer(model, 2, x.dtype, keep=True))
+
     def test_shape_mismatch(self):
         model = M.build_model(small_config(), seed=5)
         with pytest.raises(Exception):
             M.forward(model, np.zeros((1, 1, 8, 8), dtype=np.float32), "infer")
+
+
+class TestPlaneHandOff:
+    """Each block writes its output as the next block's phase planes, so only
+    block 0 copies an input onto planes, once per forward: its cache keeps
+    them, so only block 0's backward converts, its ``dx`` back to a compact
+    map."""
+
+    @staticmethod
+    def spy(monkeypatch, model):
+        """Block indices of every input-plane fill of the forward, and of
+        every plane fill and compact scatter of the backward, in call order.
+        A block is known by its depthwise kernel, which a fold shares."""
+        index = {id(blk.conv.depthwise): b for b, blk in enumerate(model.blocks)}
+        seen = {"fill": [], "backward fill": [], "backward scatter": []}
+        now = {}
+        sepconv2d, backward = layers.sepconv2d, layers.sepconv2d_backward
+        pairs = layers.PlaneLayout.pairs
+        to_planes, to_compact = layers.PlaneLayout.to_planes, layers.PlaneLayout.to_compact
+
+        def forward_spy(x, p, *args, **kwargs):
+            now.update(block=index[id(p.depthwise)], x=x, backward=False)
+            return sepconv2d(x, p, *args, **kwargs)
+
+        def backward_spy(dout, cache):
+            now.update(block=index[id(cache.params.depthwise)], x=None, backward=True)
+            try:
+                return backward(dout, cache)
+            finally:
+                now["backward"] = False
+
+        def pairs_spy(self, planes, x):
+            if x is now.get("x"):
+                seen["fill"].append(now["block"])
+            return pairs(self, planes, x)
+
+        def count(kind, fn):
+            def spied(self, a):
+                if now.get("backward"):
+                    seen[kind].append(now["block"])
+                return fn(self, a)
+            return spied
+
+        monkeypatch.setattr(layers, "sepconv2d", forward_spy)
+        monkeypatch.setattr(layers, "sepconv2d_backward", backward_spy)
+        monkeypatch.setattr(layers.PlaneLayout, "pairs", pairs_spy)
+        monkeypatch.setattr(layers.PlaneLayout, "to_planes", count("backward fill", to_planes))
+        monkeypatch.setattr(layers.PlaneLayout, "to_compact",
+                            count("backward scatter", to_compact))
+        return seen
+
+    def test_predict_fills_planes_for_block_0_only(self, monkeypatch):
+        model = M.build_model(small_config(input_height=16, input_width=16), seed=4)
+        x = np.random.default_rng(2).uniform(size=(10, 1, 16, 16)).astype(np.float32)
+        seen = self.spy(monkeypatch, model)
+        with pytest.MonkeyPatch.context() as budget:
+            budget.setattr(T, "_INFER_BUDGET_BYTES", 3 * 4 * 8 * 16 * 16)  # 3 slices
+            T.predict(model, T.SliceSet(x, np.zeros(10, np.int64), [f"s{i}" for i in range(10)],
+                                        [f"s{i}#0" for i in range(10)]))
+        assert seen == {"fill": [0] * 4, "backward fill": [], "backward scatter": []}
+
+    def test_train_step_converts_at_block_0_only(self, monkeypatch):
+        model = M.build_model(small_config(input_height=16, input_width=16), seed=4)
+        x = np.random.default_rng(2).uniform(size=(4, 1, 16, 16)).astype(np.float32)
+        seen = self.spy(monkeypatch, model)
+        _, caches = M.forward(model, x, "train", SplitMixStream(0, TAG_DROPOUT, 0, np.arange(4)))
+        M.backward(model, caches, T.bce_loss(caches.logits, np.arange(4) % 2)[1])
+        assert seen == {"fill": [0], "backward fill": [], "backward scatter": [0]}
 
 
 class TestPredictLabels:

@@ -293,18 +293,26 @@ class TestFit:
         """2 epochs over 32 slices of 64x64 in batches of 16 peak within one
         isolated train step plus the two sets' bytes plus 1 MiB: room for what
         fit holds beside a step (the gathered batch and its augmented copy,
-        the gradients, the best-model snapshot, the logits). The sets
-        themselves are not counted. ``backward`` consumes a batch's block
-        caches, so none is alive during the next batch's forward. Measured:
-        step 9,714,165 B, fit 10,289,790 B; with the previous batch's caches
-        alive through the next forward, fit peaks at 17,794,762 B."""
+        the gradients, the best-model snapshot, the logits, the validation
+        pass). The sets themselves are not counted. The step runs as ``fit``
+        runs each batch, in a train plan (``plan_infer(..., keep=True)``),
+        here built inside the step: the plan's buffers are the block caches,
+        so every batch reuses them, and the plan is alive for the whole fit.
+        Measured: step 14,903,849 B, fit 15,811,967 B. Before ``fit`` had a
+        plan, each block's cache was freed by its backward: step 11,904,735
+        B, fit 12,459,464 B, and 22,265,043 B with the previous batch's
+        caches kept alive through the next forward, which fails here too.
+        (With the caches compact, before blocks handed each other phase
+        planes: step 9,714,165 B, fit 10,289,790 B.)"""
         model = M.build_model(M.ModelConfig(input_height=64, input_width=64), seed=6)
         train = make_slice_set(32, h=64, w=64, seed=25)
         val = make_slice_set(32, h=64, w=64, seed=26, prefix="v")
         x, y = train.x[:16], train.labels[:16]
 
         def step():
-            _, caches = M.forward(model, x, "train", SplitMixStream(0, TAG_DROPOUT, 0, np.arange(16)))
+            plan = M.plan_infer(model, len(x), x.dtype, keep=True)
+            _, caches = M.forward(model, x, "train", SplitMixStream(0, TAG_DROPOUT, 0, np.arange(16)),
+                                  plan=plan)
             M.backward(model, caches, T.bce_loss(caches.logits, y)[1].astype(x.dtype))
 
         step()
@@ -441,9 +449,10 @@ class TestPredict:
         slices peak at most at a four-slice plan, as ``infer_plan_bytes``
         counts it from the config, plus 640 KiB: the folded kernels and their
         cast copies in the plan, the head's float64 products and the plan's
-        views and objects. Measured 5,933,792 B for a 5,628,504 B plan; with
-        per-call buffers and 8-slice micro-batches, 7,212,752 B. The set's own
-        ``x`` is not counted."""
+        views and objects. Measured 4,925,976 B for a 4,504,096 B plan; with
+        phase planes of every block's own, 5,933,792 B for a 5,628,504 B plan;
+        with per-call buffers and 8-slice micro-batches, 7,212,752 B. The
+        set's own ``x`` is not counted."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         ds = make_slice_set(64, h=128, w=128, seed=3)
@@ -487,7 +496,9 @@ class TestStreamedEvaluate:
     def test_memory_peak_is_one_micro_batch(self, manifest_128):
         """Loading and evaluating 16 or 64 slices peak alike: one micro-batch's
         plan, as ``TestPredict`` bounds it, plus its input and a few slices'
-        read buffers; the set's size adds nothing."""
+        read buffers; the set's size adds nothing. Measured 5,584,040 and
+        5,597,424 B; with phase planes of every block's own, 6,583,456 and
+        6,599,168 B."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         keys = manifest_128.slice_keys()

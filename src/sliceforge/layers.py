@@ -44,15 +44,17 @@ Every buffer and chunk view comes from a ``SepConvPlan``, so a chunk issues
 only copies and products. What a reduction needs per sample (the Gram matrix
 of [mid; 1] for a batchnorm, the depthwise row dots) is written per chunk into
 an [N, ...] buffer and summed in float64 once per call, so chunking changes no
-bit of any result. ``model.plan_infer`` builds the infer plans once for a
-whole ``predict``: the blocks share one tap stack and accumulator, alternate
-between two output buffers, and keep a chunk's ``mid`` in the tap stack's
-storage, dead once the depthwise products are formed. A plan that keeps a
-cache (train mode, ``maximize_activation``) has a whole-batch ``mid`` and
-output of its own, which the cache keeps, as it keeps the input's planes: a
-compact input is copied onto them once, by the forward, and only its ``dx``
-is copied back. Its padding and ones row are written once, so a keep plan
-reused for many batches (``training.fit``'s) rewrites only their pixels.
+bit of any result. Every model pass runs in the plans ``model.plan_blocks``
+builds, one per block, once for all the batches of a ``predict``, a ``fit``
+or a ``maximize_activation``: the blocks share one tap stack and
+accumulator. An infer plan alternates between two output buffers and keeps a
+chunk's ``mid`` in the tap stack's storage, dead once the depthwise products
+are formed. A plan that keeps a cache (train mode, ``maximize_activation``)
+has a whole-batch ``mid`` and output of its own, which the cache keeps, as it
+keeps the input's planes: a compact input is copied onto them once, by the
+forward, and only its ``dx`` is copied back. Its padding and ones row are
+written once, so a keep plan reused for many batches rewrites only their
+pixels.
 
 A block's batchnorm is folded into the pointwise stage of the sepconv before
 it (``fold_batchnorm``), so no block makes its pre-norm output: by
@@ -220,24 +222,6 @@ def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
         dtype, copy=False)
 
 
-def sepconv_sizes(shape: tuple, dtype, p: SepConvParams, keep: bool = False,
-                  layout: PlaneLayout | None = None):
-    """Elements of the flat buffers of a ``SepConvPlan`` of ``p`` over [n,
-    C_in, h, w] inputs of ``dtype``, output in ``layout`` (compact if None):
-    (tap stack, which holds a chunk's ``mid`` unless ``keep``; accumulator;
-    output)."""
-    n, c_in, h, w = shape
-    kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
-    s, taps = p.stride, kh * kw
-    ho, wo = -(-h // s), -(-w // s)
-    size = ho * wo if layout is None else layout.size
-    run = ho * (wo + (kw - 1) // s)
-    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c_in * taps * run)
-    stack = rows * c_in * taps * run
-    return (stack if keep else max(stack, rows * (c_in + 1) * size), rows * c_in * run,
-            n * p.pointwise.shape[0] * size)
-
-
 class SepConvPlan:
     """Every buffer and chunk view ``sepconv2d`` uses for ``p`` over up to n
     inputs of ``dtype``, ``shape`` = [n, C_in, h, w].
@@ -246,61 +230,71 @@ class SepConvPlan:
     output are in ``layout`` (compact if None). Without ``keep``, ``mid``
     lives in the tap stack's storage, so each chunk writes all of it. With
     ``keep`` it is the whole batch's, zeroed with its ones row set once, and
-    each chunk writes its pixels only. ``buffers`` are flat (tap stack,
-    accumulator, output) arrays at least ``sepconv_sizes`` long, which plans
-    run one after another may share; the plan allocates any that is None.
-    ``weights``, the [W | bias] of calls without a ``norm``, is cast once,
-    when the plan is built."""
+    each chunk writes its pixels only; ``sepconv2d`` then returns a cache.
+    Building a plan works out its geometry and ``sizes``, the elements of
+    its flat (tap stack, accumulator, output) buffers; ``bind`` attaches
+    them. ``weights``, the [W | bias] of calls without a ``norm``, is cast
+    once, when the plan is built."""
 
     def __init__(self, shape: tuple, dtype, p: SepConvParams, keep: bool = False,
-                 buffers: tuple | None = None, layout: PlaneLayout | None = None,
-                 planes_in: bool = False):
+                 layout: PlaneLayout | None = None, planes_in: bool = False):
         n, c_in, h, w = shape
         kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
-        s, taps = p.stride, kh * kw
-        ho, wo = -(-h // s), -(-w // s)
+        s = p.stride
         self.ins = ins = PlaneLayout(h, w, kh, kw, s)
-        self.layout = layout = layout or PlaneLayout(ho, wo)
+        self.layout = layout = layout or PlaneLayout(-(-h // s), -(-w // s))
         self.shape = (n, c_in, *(ins.shape if planes_in else (h, w)))
-        self.dtype, self.params, self.keep = np.dtype(dtype), p, keep
+        self.dtype, self.params, self.keep, self.planes_in = np.dtype(dtype), p, keep, planes_in
         self.weights = _gemm_weights(p, dtype)
-        sizes = sepconv_sizes(shape, dtype, p, keep, layout)
-        store, acc, out = (np.empty(size, dtype) if buf is None else buf
-                           for buf, size in zip(buffers or (None,) * 3, sizes))
-        wq, run = ins.wq, ho * ins.wq
-        self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * taps * run)
+        # tap (i, j) over every output row: its phase and its run's offset in the phase
+        run = layout.h * ins.wq
+        self.taps = [((i % s) * s + j % s, (i // s) * ins.wq + j // s, run)
+                     for i in range(kh) for j in range(kw)]
+        self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * len(self.taps) * run)
+        stack = rows * c_in * len(self.taps) * run
+        # without keep, a chunk's mid lives in the tap stack's storage
+        self.sizes = (stack if keep else max(stack, rows * (c_in + 1) * layout.size),
+                      rows * c_in * run, n * p.pointwise.shape[0] * layout.size)
+
+    def bind(self, store=None, acc=None, out=None) -> SepConvPlan:
+        """Attach the flat (tap stack, accumulator, output) buffers, each at
+        least ``sizes`` long, which plans run one after another may share;
+        allocate any that is None, and ``mid`` and the input planes if the
+        plan has its own. Returns the plan."""
+        store, acc, out = (np.empty(size, self.dtype) if buf is None else buf
+                           for buf, size in zip((store, acc, out), self.sizes))
+        (n, c_in), rows, layout, ins = self.shape[:2], self.rows, self.layout, self.ins
+        taps, run, dtype, keep = len(self.taps), layout.h * ins.wq, self.dtype, self.keep
         stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
         acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
         # mid's last row carries the bias through the GEMM: 1 at each pixel, else 0
-        self.mask = layout.to_planes(np.ones((ho, wo), dtype))
+        self.mask = layout.to_planes(np.ones((layout.h, layout.w), dtype))
         if keep:
             self.mid = mid = np.zeros((n, c_in + 1, *layout.shape), dtype=dtype)
             mid[:, c_in] = self.mask
         else:
             self.mid = mid = store[:rows * (c_in + 1) * layout.size].reshape(
                 rows, c_in + 1, *layout.shape)
-        self.out = out = out[:n * p.pointwise.shape[0] * layout.size].reshape(
+        self.out = out = out[:n * self.params.pointwise.shape[0] * layout.size].reshape(
             n, -1, *layout.shape)
-        self.planes = None if planes_in else np.zeros((n, c_in, *ins.shape), dtype=dtype)
-        # tap (i, j) over every output row: its phase and its run's offset in the phase
-        self.taps = [((i % s) * s + j % s, (i // s) * wq + j // s, run)
-                     for i in range(kh) for j in range(kw)]
+        self.planes = None if self.planes_in else np.zeros((n, c_in, *ins.shape), dtype=dtype)
 
         @functools.cache
         def views(start, stop):  # the chunk's rows, tap slots, operands, mid's, output's
             k = min(rows, stop - start)
             b = slice(start, start + k)
             m = mid[b] if keep else mid[:k]
-            valid = acc[:k].reshape(k, c_in, ho, wq)[..., :wo]
+            valid = acc[:k].reshape(k, c_in, layout.h, ins.wq)[..., :layout.w]
             return (b, [stack[:k, :, q] for q in range(taps)], stack[:k], acc[:k], m,
                     m.reshape(k, c_in + 1, -1), layout.pairs(m[:, :c_in], valid),
                     out[b].reshape(k, out.shape[1], -1))
 
         self.views = views
+        return self
 
 
 def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
-              keep_cache: bool = True, plan: SepConvPlan | None = None):
+              plan: SepConvPlan | None = None):
     """Depthwise spatial convolution then 1x1 pointwise projection plus bias,
     then the batchnorm ``norm`` on the batch's statistics if given, folded in.
 
@@ -310,27 +304,25 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     cache-sized batch chunk as the module docstring says. With a ``norm`` the
     pointwise stage runs once ``batchnorm`` has folded in the statistics of
     the chunks' Gram matrices and updated ``norm``'s running statistics.
-    Running statistics are folded into ``p`` by the caller. Without
-    ``keep_cache`` the returned cache is None.
+    Running statistics are folded into ``p`` by the caller.
 
-    Buffers and layouts come from ``plan``, a ``SepConvPlan`` of ``p`` for
-    inputs like ``x``, or from one built for this call, compact in and out.
-    ``x`` is [n, C_in, h, w], or [n, C_in, *plan.ins.shape] if the plan says
-    so; the output, [n, C_out, *plan.layout.shape] and 0 off its pixels, is a
-    view of the plan's buffer, valid until the plan's next use, and so is
-    the cache, which keeps views of the plan's ``mid`` and planes. A plan
-    without ``keep`` serves calls without a cache or a ``norm`` only.
+    Buffers and layouts come from ``plan``, a bound ``SepConvPlan`` of ``p``
+    for inputs like ``x``, or from a keep plan built for this call, compact
+    in and out. ``x`` is [n, C_in, h, w], or [n, C_in, *plan.ins.shape] if
+    the plan says so; the output, [n, C_out, *plan.layout.shape] and 0 off
+    its pixels, is a view of the plan's buffer, valid until the plan's next
+    use. The cache is None unless the plan keeps, and then it too keeps
+    views of the plan's ``mid`` and planes. A ``norm`` needs a keep plan.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
     n, c_in = x.shape[:2]
     if c_in != p.depthwise.shape[0]:
         raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
-    keep = keep_cache or norm is not None
     if plan is None:
-        plan = SepConvPlan(x.shape, x.dtype, p, keep)
-    elif (keep and not plan.keep) or plan.params is not p or plan.dtype != x.dtype or not (
-            n <= plan.shape[0] and x.shape[1:] == plan.shape[1:]):
+        plan = SepConvPlan(x.shape, x.dtype, p, keep=True).bind()
+    elif (norm is not None and not plan.keep) or plan.params is not p or (
+            plan.dtype != x.dtype or n > plan.shape[0] or x.shape[1:] != plan.shape[1:]):
         raise ShapeError(f"a plan for up to {plan.shape} {plan.dtype} inputs (keep={plan.keep}) "
                          f"does not fit these params and a {x.shape} {x.dtype} input")
     weights, planes = plan.weights, x if plan.planes is None else plan.planes[:n]
@@ -364,7 +356,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
         np.matmul(weights, mid.reshape(n, c_in + 1, -1), out=out.reshape(n, len(weights), -1))
 
     cache = SepConvCache(planes, mid, p, weights, bn_cache, plan.ins, plan.planes is not None,
-                         plan.layout) if keep_cache else None
+                         plan.layout) if plan.keep else None
     return out, cache
 
 

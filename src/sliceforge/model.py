@@ -10,9 +10,10 @@ next block's stride-phase planes (``layers.PlaneLayout``), in train and infer
 mode alike; only the input and the last block's output are compact. Only
 ``forward`` reads the mode: train mode folds in the batch's statistics; infer
 mode runs ``Model.folded``, whose convs hold the running statistics, and
-dropout at rate 0. Either mode can run in the buffers of a plan
-(``plan_infer``, with ``keep`` for train mode) that a caller builds once for
-many batches.
+dropout at rate 0. Every pass, in either mode and in the feature
+introspection, runs in the sepconv buffers of a ``plan_blocks`` plan (with
+``keep`` where the pass keeps caches), which a caller may build once for many
+batches.
 
 The slot table (``BLOCK_SLOTS``, then ``HEAD_SLOTS``) lists every array of
 the model and so defines the SFM1 record order: for each block b = 0..8
@@ -256,69 +257,51 @@ class ForwardCaches:
     logits: np.ndarray
 
 
-def _block_layouts(model: Model, n: int) -> list:
-    """(input shape [n, C_in, h, w], output layout) of each block: block b's
-    output is laid out as block b + 1's input phase planes, the last block's
-    compact (None), for pooling."""
+def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
+    """The bound ``layers.SepConvPlan`` of each block of ``model`` for batches
+    of up to ``n`` inputs of ``dtype``, built once for every batch they run,
+    and the only source of a pass's sepconv buffers. Block b > 0 takes its
+    input in its own phase planes, which block b - 1 writes as its output, so
+    only block 0 copies its (compact) input onto planes of its own; the last
+    block's output is compact, for pooling. All share one tap stack and one
+    accumulator.
+
+    Without ``keep``, the infer plans of a folded ``model``: block b writes
+    output buffer b % 2, so a block never writes the buffer it reads. With
+    ``keep``, plans whose passes keep their caches (train mode, or
+    ``maximize_activation``): each block has a whole-batch ``mid`` and output
+    of its own, which its cache keeps until the plans' next use, and whose
+    padding and ones row are written once."""
     cfg = model.config
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
-    shapes = [(n, c, *hw) for c, hw in zip((cfg.input_channels, *cfg.channel_plan), dims)]
     layouts = [layers.PlaneLayout(*hw, *blk.conv.depthwise.shape[2:], blk.conv.stride)
                for hw, blk in zip(dims[1:], model.blocks[1:])]
-    return list(zip(shapes, [*layouts, None]))
-
-
-def plan_infer(model: Model, n: int, dtype, keep: bool = False) -> list:
-    """The ``layers.SepConvPlan`` of each block of the folded ``model`` for
-    infer-mode batches of up to ``n`` inputs of ``dtype``, built once for
-    every batch they run. Block b > 0 takes its input in its own phase
-    planes, which block b - 1 writes as its output, so only block 0 copies
-    its (compact) input onto planes of its own; the last block's output is
-    compact. All share one tap stack and one accumulator; block b writes
-    output buffer b % 2, so a block never writes the buffer it reads.
-
-    With ``keep``, the plans of ``model`` itself for train-mode batches, as
-    ``fit`` builds them once for all its steps: each block keeps a
-    whole-batch ``mid`` and output of its own, which its cache keeps until
-    the plans' next use, and whose padding and ones row are written once."""
-    geometry = _block_layouts(model, n)
-    sizes = [layers.sepconv_sizes(shape, dtype, blk.conv, keep, layout)
-             for (shape, layout), blk in zip(geometry, model.blocks)]
-    store, acc = (np.empty(max(size[i] for size in sizes), dtype=dtype) for i in (0, 1))
-    outs = [None if keep else np.empty(max(size[2] for size in sizes[parity::2]), dtype=dtype)
+    plans = [layers.SepConvPlan((n, blk.conv.depthwise.shape[0], *hw), dtype, blk.conv, keep,
+                                layout, planes_in=b > 0)
+             for b, (hw, blk, layout) in enumerate(zip(dims, model.blocks, [*layouts, None]))]
+    store, acc = (np.empty(max(plan.sizes[i] for plan in plans), dtype) for i in (0, 1))
+    outs = [None if keep else np.empty(max(plan.sizes[2] for plan in plans[parity::2]), dtype)
             for parity in (0, 1)]
-    return [layers.SepConvPlan(shape, dtype, blk.conv, keep, (store, acc, outs[b % 2]),
-                               layout=layout, planes_in=b > 0)
-            for b, ((shape, layout), blk) in enumerate(zip(geometry, model.blocks))]
+    return [plan.bind(store, acc, outs[b % 2]) for b, plan in enumerate(plans)]
 
 
-def _forward_blocks(model: Model, x: np.ndarray, upto: int | None = None,
-                    plan: list | None = None):
-    """Run the conv stack through block ``upto`` (inclusive; None = all) on
-    the compact batch ``x``. The output is laid out as block ``upto`` + 1's
-    input planes, compact after the last block: each block's plan says how.
+def _forward_blocks(model: Model, x: np.ndarray, plan: list):
+    """Run the conv stack on the compact batch ``x``, block b in ``plan[b]``
+    (``plan_blocks`` of ``model``), through the last block ``plan`` holds a
+    plan for. The output is laid out as the next block's input planes,
+    compact after the last block: each block's plan says how.
 
     A block is one ``layers.sepconv2d`` given the block's ``norm`` (folded in
     on the batch's statistics; None in ``Model.folded``, whose convs hold the
-    running statistics), then ReLU in place on the fresh output.
-
-    Each block writes into the buffers of its plan in ``plan``
-    (``plan_infer`` of ``model``), and keeps its cache exactly when the plan
-    does: with ``plan_infer(..., keep=True)`` the caches keep views of the
-    plans' buffers, and without ``keep`` the returned cache list is empty.
-    Without a ``plan``, every block keeps its cache, and runs in a keep plan
-    of its own, built as the block starts.
+    running statistics), then ReLU in place on the fresh output. Each block
+    keeps its cache exactly when its plan keeps: with ``plan_blocks(...,
+    keep=True)`` the caches keep views of the plans' buffers, and without
+    ``keep`` the returned cache list is empty.
     """
-    last = len(model.blocks) - 1 if upto is None else upto
-    if plan is None:  # each built as zip reaches its block, so one tap stack is alive at a time
-        plan = (layers.SepConvPlan(shape, x.dtype, blk.conv, True, layout=layout, planes_in=b > 0)
-                for b, ((shape, layout), blk) in enumerate(zip(_block_layouts(model, len(x)),
-                                                                model.blocks)))
     caches = []
     out = x
-    for blk, blk_plan in zip(model.blocks[: last + 1], plan):
-        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, keep_cache=blk_plan.keep,
-                                           plan=blk_plan)
+    for blk, blk_plan in zip(model.blocks, plan):
+        out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, plan=blk_plan)
         out, relu_cache = layers.relu(out, out=out)
         if blk_plan.keep:
             caches.append((conv_cache, relu_cache))
@@ -345,6 +328,16 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     return g
 
 
+def _check_input(cfg: ModelConfig, batch: np.ndarray) -> None:
+    """Raise ShapeError unless ``batch`` is [N, C, H, W] with ``cfg``'s input C, H and W."""
+    if batch.ndim != 4 or batch.shape[1:] != (cfg.input_channels, cfg.input_height,
+                                              cfg.input_width):
+        raise ShapeError(
+            f"batch shape {batch.shape} does not match configured input "
+            f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
+        )
+
+
 def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=None,
             plan: list | None = None):
     """Per-sample probabilities in (0,1) plus the caches for the gradient pass.
@@ -353,12 +346,11 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     block's batchnorm on the batch's statistics, updating its running
     statistics, and dropout at the configured rate, which needs
     ``dropout_rng`` (one batch stream with a row per sample) when positive;
-    given a ``plan`` (``plan_infer(model, ..., keep=True)``), its blocks run
-    in it, and their caches are valid until its next use. Infer mode runs
-    ``model.folded()`` in ``plan`` (``plan_infer`` of that folded model, for
-    batches like ``batch``; one is built for the call if None) with no
-    per-block caches, so ``backward`` needs a train-mode pass, and dropout
-    at rate 0.
+    its blocks run in ``plan`` (``plan_blocks(model, ..., keep=True)``), and
+    their caches are valid until its next use. Infer mode runs
+    ``model.folded()`` in ``plan`` (``plan_blocks`` of that folded model)
+    with no per-block caches, so ``backward`` needs a train-mode pass, and
+    dropout at rate 0. Either mode builds a ``plan`` for this call if None.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -366,18 +358,11 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     if plan is not None and any(blk_plan.keep != train for blk_plan in plan):
         raise ConfigError(f"{mode} mode needs plans built {'with' if train else 'without'} keep")
     cfg = model.config
-    if batch.ndim != 4 or batch.shape[1] != cfg.input_channels or batch.shape[2:] != (
-        cfg.input_height,
-        cfg.input_width,
-    ):
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match configured input "
-            f"[N,{cfg.input_channels},{cfg.input_height},{cfg.input_width}]"
-        )
+    _check_input(cfg, batch)
     net = model if train else model.folded()
-    if plan is None and not train:
-        plan = plan_infer(net, len(batch), batch.dtype)
-    out, block_caches = _forward_blocks(net, batch, plan=plan)
+    if plan is None:
+        plan = plan_blocks(net, len(batch), batch.dtype, keep=train)
+    out, block_caches = _forward_blocks(net, batch, plan)
     out, pool_cache = layers.global_avg_pool(out)
     out, hidden_cache = layers.dense(out, net.hidden)
     out, hidden_relu_cache = layers.relu(out)
@@ -473,10 +458,11 @@ def extract_activation(model: Model, image: np.ndarray, block_index: int, channe
     _check_block_channel(model, block_index, channel)
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
+    _check_input(model.config, image)
     fixed = model.folded()
-    plan = plan_infer(fixed, 1, image.dtype)
-    out, _ = _forward_blocks(fixed, image, upto=block_index, plan=plan)
-    return plan[block_index].layout.to_compact(out[0, channel])
+    plan = plan_blocks(fixed, 1, image.dtype)[:block_index + 1]
+    out, _ = _forward_blocks(fixed, image, plan)
+    return plan[-1].layout.to_compact(out[0, channel])
 
 
 def _check_block_channel(model: Model, block_index: int, channel: int) -> None:
@@ -514,10 +500,11 @@ def maximize_activation(
     )
 
     fixed = model.folded()
+    plan = plan_blocks(fixed, 1, x.dtype, keep=True)[:block_index + 1]  # for every step
+    layout = plan[-1].layout  # the output's, and so dout's
 
     def objective_and_grad(img):
-        out, caches = _forward_blocks(fixed, img, upto=block_index)
-        layout = caches[-1][0].layout  # the output's, and so dout's
+        out, caches = _forward_blocks(fixed, img, plan)
         value = float(layout.to_compact(out[0, channel]).mean(dtype=np.float64))
         dout = np.zeros((*out.shape[:2], layout.h, layout.w), dtype=out.dtype)
         dout[0, channel] = 1.0 / (layout.h * layout.w)

@@ -14,7 +14,7 @@ model in infer mode and returns its logits. A fixed byte budget, not the
 caller, sizes its micro-batches: each holds as many slices as keep the largest
 block output within the budget, small enough that the next block reads it
 from cache. ``predict`` folds the batchnorms and builds one plan
-(``model.plan_infer``) for that micro-batch size: block 0's input phase
+(``model.plan_blocks``) for that micro-batch size: block 0's input phase
 planes, the only ones, since each block writes its output as the next block's
 planes; one shared tap stack and accumulator; and two alternating output
 buffers. Each micro-batch runs in the plan, so none allocates a block buffer,
@@ -33,7 +33,7 @@ batch-size-weighted means over the train-mode forwards the steps already
 make: with augmentation and dropout, each batch taken before its SGD update.
 Only the validation columns come from an infer-mode pass.
 
-``fit`` runs every train step in one train plan (``model.plan_infer(...,
+``fit`` runs every train step in one train plan (``model.plan_blocks(...,
 keep=True)``), built once per call: its buffers are the block caches, so a
 step neither allocates them nor rewrites their padding, and ``backward``
 consumes one step's caches before the next step reuses the buffers.
@@ -188,7 +188,7 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     and every kernel computes a slice's output from that slice alone, so a
     logit does not depend on the micro-batch. The batchnorms are folded into
     their convs and the head is cast to float64 (``Model.folded``), and the
-    buffers planned for the first, largest micro-batch (``model.plan_infer``),
+    buffers planned for the first, largest micro-batch (``model.plan_blocks``),
     once per call: every micro-batch runs in the same plan, each block's
     output written as the next block's phase planes.
     """
@@ -201,7 +201,7 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     for b in range(0, len(dataset), step):
         x = dataset.x[b:b + step]
         if plan is None:  # the first micro-batch is the largest
-            plan = model_mod.plan_infer(fixed, len(x), x.dtype)
+            plan = model_mod.plan_blocks(fixed, len(x), x.dtype)
         try:
             _, caches = forward(fixed, x, "infer", plan=plan)
         except NumericError as exc:
@@ -269,7 +269,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     best_acc = -1.0  # every val_acc is >= 0, so epoch 1 sets each best_* value
     n = len(train_set)
     # every step runs in these buffers; backward consumes a step's caches first
-    plan = model_mod.plan_infer(model, config.batch_size, train_set.x.dtype, keep=True)
+    plan = model_mod.plan_blocks(model, config.batch_size, train_set.x.dtype, keep=True)
 
     for epoch in range(config.epochs):
         lr = lr_for_epoch(config, epoch)

@@ -554,10 +554,10 @@ def test_mistyped_or_unknown_key_exits_2(tmp_path, own_manifest_path, capsys, do
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
-def _inspect_activation(tmp_path, manifest_path, *extra):
+def _inspect_activation(tmp_path, manifest_path, *extra, slice_path=None):
     model = build_model(ModelConfig(input_height=16, input_width=16), seed=0)
     save_model(tmp_path / "m.sfm", model)
-    slice_path = manifest_path.parent / "slices" / "ad-000" / "s000.tsr"
+    slice_path = slice_path or manifest_path.parent / "slices" / "ad-000" / "s000.tsr"
     argv = ["inspect", "--model", str(tmp_path / "m.sfm"), "--mode", "activation", "--input",
             str(slice_path), "--block", "0", "--channel", "1", "--out", str(tmp_path / "out"), *extra]
     return model, read_array(slice_path), cli.main(argv)
@@ -578,6 +578,18 @@ def test_inspect_activation_normalizes_its_slice(tmp_path, manifest_path):
     want = extract_activation(model, (raw / ceiling)[None, None], 0, 1)
     assert got.any() and np.array_equal(got, want)
     assert not np.allclose(got, extract_activation(model, raw[None, None], 0, 1))
+
+
+def test_inspect_activation_rejects_a_slice_of_another_size(tmp_path, manifest_path, capsys):
+    """An 8x8 slice to a 16x16 model: the message names the configured input,
+    not the plan the pass would run in."""
+    write_array(tmp_path / "small.tsr", np.ones((8, 8), dtype=np.float32))
+    _, _, rc = _inspect_activation(tmp_path, manifest_path, "--manifest", str(manifest_path),
+                                   slice_path=tmp_path / "small.tsr")
+    assert rc == cli.EXIT_IO
+    err = _assert_one_line_error(capsys)
+    assert "(1, 1, 8, 8) does not match configured input [N,1,16,16]" in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("step_size", ["nan", "inf", "0", "-1"])

@@ -185,11 +185,14 @@ class TestSepConv:
 
         upstream = rng.normal(size=(n, 4, -(-7 // stride), -(-6 // stride)))
 
+        def uncached(params):  # in a plan without keep, so without a cache
+            return layers.sepconv2d(x, params,
+                                    plan=layers.SepConvPlan(x.shape, x.dtype, params).bind())
+
         def run(forward_bytes, backward_bytes):
             monkeypatch.setattr(layers, "_CHUNK_BYTES", forward_bytes)
-            calls = [layers.sepconv2d(x, p),
-                     layers.sepconv2d(x, layers.fold_batchnorm(p, norm()), keep_cache=False),
-                     layers.sepconv2d(x, p, keep_cache=False), layers.sepconv2d(x, p, norm())]
+            calls = [layers.sepconv2d(x, p), uncached(layers.fold_batchnorm(p, norm())),
+                     uncached(p), layers.sepconv2d(x, p, norm())]
             monkeypatch.setattr(layers, "_CHUNK_BYTES", backward_bytes)
             return ([out for out, _ in calls], layers.sepconv2d_backward(upstream, calls[0][1]),
                     layers.sepconv2d_backward(upstream, calls[3][1]))
@@ -259,9 +262,30 @@ class TestSepConv:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)
         p = random_sepconv(rng, 2, 3, stride=2)
-        out, cache = layers.sepconv2d(x, p, keep_cache=False)
+        out, cache = layers.sepconv2d(x, p, plan=layers.SepConvPlan(x.shape, x.dtype, p).bind())
         assert cache is None
         assert out.tobytes() == layers.sepconv2d(x, p)[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["params", "dtype", "batch", "trailing shape", "norm"])
+    def test_plan_that_does_not_fit(self, case):
+        """A plan serves its own params, dtype, input shape and up to its batch,
+        and a ``norm`` only if it keeps; anything else is a ShapeError."""
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 2, 6, 6))
+        p = random_sepconv(rng, 2, 3, stride=2)
+        plan = layers.SepConvPlan(x.shape, x.dtype, p).bind()
+        for fits in (x, x[:2]):
+            assert layers.sepconv2d(fits, p, plan=plan)[1] is None
+        norm = layers.BatchNormParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        args = {
+            "params": (x, layers.SepConvParams(p.depthwise, p.pointwise, p.bias, p.stride)),
+            "dtype": (x.astype(np.float32), p),
+            "batch": (rng.normal(size=(4, 2, 6, 6)), p),
+            "trailing shape": (rng.normal(size=(3, 2, 6, 7)), p),
+            "norm": (x, p, norm),
+        }[case]
+        with pytest.raises(ShapeError, match="does not fit"):
+            layers.sepconv2d(*args, plan=plan)
 
 
 def _relu64(a):
@@ -276,7 +300,7 @@ class TestPlaneHandOff:
     """Two blocks as the model chains them: the first writes its output in
     the second's phase planes (``SepConvPlan(layout=...)``), which the second
     reads as its input (``planes_in``), with ReLU between and after. In infer
-    mode (shared tap stack and accumulator, as ``model.plan_infer`` shares
+    mode (shared tap stack and accumulator, as ``model.plan_blocks`` shares
     them), in a pass that keeps its caches (``maximize_activation``'s) and in
     train mode, the outputs and every gradient match the compact naive
     oracles, and every position of a handed plane that holds no pixel (its
@@ -367,12 +391,10 @@ class TestPlaneHandOff:
                     / np.sqrt(_c(var) + norm.epsilon) + np.abs(_c(norm.beta)))
 
         def chain(norms, plans):
-            a, cache_a = layers.sepconv2d(x, pa, norms[0], keep_cache=plans[0].keep,
-                                          plan=plans[0])
+            a, cache_a = layers.sepconv2d(x, pa, norms[0], plan=plans[0])
             a, relu_a = layers.relu(a, out=a)
             assert a.shape == (n, c1, *handed.shape) and not a[..., off].any()
-            out, cache_b = layers.sepconv2d(a, pb, norms[1], keep_cache=plans[1].keep,
-                                            plan=plans[1])
+            out, cache_b = layers.sepconv2d(a, pb, norms[1], plan=plans[1])
             out, relu_b = layers.relu(out, out=out)
             if not plans[0].keep:
                 return a, out, None
@@ -385,8 +407,8 @@ class TestPlaneHandOff:
             return a, out, (grads_a, grads_b[1:])
 
         def keep_plans():
-            return (layers.SepConvPlan(shapes[0], dtype, pa, True, layout=handed),
-                    layers.SepConvPlan(shapes[1], dtype, pb, True, planes_in=True))
+            return (layers.SepConvPlan(shapes[0], dtype, pa, True, layout=handed).bind(),
+                    layers.SepConvPlan(shapes[1], dtype, pb, True, planes_in=True).bind())
 
         upstream = rng.normal(size=(n, c2, h2, w2)).astype(dtype)
         shapes = ((n, c0, h, w), (n, c1, h1, w1))
@@ -398,14 +420,13 @@ class TestPlaneHandOff:
             layers._CHUNK_BYTES = 1
         try:
             # infer: the plans share a NaN-filled tap stack and accumulator
-            sizes = [layers.sepconv_sizes(shapes[0], dtype, pa, layout=handed),
-                     layers.sepconv_sizes(shapes[1], dtype, pb)]
+            infer = (layers.SepConvPlan(shapes[0], dtype, pa, layout=handed),
+                     layers.SepConvPlan(shapes[1], dtype, pb, planes_in=True))
+            sizes = [plan.sizes for plan in infer]
             store, acc, out_a, out_b = (np.full(size, np.nan, dtype=dtype) for size in (
                 max(s[0] for s in sizes), max(s[1] for s in sizes), sizes[0][2], sizes[1][2]))
-            infer = (layers.SepConvPlan(shapes[0], dtype, pa, buffers=(store, acc, out_a),
-                                        layout=handed),
-                     layers.SepConvPlan(shapes[1], dtype, pb, buffers=(store, acc, out_b),
-                                        planes_in=True))
+            infer[0].bind(store, acc, out_a)
+            infer[1].bind(store, acc, out_b)
             chain((None, None), infer)  # the second pass reuses every buffer
             infer_run = chain((None, None), infer)
             keep_run = chain((None, None), keep_plans())

@@ -161,7 +161,7 @@ class TestForward:
             x = np.random.default_rng(3).uniform(size=(2, 1, size, size)).astype(np.float32)
             tracemalloc.start()
             try:
-                plan = M.plan_infer(fixed, len(x), x.dtype)
+                plan = M.plan_blocks(fixed, len(x), x.dtype)
                 built = tracemalloc.get_traced_memory()[0]
                 M.forward(fixed, x, "infer", plan=plan)
                 start = tracemalloc.get_traced_memory()[0]
@@ -178,11 +178,17 @@ class TestForward:
         float32 logit gradient ``fit`` passes, peaks within the block caches,
         as ``train_cache_bytes`` counts them from the config (10,006,656 B),
         plus 2.5 MiB for what one block's backward holds beside them;
-        measured 11,897,735 B. The caches are laid out as the next block's
-        phase planes, so they hold the padding too, and block 0's keeps the
-        input planes: compact, they were 7,710,720 B and the step peaked at
-        9,744,421 B. ``backward`` frees each block's cache once that block
-        is done; holding all nine until it returns peaks at 14,320,737 B."""
+        measured 11,901,599 B. The forward runs in a ``plan_blocks(...,
+        keep=True)`` of its own, whose shared tap stack and accumulator are
+        freed with the plan as ``forward`` returns: the caches do not keep
+        the plan. (With a keep plan built per block as the pass reached it,
+        11,897,735 B; with caches that kept their plan, and so the shared
+        buffers, through ``backward``, 12,735,631 B, which fails here.) The
+        caches are laid out as the next block's phase planes, so they hold
+        the padding too, and block 0's keeps the input planes: compact, they
+        were 7,710,720 B and the step peaked at 9,744,421 B. ``backward``
+        frees each block's cache once that block is done; holding all nine
+        until it returns peaks at 14,320,737 B."""
         cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
@@ -233,17 +239,18 @@ class TestForward:
             assert wide[name].dtype == np.float32, name
             assert wide[name].tobytes() == narrow[name].tobytes(), name
 
-    def test_infer_blocks_keep_caches_only_on_request(self):
-        # maximize_activation backpropagates through infer-mode blocks
+    def test_folded_blocks_cache_exactly_in_keep_plans(self):
+        # maximize_activation backpropagates through the folded model's blocks, in
+        # keep plans; a pass stops after the last block its plans cover
         model = M.build_model(small_config(), seed=7)
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
-        _, caches = M._forward_blocks(model.folded(), x, upto=2)
-        assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
         fixed = model.folded()
-        assert M._forward_blocks(fixed, x, plan=M.plan_infer(fixed, 1, x.dtype))[1] == []
+        _, caches = M._forward_blocks(fixed, x, M.plan_blocks(fixed, 1, x.dtype, keep=True)[:3])
+        assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
+        assert M._forward_blocks(fixed, x, M.plan_blocks(fixed, 1, x.dtype))[1] == []
 
     def test_train_plan_matches_plans_per_call(self):
-        """``fit`` runs every train step in one ``plan_infer(..., keep=True)``,
+        """``fit`` runs every train step in one ``plan_blocks(..., keep=True)``,
         whose padding and ones rows are written once. Three steps in it, the
         second on a smaller batch, each followed by an in-place SGD update,
         give the logits, gradients and parameters, bit for bit, of steps that
@@ -254,7 +261,7 @@ class TestForward:
         runs = []
         for keep_plan in (False, True):
             model = M.build_model(small_config(input_height=16, input_width=16), seed=4)
-            plan = M.plan_infer(model, 4, np.float32, keep=True) if keep_plan else None
+            plan = M.plan_blocks(model, 4, np.float32, keep=True) if keep_plan else None
             steps = []
             for x in batches:
                 stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(len(x)))
@@ -270,9 +277,9 @@ class TestForward:
         model = M.build_model(small_config(), seed=5)
         x = np.zeros((2, 1, 16, 16), dtype=np.float32)
         with pytest.raises(ConfigError, match="train mode needs plans built with keep"):
-            M.forward(model, x, "train", plan=M.plan_infer(model.folded(), 2, x.dtype))
+            M.forward(model, x, "train", plan=M.plan_blocks(model.folded(), 2, x.dtype))
         with pytest.raises(ConfigError, match="infer mode needs plans built without keep"):
-            M.forward(model, x, "infer", plan=M.plan_infer(model, 2, x.dtype, keep=True))
+            M.forward(model, x, "infer", plan=M.plan_blocks(model, 2, x.dtype, keep=True))
 
     def test_shape_mismatch(self):
         model = M.build_model(small_config(), seed=5)
@@ -573,6 +580,36 @@ class TestMaximize:
         assert a.tobytes() == b.tobytes()
         assert ta == tb
         assert np.all(np.isfinite(a))
+
+    @pytest.mark.parametrize("block", [0, 4])
+    def test_one_plan_matches_plans_per_step(self, monkeypatch, block):
+        """Every step runs in one ``plan_blocks(..., keep=True)``, whose padding
+        and ones rows are written once: the image and trace match, bit for bit,
+        steps that each run in a fresh plan. Block 0's output is laid out as
+        block 1's stride-2 planes; block 4 is a middle block. The betas are
+        drawn, so each folded conv has a bias for the ones rows to carry."""
+        model = M.build_model(small_config(input_height=16, input_width=19), seed=13)
+        rng = np.random.default_rng(13)
+        for blk in model.blocks:
+            blk.norm.beta[...] = rng.normal(0.3, 0.1, size=blk.norm.beta.shape)
+        plan_blocks, forward_blocks, built = M.plan_blocks, M._forward_blocks, []
+
+        def counted(*args, **kwargs):
+            built.append(args[1:])
+            return plan_blocks(*args, **kwargs)
+
+        def fresh(net, x, plan):
+            return forward_blocks(net, x, plan_blocks(net, len(x), x.dtype, True)[:len(plan)])
+
+        with monkeypatch.context() as spy:
+            spy.setattr(M, "plan_blocks", counted)
+            reused = M.maximize_activation(model, block, 1, steps=4, step_size=0.5, seed=5)
+        assert built == [(1, np.float32)]
+        assert len(set(reused[1])) == 5  # every step moves the objective
+        monkeypatch.setattr(M, "_forward_blocks", fresh)
+        per_step = M.maximize_activation(model, block, 1, steps=4, step_size=0.5, seed=5)
+        assert reused[0].tobytes() == per_step[0].tobytes()
+        assert reused[1] == per_step[1]
 
 
 class TestWholeModelGradient:

@@ -295,7 +295,7 @@ class TestFit:
         fit holds beside a step (the gathered batch and its augmented copy,
         the gradients, the best-model snapshot, the logits, the validation
         pass). The sets themselves are not counted. The step runs as ``fit``
-        runs each batch, in a train plan (``plan_infer(..., keep=True)``),
+        runs each batch, in a train plan (``plan_blocks(..., keep=True)``),
         here built inside the step: the plan's buffers are the block caches,
         so every batch reuses them, and the plan is alive for the whole fit.
         Measured: step 14,903,849 B, fit 15,811,967 B. Before ``fit`` had a
@@ -310,7 +310,7 @@ class TestFit:
         x, y = train.x[:16], train.labels[:16]
 
         def step():
-            plan = M.plan_infer(model, len(x), x.dtype, keep=True)
+            plan = M.plan_blocks(model, len(x), x.dtype, keep=True)
             _, caches = M.forward(model, x, "train", SplitMixStream(0, TAG_DROPOUT, 0, np.arange(16)),
                                   plan=plan)
             M.backward(model, caches, T.bce_loss(caches.logits, y)[1].astype(x.dtype))

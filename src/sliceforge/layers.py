@@ -38,7 +38,9 @@ planes. The backward is the adjoint as a gather, not a scatter: the pixels of
 -off over the taps of phase (a, b), form its tap stack, whose matmul with the
 phase's taps is the ``dx`` plane and whose row dots with the ``x`` plane are
 the depthwise gradient. ``dx`` is in the input's layout, and its padding,
-which the producer's ReLU zeroes, carries no gradient.
+which the producer's ReLU zeroes, carries no gradient. The backward reads
+the tap table (each phase's band of pixel rows, tap ids and shifts) of the
+plan its forward ran in, which works it out once, when it is built.
 
 Every buffer and chunk view comes from a ``SepConvPlan``, so a chunk issues
 only copies and products. What a reduction needs per sample (the Gram matrix
@@ -50,11 +52,12 @@ or a ``maximize_activation``: the blocks share one tap stack and
 accumulator. An infer plan alternates between two output buffers and keeps a
 chunk's ``mid`` in the tap stack's storage, dead once the depthwise products
 are formed. A plan that keeps a cache (train mode, ``maximize_activation``)
-has a whole-batch ``mid`` and output of its own, which the cache keeps, as it
-keeps the input's planes: a compact input is copied onto them once, by the
-forward, and only its ``dx`` is copied back. Its padding and ones row are
-written once, so a keep plan reused for many batches rewrites only their
-pixels.
+has a whole-batch ``mid`` and output of its own, and the input's planes: a
+compact input is copied onto them once, by the forward, and only its ``dx``
+is copied back. Its padding and ones row are written once, so a keep plan
+reused for many batches rewrites only their pixels. Its cache holds the plan,
+and so these and the shared tap stack, which each backward borrows: the
+pass's forwards are done by then.
 
 A block's batchnorm is folded into the pointwise stage of the sepconv before
 it (``fold_batchnorm``), so no block makes its pre-norm output: by
@@ -135,13 +138,10 @@ class DenseParams:
 @dataclass
 class SepConvCache:
     x: np.ndarray  # the input in its phase planes
-    mid: np.ndarray  # [N, C_in + 1, *layout.shape]: the depthwise output, then the ones row
-    params: SepConvParams
+    mid: np.ndarray  # [N, C_in + 1, *plan.layout.shape]: the depthwise output, then the ones row
     weights: np.ndarray  # [C_out, C_in + 1]: the [W | bias] the pointwise GEMM used
     norm: BatchNormCache | None  # the batchnorm folded in with batch statistics
-    ins: PlaneLayout
-    compact_in: bool  # the input came compact, and dx goes back compact
-    layout: PlaneLayout  # the output's and mid's
+    plan: SepConvPlan  # the bound keep plan the forward ran in
 
 
 @dataclass
@@ -233,8 +233,11 @@ class SepConvPlan:
     each chunk writes its pixels only; ``sepconv2d`` then returns a cache.
     Building a plan works out its geometry and ``sizes``, the elements of
     its flat (tap stack, accumulator, output) buffers; ``bind`` attaches
-    them. ``weights``, the [W | bias] of calls without a ``norm``, is cast
-    once, when the plan is built."""
+    them. The geometry includes the backward's: its chunk rows
+    (``back_rows``) and tap table (``phases``, ``tap_ids``, ``pre``). A keep
+    plan's tap stack, ``sizes[0]``, holds the larger of the forward's and the
+    backward's, which borrows it. ``weights``, the [W | bias] of calls
+    without a ``norm``, is cast once, when the plan is built."""
 
     def __init__(self, shape: tuple, dtype, p: SepConvParams, keep: bool = False,
                  layout: PlaneLayout | None = None, planes_in: bool = False):
@@ -252,8 +255,25 @@ class SepConvPlan:
                      for i in range(kh) for j in range(kw)]
         self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * len(self.taps) * run)
         stack = rows * c_in * len(self.taps) * run
-        # without keep, a chunk's mid lives in the tap stack's storage
-        self.sizes = (stack if keep else max(stack, rows * (c_in + 1) * layout.size),
+        # the backward's tap table, per phase with taps: the phase, its band of
+        # rows with pixels, its tap ids, their slots in the depthwise row dots,
+        # which group the taps by phase (``tap_ids``), and their dm_pad starts
+        self.pre = pre = self.taps[-1][1]  # the largest tap offset
+        self.phases, self.tap_ids = [], []
+        for ph, (us, _), _ in ins.regions:
+            ids = [q for q, tap in enumerate(self.taps) if tap[0] == ph]
+            band = slice(us.start * ins.wq, us.stop * ins.wq)
+            if ids:  # a kernel narrower than the stride leaves a phase without taps
+                slot = slice(len(self.tap_ids), len(self.tap_ids) + len(ids))
+                self.phases.append((ph, band, ids, slot,
+                                    [pre - self.taps[q][1] + band.start for q in ids]))
+                self.tap_ids += ids
+        most = max(len(ids) for _, _, ids, _, _ in self.phases)  # phase (0, 0)'s
+        self.back_rows = _chunk_rows(n, self.dtype.itemsize * c_in * most * run)
+        # without keep, a chunk's mid lives in the tap stack's storage; with
+        # keep, the backward's tap stack does
+        self.sizes = (max(stack, self.back_rows * c_in * most * run) if keep
+                      else max(stack, rows * (c_in + 1) * layout.size),
                       rows * c_in * run, n * p.pointwise.shape[0] * layout.size)
 
     def bind(self, store=None, acc=None, out=None) -> SepConvPlan:
@@ -263,6 +283,7 @@ class SepConvPlan:
         plan has its own. Returns the plan."""
         store, acc, out = (np.empty(size, self.dtype) if buf is None else buf
                            for buf, size in zip((store, acc, out), self.sizes))
+        self.store = store  # the backward's tap stack too, in a keep plan
         (n, c_in), rows, layout, ins = self.shape[:2], self.rows, self.layout, self.ins
         taps, run, dtype, keep = len(self.taps), layout.h * ins.wq, self.dtype, self.keep
         stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
@@ -355,26 +376,31 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
         weights = _gemm_weights(folded, x.dtype)
         np.matmul(weights, mid.reshape(n, c_in + 1, -1), out=out.reshape(n, len(weights), -1))
 
-    cache = SepConvCache(planes, mid, p, weights, bn_cache, plan.ins, plan.planes is not None,
-                         plan.layout) if plan.keep else None
+    cache = SepConvCache(planes, mid, weights, bn_cache, plan) if plan.keep else None
     return out, cache
 
 
 def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias),
     then (d_gamma, d_beta) if a batchnorm was folded in with batch statistics.
-    ``dout`` and ``dx`` are laid out like the forward's output and input.
+    ``dout`` and ``dx`` are laid out like the forward's output and input, and
+    ``dout`` must have the forward's dtype.
 
     P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
     ``batchnorm_backward`` turns into the gradients and the correction A of
     ``dmid = W'^T dout + A [mid; 1]`` (W' the weights the forward used; A = 0
-    without batch statistics). Per chunk, ``dx`` on the rows of each phase
-    that hold pixels, and the depthwise row dots, come from one tap stack
-    gathered from the pitched pixels of ``dmid``, as the module docstring
-    says; every other position of ``dx``, and a phase without taps, is 0.
+    without batch statistics). Per chunk of the plan's ``back_rows``, ``dx``
+    on the rows of each phase that hold pixels, and the depthwise row dots,
+    come from one tap stack gathered from the pitched pixels of ``dmid``, as
+    the module docstring says and the plan's tap table places them; every
+    other position of ``dx``, and a phase without taps, is 0. The tap stack
+    is a view of the plan's: the pass's forwards, its only other users, are
+    done by then.
     """
-    p, x, mid, ins, layout = cache.params, cache.x, cache.mid, cache.ins, cache.layout
-    kh, kw = p.depthwise.shape[2:]
+    plan, x, mid = cache.plan, cache.x, cache.mid
+    if dout.dtype != plan.dtype:  # the tap stack it borrows is in the plan's dtype
+        raise ShapeError(f"a {dout.dtype} dout for a forward in {plan.dtype}")
+    p, ins, layout = plan.params, plan.ins, plan.layout
     s, dtype = p.stride, dout.dtype
     n, c_out = dout.shape[:2]
     c_in = x.shape[1]
@@ -387,38 +413,22 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
         d_weights, corr, *d_norm = batchnorm_backward(d_weights, cache.norm)
     pw_t = cache.weights[:, :c_in].astype(dtype, copy=False).T
     corr = corr.astype(dtype, copy=False)
-    dw = p.depthwise[:, 0].astype(dtype, copy=False)
-    ho, wo = layout.h, layout.w
-    wq, plane = ins.wq, ins.size // (s * s)
-    most = len(range(0, kh, s)) * len(range(0, kw, s))  # phase (0, 0) has the most taps
-    rows = _chunk_rows(n, np.dtype(dtype).itemsize * c_in * most * ho * wq)
-    pre = ((kh - 1) // s) * wq + (kw - 1) // s  # the largest tap offset
+    dw = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, -1)
+    # each phase's taps, made C-contiguous: on a fancy index's result numpy's matmul leaves BLAS
+    kernels = [np.ascontiguousarray(dw[:, :, ids]) for _, _, ids, _, _ in plan.phases]
+    ho, wo, wq, plane = layout.h, layout.w, ins.wq, ins.size // (s * s)
+    rows, pre = plan.back_rows, plan.pre
     dmid = np.empty((2, rows, c_in, *layout.shape), dtype=dtype)  # W'^T dout, A [mid; 1]
     # dmid pitched and zero-padded: under tap offset off, phase-plane position
     # u meets dm_pad[pre - off + u]
     dm_pad = np.zeros((rows, c_in, pre + plane), dtype=dtype)
     dm_valid = dm_pad[:, :, pre:pre + ho * wq].reshape(rows, c_in, ho, wq)[..., :wo]
-    stack = np.empty(rows * c_in * most * ho * wq, dtype=dtype)
     # only the rows of a phase that hold pixels are written: the others, and
     # a phase without taps (a kernel narrower than the stride), keep a zero dx
     dx = np.zeros((n, c_in, s * s, plane), dtype=dtype)
     xs = x.reshape(n, c_in, s * s, plane)
-    # each sample's depthwise row dots, grouped by phase: slot t holds tap tap_ids[t] = i*kw + j
-    dots = np.empty((n, c_in, kh * kw, 1), dtype=dtype)
-    tap_ids, phases = [], []
-    for ph, (us, _), _ in ins.regions:
-        a, c = divmod(ph, s)
-        taps = dw[:, a::s, c::s]  # tap (ii, jj) of the phase is (a + s*ii, c + s*jj)
-        if taps.size:
-            ni, nj = taps.shape[1:]
-            band = slice(us.start * wq, us.stop * wq)  # the phase's rows with pixels
-            phases.append((
-                # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
-                ph, band, np.multiply if ni * nj == 1 else np.matmul,
-                taps.reshape(c_in, 1, ni * nj),
-                [pre - ii * wq - jj + band.start for ii in range(ni) for jj in range(nj)],
-                slice(len(tap_ids), len(tap_ids) + ni * nj)))
-            tap_ids += [(a + s * ii) * kw + c + s * jj for ii in range(ni) for jj in range(nj)]
+    # each sample's depthwise row dots, grouped by phase: slot t holds tap plan.tap_ids[t]
+    dots = np.empty((n, c_in, len(plan.tap_ids), 1), dtype=dtype)
 
     for start in range(0, n, rows):
         k = min(rows, n - start)
@@ -429,19 +439,21 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
         dm += df  # whole, then its pixels: 2-2.5x faster than adding the pixels of each
         for pixels, valid in layout.pairs(dm, dm_valid[:k]):
             valid[...] = pixels
-        for ph, band, product, taps, starts, slot in phases:
+        for (ph, band, ids, slot, starts), taps in zip(plan.phases, kernels):
             length = band.stop - band.start
-            stk = stack[:k * c_in * len(starts) * length].reshape(k, c_in, len(starts), length)
+            stk = plan.store[:k * c_in * len(ids) * length].reshape(k, c_in, len(ids), length)
             for q, t in enumerate(starts):
                 stk[:, :, q] = dm_pad[:k, :, t:t + length]
+            # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
+            product = np.multiply if len(ids) == 1 else np.matmul
             product(taps, stk, out=dx[b, :, ph, None, band])
             np.matmul(stk, xs[b, :, ph, band, None], out=dots[b, :, slot])
-    d_dw = np.empty((c_in, kh * kw))
-    d_dw[:, tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
+    d_dw = np.empty((c_in, len(plan.tap_ids)))
+    d_dw[:, plan.tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
     dx = dx.reshape(n, c_in, *ins.shape)
 
     return (
-        ins.to_compact(dx) if cache.compact_in else dx,
+        dx if plan.planes is None else ins.to_compact(dx),  # a compact input's dx goes back compact
         d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
         d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
         d_weights[:, c_in].astype(dtype),

@@ -263,15 +263,18 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
     and the only source of a pass's sepconv buffers. Block b > 0 takes its
     input in its own phase planes, which block b - 1 writes as its output, so
     only block 0 copies its (compact) input onto planes of its own; the last
-    block's output is compact, for pooling. All share one tap stack and one
-    accumulator.
+    block's output is compact, for pooling, or for ``extract_activation`` and
+    ``maximize_activation``, which plan the folded model cut after the block
+    they read. All share one tap stack and one accumulator, which in a keep
+    plan also holds each backward's tap stack.
 
     Without ``keep``, the infer plans of a folded ``model``: block b writes
     output buffer b % 2, so a block never writes the buffer it reads. With
     ``keep``, plans whose passes keep their caches (train mode, or
     ``maximize_activation``): each block has a whole-batch ``mid`` and output
-    of its own, which its cache keeps until the plans' next use, and whose
-    padding and ones row are written once."""
+    of its own, whose padding and ones row are written once. A block's cache
+    holds its plan, and its views of these are valid until the plans' next
+    use."""
     cfg = model.config
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     layouts = [layers.PlaneLayout(*hw, *blk.conv.depthwise.shape[2:], blk.conv.stride)
@@ -280,27 +283,27 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
                                 layout, planes_in=b > 0)
              for b, (hw, blk, layout) in enumerate(zip(dims, model.blocks, [*layouts, None]))]
     store, acc = (np.empty(max(plan.sizes[i] for plan in plans), dtype) for i in (0, 1))
-    outs = [None if keep else np.empty(max(plan.sizes[2] for plan in plans[parity::2]), dtype)
+    outs = [None if keep else np.empty(max((plan.sizes[2] for plan in plans[parity::2]),
+                                           default=0), dtype)
             for parity in (0, 1)]
     return [plan.bind(store, acc, outs[b % 2]) for b, plan in enumerate(plans)]
 
 
 def _forward_blocks(model: Model, x: np.ndarray, plan: list):
     """Run the conv stack on the compact batch ``x``, block b in ``plan[b]``
-    (``plan_blocks`` of ``model``), through the last block ``plan`` holds a
-    plan for. The output is laid out as the next block's input planes,
-    compact after the last block: each block's plan says how.
+    (``plan_blocks`` of ``model``). The output is compact, as the last
+    block's plan lays it out.
 
     A block is one ``layers.sepconv2d`` given the block's ``norm`` (folded in
     on the batch's statistics; None in ``Model.folded``, whose convs hold the
     running statistics), then ReLU in place on the fresh output. Each block
     keeps its cache exactly when its plan keeps: with ``plan_blocks(...,
-    keep=True)`` the caches keep views of the plans' buffers, and without
-    ``keep`` the returned cache list is empty.
+    keep=True)`` each cache holds its plan and views of its buffers, and
+    without ``keep`` the returned cache list is empty.
     """
     caches = []
     out = x
-    for blk, blk_plan in zip(model.blocks, plan):
+    for blk, blk_plan in zip(model.blocks, plan, strict=True):
         out, conv_cache = layers.sepconv2d(out, blk.conv, blk.norm, plan=blk_plan)
         out, relu_cache = layers.relu(out, out=out)
         if blk_plan.keep:
@@ -454,15 +457,16 @@ def load_model(path) -> Model:
 
 
 def extract_activation(model: Model, image: np.ndarray, block_index: int, channel: int) -> np.ndarray:
-    """Post-ReLU feature map [H',W'] of one block/channel on a single input."""
+    """Post-ReLU feature map [H',W'] of one block/channel on a single input,
+    from the model cut after that block and folded: the block is then the
+    last, so its output is compact."""
     _check_block_channel(model, block_index, channel)
     if image.ndim != 4 or image.shape[0] != 1:
         raise ShapeError(f"expected a [1,C,H,W] input, got shape {image.shape}")
     _check_input(model.config, image)
-    fixed = model.folded()
-    plan = plan_blocks(fixed, 1, image.dtype)[:block_index + 1]
-    out, _ = _forward_blocks(fixed, image, plan)
-    return plan[-1].layout.to_compact(out[0, channel])
+    trunk = Model(model.config, model.blocks[:block_index + 1], model.hidden, model.output).folded()
+    out, _ = _forward_blocks(trunk, image, plan_blocks(trunk, 1, image.dtype))
+    return out[0, channel].copy()
 
 
 def _check_block_channel(model: Model, block_index: int, channel: int) -> None:
@@ -484,7 +488,8 @@ def maximize_activation(
     """Gradient ascent on the mean post-ReLU activation of one channel.
 
     Climbs from a seeded random image by RMS-normalized steps of ``step_size`` > 0.
-    Every step runs the same weights, so the batchnorms are folded once.
+    Every step runs the same weights, so the model cut after the block (as
+    in ``extract_activation``) is folded and planned once.
     Returns (final image [1,C,H,W], objective trace of length steps+1).
     """
     _check_block_channel(model, block_index, channel)
@@ -499,17 +504,15 @@ def maximize_activation(
         np.float32
     )
 
-    fixed = model.folded()
-    plan = plan_blocks(fixed, 1, x.dtype, keep=True)[:block_index + 1]  # for every step
-    layout = plan[-1].layout  # the output's, and so dout's
+    trunk = Model(cfg, model.blocks[:block_index + 1], model.hidden, model.output).folded()
+    plan = plan_blocks(trunk, 1, x.dtype, keep=True)  # for every step
 
     def objective_and_grad(img):
-        out, caches = _forward_blocks(fixed, img, plan)
-        value = float(layout.to_compact(out[0, channel]).mean(dtype=np.float64))
-        dout = np.zeros((*out.shape[:2], layout.h, layout.w), dtype=out.dtype)
-        dout[0, channel] = 1.0 / (layout.h * layout.w)
-        dx = _backward_blocks(layout.to_planes(dout), caches)
-        return value, dx
+        out, caches = _forward_blocks(trunk, img, plan)
+        value = float(out[0, channel].mean(dtype=np.float64))
+        dout = np.zeros_like(out)
+        dout[0, channel] = 1.0 / out[0, channel].size
+        return value, _backward_blocks(dout, caches)
 
     trace = []
     for _ in range(steps):

@@ -160,6 +160,30 @@ class TestSepConv:
                      (d_b, d_b1)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (5, 2), (1, 2)])
+    def test_backward_reads_no_stale_tap_stack(self, k, stride):
+        """The backward's tap stack is a view of its keep plan's store, where
+        the forward left its own tap stack: it writes every slot it reads, so
+        a store filled with NaN between the forward and the backward changes
+        no bit of the gradients. Kernel 1 is narrower than stride 2, which
+        leaves phases without taps."""
+        rng = np.random.default_rng(60 + 10 * k + stride)
+        x = rng.normal(size=(5, 3, 9, 8)).astype(np.float32)
+        p = random_sepconv(rng, 3, 4, k=k, stride=stride)
+        norm = layers.BatchNormParams(gamma=np.linspace(0.5, 1.5, 4), beta=np.zeros(4),
+                                      running_mean=np.zeros(4), running_var=np.ones(4))
+        upstream = rng.normal(size=(5, 4, -(-9 // stride), -(-8 // stride))).astype(np.float32)
+
+        def grads(fill):
+            plan = layers.SepConvPlan(x.shape, x.dtype, p, keep=True)
+            store = np.empty(plan.sizes[0], x.dtype)
+            _, cache = layers.sepconv2d(x, p, norm, plan=plan.bind(store))
+            store[...] = fill
+            return layers.sepconv2d_backward(upstream, cache)
+
+        for got, ref in zip(grads(np.nan), grads(0.0), strict=True):
+            assert np.isfinite(ref).all() and got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n, rows", [(5, 2), (7, 3)])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -168,7 +192,10 @@ class TestSepConv:
         without a batchnorm (with and without a cache, with and without the
         running statistics folded into the conv) and with one, and the
         backward of each, against the naive oracles, and bit for bit against
-        one whole-batch chunk. Kernel 1 at stride 2 has phases without taps."""
+        one whole-batch chunk. Kernel 1 at stride 2 has phases without taps.
+        A plan fixes both chunk sizes when it is built, so the forward's
+        chunks are pinned in plans built at one ``_CHUNK_BYTES`` and the
+        backward's in plans built at another."""
         rng = np.random.default_rng(50 + 10 * k + stride + n)
         x = rng.normal(1.0, 1.0, size=(n, 3, 7, 6))
         p = random_sepconv(rng, 3, 4, k=k, stride=stride)
@@ -189,32 +216,32 @@ class TestSepConv:
             return layers.sepconv2d(x, params,
                                     plan=layers.SepConvPlan(x.shape, x.dtype, params).bind())
 
-        def run(forward_bytes, backward_bytes):
-            monkeypatch.setattr(layers, "_CHUNK_BYTES", forward_bytes)
+        def run(plan_bytes):  # every plan built at ``_CHUNK_BYTES = plan_bytes``
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", plan_bytes)
             calls = [layers.sepconv2d(x, p), uncached(layers.fold_batchnorm(p, norm())),
                      uncached(p), layers.sepconv2d(x, p, norm())]
-            monkeypatch.setattr(layers, "_CHUNK_BYTES", backward_bytes)
             return ([out for out, _ in calls], layers.sepconv2d_backward(upstream, calls[0][1]),
                     layers.sepconv2d_backward(upstream, calls[3][1]))
 
-        whole = run(1 << 30, 1 << 30)
+        whole = run(1 << 30)
         taps = (k * k, len(range(0, k, stride)) ** 2)  # forward, and backward phase (0, 0)
         monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(taps[0]))
         assert layers.SepConvPlan(x.shape, x.dtype, p).rows == rows
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(taps[1]))
         cache, chunks = layers.sepconv2d(x, p)[1], []
         pairs = layers.PlaneLayout.pairs
 
         def pairs_spy(layout, planes, a):  # once per backward chunk, for dmid's pixels
-            if layout is cache.layout:
+            if layout is cache.plan.layout:
                 chunks.append(len(planes))
             return pairs(layout, planes, a)
 
-        monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes(taps[1]))
         with monkeypatch.context() as spy:
             spy.setattr(layers.PlaneLayout, "pairs", pairs_spy)
             layers.sepconv2d_backward(upstream, cache)
         assert chunks == [min(rows, n - start) for start in range(0, n, rows)]
-        (infer, infer_norm, scratch, train), grads, train_grads = run(*map(chunk_bytes, taps))
+        (infer, infer_norm, scratch, train), _, _ = run(chunk_bytes(taps[0]))
+        _, grads, train_grads = run(chunk_bytes(taps[1]))
         for got, ref in zip((infer, infer_norm, scratch, train, *grads, *train_grads),
                             (*whole[0], *whole[1], *whole[2]), strict=True):
             assert got.tobytes() == ref.tobytes()
@@ -265,6 +292,15 @@ class TestSepConv:
         out, cache = layers.sepconv2d(x, p, plan=layers.SepConvPlan(x.shape, x.dtype, p).bind())
         assert cache is None
         assert out.tobytes() == layers.sepconv2d(x, p)[0].tobytes()
+
+    def test_backward_needs_the_forwards_dtype(self):
+        """The backward borrows its plan's tap stack, so a ``dout`` of another
+        dtype is a ShapeError, not a gradient rounded to the forward's."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
+        out, cache = layers.sepconv2d(x, random_sepconv(rng, 2, 3))
+        with pytest.raises(ShapeError, match="float64 dout for a forward in float32"):
+            layers.sepconv2d_backward(out.astype(np.float64), cache)
 
     @pytest.mark.parametrize("case", ["params", "dtype", "batch", "trailing shape", "norm"])
     def test_plan_that_does_not_fit(self, case):

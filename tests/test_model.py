@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (central_difference, infer_plan_bytes, max_rel_err, rewrite_sfm_header,
-                     set_sfm_value, train_cache_bytes)
+from helpers import (block_output_elements, central_difference, infer_plan_bytes, max_rel_err,
+                     plane_elements, rewrite_sfm_header, set_sfm_value, train_cache_bytes)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -178,17 +178,18 @@ class TestForward:
         float32 logit gradient ``fit`` passes, peaks within the block caches,
         as ``train_cache_bytes`` counts them from the config (10,006,656 B),
         plus 2.5 MiB for what one block's backward holds beside them;
-        measured 11,901,599 B. The forward runs in a ``plan_blocks(...,
-        keep=True)`` of its own, whose shared tap stack and accumulator are
-        freed with the plan as ``forward`` returns: the caches do not keep
-        the plan. (With a keep plan built per block as the pass reached it,
-        11,897,735 B; with caches that kept their plan, and so the shared
-        buffers, through ``backward``, 12,735,631 B, which fails here.) The
-        caches are laid out as the next block's phase planes, so they hold
-        the padding too, and block 0's keeps the input planes: compact, they
-        were 7,710,720 B and the step peaked at 9,744,421 B. ``backward``
-        frees each block's cache once that block is done; holding all nine
-        until it returns peaks at 14,320,737 B."""
+        measured 12,426,463 B. The forward runs in a ``plan_blocks(...,
+        keep=True)`` of its own, and each cache holds its plan, so the shared
+        tap stack and accumulator live until the last block's backward is
+        done. Each backward's tap stack is a view of that shared one. (While
+        the caches did not hold their plans, 11,901,599 B; with caches that
+        held them and a backward that allocated a tap stack of its own,
+        12,735,631 B, which fails here.) The caches are laid out as the next
+        block's phase planes, so they hold the padding too, and block 0's
+        keeps the input planes: compact, they were 7,710,720 B and the step
+        peaked at 9,744,421 B. ``backward`` frees each block's cache once that
+        block is done; holding all nine until it returns peaks at 14,320,737
+        B."""
         cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
@@ -206,6 +207,40 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak <= train_cache_bytes(cfg, len(x)) + (5 << 19)
+
+    def test_train_step_in_a_kept_plan_memory_peak(self):
+        """``fit`` runs every step in one ``plan_blocks(..., keep=True)``, so a
+        64x64 batch-16 step peaks above that plan only by what a backward
+        holds beside it: one block's ``dx`` and its ``dout``, the next block's
+        ``dx``, at most 2,907,136 B (block 1's, counted from the config), plus
+        768 KiB for the chunk's ``dmid`` pair and ``dm_pad`` (339,456 B at block
+        1), the gradients and the head's arrays; measured 3,587,353 B. The
+        backward's tap stack is a view of the plan's: with one of its own
+        (405,504 B at block 1) the step measured 3,993,105 B, which fails
+        here."""
+        cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
+        model = M.build_model(cfg, seed=6)
+        x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
+        y = np.arange(16) % 2
+        channels, dims = (1, *cfg.channel_plan), [(64, 64), *cfg.spatial_dims()]
+        gradients = max(channels[b] * plane_elements(*dims[b], cfg.kernel, s)
+                        + channels[b + 1] * out for b, (s, out)
+                        in enumerate(zip(cfg.stride_plan, block_output_elements(cfg))))
+
+        def step():
+            _, caches = M.forward(model, x, "train", plan=plan)
+            M.backward(model, caches, T.bce_loss(caches.logits, y)[1].astype(x.dtype))
+
+        plan = M.plan_blocks(model, len(x), x.dtype, keep=True)
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.itemsize * len(x) * gradients + (768 << 10)
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
@@ -241,11 +276,12 @@ class TestForward:
 
     def test_folded_blocks_cache_exactly_in_keep_plans(self):
         # maximize_activation backpropagates through the folded model's blocks, in
-        # keep plans; a pass stops after the last block its plans cover
+        # keep plans of the model cut after the block it reads
         model = M.build_model(small_config(), seed=7)
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 16)).astype(np.float32)
         fixed = model.folded()
-        _, caches = M._forward_blocks(fixed, x, M.plan_blocks(fixed, 1, x.dtype, keep=True)[:3])
+        trunk = M.Model(fixed.config, fixed.blocks[:3], fixed.hidden, fixed.output)
+        _, caches = M._forward_blocks(trunk, x, M.plan_blocks(trunk, 1, x.dtype, keep=True))
         assert [type(conv) for conv, _ in caches] == [layers.SepConvCache] * 3
         assert M._forward_blocks(fixed, x, M.plan_blocks(fixed, 1, x.dtype))[1] == []
 
@@ -310,7 +346,7 @@ class TestPlaneHandOff:
             return sepconv2d(x, p, *args, **kwargs)
 
         def backward_spy(dout, cache):
-            now.update(block=index[id(cache.params.depthwise)], x=None, backward=True)
+            now.update(block=index[id(cache.plan.params.depthwise)], x=None, backward=True)
             try:
                 return backward(dout, cache)
             finally:
@@ -549,6 +585,34 @@ class TestActivations:
         amap = M.extract_activation(model, x, 0, 0)
         assert np.allclose(amap, amap.flat[0])
 
+    def test_block_0_peaks_below_a_plan_of_every_block(self):
+        """``extract_activation`` and ``maximize_activation`` plan the model
+        cut after the block they read, folded, whose output is then compact.
+        At block 0 of a 128x128 model they so peak below what a plan of all
+        nine blocks holds, counted from the config: an infer plan's buffers
+        (``infer_plan_bytes``, 2,227,864 B) for ``extract_activation``,
+        measured 1,402,336 B; the caches of a keep plan (``train_cache_bytes``,
+        2,235,768 B), plus one chunk's tap stack, for two steps of
+        ``maximize_activation``, measured 2,526,492 B. Planning all nine
+        blocks and running the first, they measured 2,471,256 B and
+        4,473,256 B."""
+        cfg = M.ModelConfig(input_height=128, input_width=128)
+        model = M.build_model(cfg, seed=6)
+        x = np.random.default_rng(3).uniform(size=(1, 1, 128, 128)).astype(np.float32)
+        for run, bound in (
+                (lambda: M.extract_activation(model, x, 0, 0),
+                 infer_plan_bytes(cfg, 1, layers._CHUNK_BYTES)),
+                (lambda: M.maximize_activation(model, 0, 0, steps=2, step_size=0.5, seed=1),
+                 train_cache_bytes(cfg, 1) + layers._CHUNK_BYTES)):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
 
 class TestMaximize:
     def linear_single_block_model(self):
@@ -599,7 +663,7 @@ class TestMaximize:
             return plan_blocks(*args, **kwargs)
 
         def fresh(net, x, plan):
-            return forward_blocks(net, x, plan_blocks(net, len(x), x.dtype, True)[:len(plan)])
+            return forward_blocks(net, x, plan_blocks(net, len(x), x.dtype, True))
 
         with monkeypatch.context() as spy:
             spy.setattr(M, "plan_blocks", counted)

@@ -37,10 +37,15 @@ planes. The backward is the adjoint as a gather, not a scatter: the pixels of
 ``dmid``, pitched like the sums and zero-padded on both sides, shifted by
 -off over the taps of phase (a, b), form its tap stack, whose matmul with the
 phase's taps is the ``dx`` plane and whose row dots with the ``x`` plane are
-the depthwise gradient. ``dx`` is in the input's layout, and its padding,
-which the producer's ReLU zeroes, carries no gradient. The backward reads
-the tap table (each phase's band of pixel rows, tap ids and shifts) of the
-plan its forward ran in, which works it out once, when it is built.
+the depthwise gradient. ``dx`` is in the input's layout, and its padding
+carries no gradient. Handed planes are the producer's ReLU output, which
+nothing reads after this backward, so ``dx`` overwrites them, taken through
+that ReLU: per band, the row dots and the mask x > 0 are read from ``x``
+before the product is written over it, and a phase without taps is zeroed.
+Only a compact input (block 0's) gets a fresh ``dx``, copied back compact.
+The backward reads the tap table (each phase's band of pixel rows, tap ids
+and shifts) of the plan its forward ran in, which works it out once, when it
+is built.
 
 Every buffer and chunk view comes from a ``SepConvPlan``, so a chunk issues
 only copies and products. What a reduction needs per sample (the Gram matrix
@@ -331,9 +336,10 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     for inputs like ``x``, or from a keep plan built for this call, compact
     in and out. ``x`` is [n, C_in, h, w], or [n, C_in, *plan.ins.shape] if
     the plan says so; the output, [n, C_out, *plan.layout.shape] and 0 off
-    its pixels, is a view of the plan's buffer, valid until the plan's next
-    use. The cache is None unless the plan keeps, and then it too keeps
-    views of the plan's ``mid`` and planes. A ``norm`` needs a keep plan.
+    its pixels, is a view of the plan's buffer, valid until its consumer's
+    backward, which writes its ``dx`` there, or the plan's next use. The
+    cache is None unless the plan keeps, and then it too keeps views of the
+    plan's ``mid`` and planes. A ``norm`` needs a keep plan.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
@@ -384,7 +390,10 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias),
     then (d_gamma, d_beta) if a batchnorm was folded in with batch statistics.
     ``dout`` and ``dx`` are laid out like the forward's output and input, and
-    ``dout`` must have the forward's dtype.
+    ``dout`` must have the forward's dtype. An input that arrived in phase
+    planes must be a ReLU output that nothing reads after this call: ``dx``
+    is written over it and is the gradient of that ReLU's input, 0 where the
+    ReLU output is not > 0. A compact input's ``dx`` is fresh, with no ReLU.
 
     P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
     ``batchnorm_backward`` turns into the gradients and the correction A of
@@ -395,7 +404,9 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     the module docstring says and the plan's tap table places them; every
     other position of ``dx``, and a phase without taps, is 0. The tap stack
     is a view of the plan's: the pass's forwards, its only other users, are
-    done by then.
+    done by then. So the call allocates only its chunk temporaries (the
+    ``dmid`` pair and ``dm_pad``), the row dots and, for a compact input,
+    ``dx``.
     """
     plan, x, mid = cache.plan, cache.x, cache.mid
     if dout.dtype != plan.dtype:  # the tap stack it borrows is in the plan's dtype
@@ -423,10 +434,17 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     # u meets dm_pad[pre - off + u]
     dm_pad = np.zeros((rows, c_in, pre + plane), dtype=dtype)
     dm_valid = dm_pad[:, :, pre:pre + ho * wq].reshape(rows, c_in, ho, wq)[..., :wo]
-    # only the rows of a phase that hold pixels are written: the others, and
-    # a phase without taps (a kernel narrower than the stride), keep a zero dx
-    dx = np.zeros((n, c_in, s * s, plane), dtype=dtype)
     xs = x.reshape(n, c_in, s * s, plane)
+    # handed planes are the producer's ReLU output, read by nothing after this:
+    # dx, through that ReLU, overwrites them. Their rows without pixels are 0
+    # already; a phase without taps (a kernel narrower than the stride) is
+    # zeroed. A compact input's planes are the plan's, whose padding no
+    # forward rewrites, so it gets a fresh dx.
+    handed = plan.planes is None
+    dx = xs if handed else np.zeros_like(xs)
+    if handed:
+        for ph in {*range(s * s)} - {ph for ph, *_ in plan.phases}:
+            dx[:, :, ph] = 0
     # each sample's depthwise row dots, grouped by phase: slot t holds tap plan.tap_ids[t]
     dots = np.empty((n, c_in, len(plan.tap_ids), 1), dtype=dtype)
 
@@ -444,16 +462,20 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
             stk = plan.store[:k * c_in * len(ids) * length].reshape(k, c_in, len(ids), length)
             for q, t in enumerate(starts):
                 stk[:, :, q] = dm_pad[:k, :, t:t + length]
+            np.matmul(stk, xs[b, :, ph, band, None], out=dots[b, :, slot])
+            dst = dx[b, :, ph, None, band]
+            live = dst > 0 if handed else None  # where the producer's ReLU passed x
             # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
             product = np.multiply if len(ids) == 1 else np.matmul
-            product(taps, stk, out=dx[b, :, ph, None, band])
-            np.matmul(stk, xs[b, :, ph, band, None], out=dots[b, :, slot])
+            product(taps, stk, out=dst)
+            if handed:
+                np.multiply(dst, live, out=dst)
     d_dw = np.empty((c_in, len(plan.tap_ids)))
     d_dw[:, plan.tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
     dx = dx.reshape(n, c_in, *ins.shape)
 
     return (
-        dx if plan.planes is None else ins.to_compact(dx),  # a compact input's dx goes back compact
+        dx if handed else ins.to_compact(dx),  # a compact input's dx goes back compact
         d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
         d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
         d_weights[:, c_in].astype(dtype),
@@ -549,8 +571,10 @@ def relu(x: np.ndarray, out: np.ndarray | None = None):
 
 def relu_backward(dout: np.ndarray, out: np.ndarray):
     """``dout`` where x > 0, else 0, multiplied into ``dout`` in place and
-    returned. Every caller passes a fresh gradient it does not reuse: a
-    sepconv or dense input gradient, or the pooling or dropout gradient."""
+    returned. Its callers pass gradients they do not reuse: the hidden
+    layer's, and the last conv block's (the pooling gradient, or the one
+    ``maximize_activation`` makes). The ReLU of a block that feeds another
+    is taken by the consumer's ``sepconv2d_backward``."""
     return np.multiply(dout, out > 0, out=dout)
 
 

@@ -274,7 +274,8 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
     ``maximize_activation``): each block has a whole-batch ``mid`` and output
     of its own, whose padding and ones row are written once. A block's cache
     holds its plan, and its views of these are valid until the plans' next
-    use."""
+    use; the backward writes each block's ``dx`` over its producer's
+    output."""
     cfg = model.config
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     layouts = [layers.PlaneLayout(*hw, *blk.conv.depthwise.shape[2:], blk.conv.stride)
@@ -312,18 +313,24 @@ def _forward_blocks(model: Model, x: np.ndarray, plan: list):
 
 
 def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
-    """Backprop through cached conv blocks; fills ``grads`` when given, which
-    needs train-mode caches (a block of ``Model.folded`` is a conv with fixed
-    folded weights and yields no batchnorm gradients).
+    """Backprop ``dout``, the gradient of the last block's ReLU output,
+    through cached conv blocks; fills ``grads`` when given, which needs
+    train-mode caches (a block of ``Model.folded`` is a conv with fixed
+    folded weights and yields no batchnorm gradients). Returns the input's
+    gradient, compact.
 
-    Consumes ``caches``: each block's cache is popped off the list, so its
-    ``mid``, its output and its batchnorm cache are freed once that block's
-    backward is done, and the list is empty on return.
+    Only the last block's ReLU is taken here, on ``dout`` in place. Each
+    other block's ReLU is taken by its consumer's
+    ``layers.sepconv2d_backward``, which writes its ``dx`` over that block's
+    output, so the plan's outputs hold gradients until the next forward
+    rewrites them. Consumes ``caches``: each block's
+    cache is popped off the list, so its ``mid``, its output and its
+    batchnorm cache are freed once that block's backward is done, and the
+    list is empty on return.
     """
-    g = dout
+    g = layers.relu_backward(dout, caches[-1][1])
     for b in range(len(caches) - 1, -1, -1):
-        conv_cache, relu_cache = caches.pop()
-        g = layers.relu_backward(g, relu_cache)
+        conv_cache, _ = caches.pop()
         g, *d_block = layers.sepconv2d_backward(g, conv_cache)
         if grads is not None:
             names = _grad_names("conv", f"block{b}") + _grad_names("norm", f"block{b}")
@@ -350,7 +357,8 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     statistics, and dropout at the configured rate, which needs
     ``dropout_rng`` (one batch stream with a row per sample) when positive;
     its blocks run in ``plan`` (``plan_blocks(model, ..., keep=True)``), and
-    their caches are valid until its next use. Infer mode runs
+    their caches are valid until its next use or ``backward``, which
+    consumes them. Infer mode runs
     ``model.folded()`` in ``plan`` (``plan_blocks`` of that folded model)
     with no per-block caches, so ``backward`` needs a train-mode pass, and
     dropout at rate 0. Either mode builds a ``plan`` for this call if None.

@@ -33,10 +33,12 @@ batch-size-weighted means over the train-mode forwards the steps already
 make: with augmentation and dropout, each batch taken before its SGD update.
 Only the validation columns come from an infer-mode pass.
 
-``fit`` runs every train step in one train plan (``model.plan_blocks(...,
-keep=True)``), built once per call: its buffers are the block caches, so a
-step neither allocates them nor rewrites their padding, and ``backward``
-consumes one step's caches before the next step reuses the buffers.
+``fit`` runs the train steps of an epoch in one train plan
+(``model.plan_blocks(..., keep=True)``), built once per epoch: its buffers
+are the block caches, so a step neither allocates them nor rewrites their
+padding, and ``backward`` consumes one step's caches before the next step
+reuses the buffers. The plan is dropped before the epoch's validation pass,
+so that pass's infer plan never sits beside it.
 """
 
 from __future__ import annotations
@@ -240,9 +242,9 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     validation logits of the best epoch.
 
     Per epoch: seeded shuffle, batches (last partial batch kept), train-mode
-    forward with augmentation in the call's one train plan, loss, backprop,
-    two-stage clip, SGD step; then
-    one infer-mode pass over the validation set. The history row's train loss
+    forward with augmentation in the epoch's one train plan, loss, backprop,
+    two-stage clip, SGD step; then, with that plan dropped, one infer-mode
+    pass over the validation set. The history row's train loss
     and accuracy are the batch-size-weighted means of the train-mode losses
     and predictions, each batch's taken before its update, so they include
     augmentation and dropout. The validation pass of the best epoch ran on
@@ -268,11 +270,11 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
     history = []
     best_acc = -1.0  # every val_acc is >= 0, so epoch 1 sets each best_* value
     n = len(train_set)
-    # every step runs in these buffers; backward consumes a step's caches first
-    plan = model_mod.plan_blocks(model, config.batch_size, train_set.x.dtype, keep=True)
 
     for epoch in range(config.epochs):
         lr = lr_for_epoch(config, epoch)
+        # the epoch's steps run in these buffers; backward consumes a step's caches first
+        plan = model_mod.plan_blocks(model, config.batch_size, train_set.x.dtype, keep=True)
         order = SplitMixStream(config.seed, TAG_SHUFFLE, epoch).permutation(n)
         loss_sum, correct = 0.0, 0
         for batch_no, idx in enumerate(_batched(order, config.batch_size)):
@@ -294,6 +296,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             grads = model_mod.backward(model, caches, dlogits)
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
+        del plan  # the validation pass runs without the train plan beside it
 
         try:
             val_logits, val_loss, val_acc = _eval_pass(model, val_set)

@@ -246,6 +246,30 @@ def train_cache_bytes(cfg, n, itemsize=4):
                                         for b, size in enumerate(block_output_elements(cfg))))
 
 
+def backward_bytes(cfg, n, chunk_bytes, itemsize=4):
+    """Bytes a train step's backward of ``n`` inputs allocates beside the
+    caches, from the config alone: (block 0's ``dx``, its input phase planes
+    and then the compact map, the only ``dx`` not written over its input;
+    the largest chunk temporaries of any block, the ``dmid`` pair [2, rows,
+    C_in, ...] in the next block's planes, the last block's compact, and
+    ``dm_pad`` [rows, C_in, pre + plane], pre the largest tap offset). A
+    chunk holds as many samples as fit ``chunk_bytes`` of the tap stack of
+    phase (0, 0), which has the most taps, one at least."""
+    channels = (cfg.input_channels, *cfg.channel_plan)
+    dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
+    k = cfg.kernel
+    (h, w), chunks = dims[0], []
+    dx = n * channels[0] * (plane_elements(h, w, k, cfg.stride_plan[0]) + h * w)
+    for b, (s, size) in enumerate(zip(cfg.stride_plan, block_output_elements(cfg))):
+        (h, w), c_in, extra = dims[b], channels[b], (k - 1) // s
+        wq = -(-w // s) + extra
+        stack = itemsize * c_in * (-(-k // s)) ** 2 * -(-h // s) * wq  # phase (0, 0)'s, per sample
+        rows = max(1, min(n, chunk_bytes // stack))
+        plane = plane_elements(h, w, k, s) // (s * s)
+        chunks.append(rows * c_in * (2 * size + extra * wq + extra + plane))
+    return itemsize * dx, itemsize * max(chunks)
+
+
 def nan_loss_eval_pass(eval_pass):
     """``training._eval_pass`` with the mean loss it returns replaced by NaN."""
     def patched(model, dataset):

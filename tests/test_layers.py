@@ -342,6 +342,9 @@ class TestPlaneHandOff:
     oracles, and every position of a handed plane that holds no pixel (its
     padding, its junk columns, its extra row) reads exactly 0.0. The shared
     and output buffers start as NaN, so a position no chunk writes fails.
+    The second block's backward writes its ``dx`` over the handed planes,
+    taken through the first block's ReLU, so the chain copies those planes
+    before it and hands that ``dx`` to the first block's backward as it is.
 
     Each result's error is held to a tolerance times the sum of the
     magnitudes of its terms, which the oracles give when run on magnitudes,
@@ -428,18 +431,19 @@ class TestPlaneHandOff:
 
         def chain(norms, plans):
             a, cache_a = layers.sepconv2d(x, pa, norms[0], plan=plans[0])
-            a, relu_a = layers.relu(a, out=a)
+            a, _ = layers.relu(a, out=a)
             assert a.shape == (n, c1, *handed.shape) and not a[..., off].any()
             out, cache_b = layers.sepconv2d(a, pb, norms[1], plan=plans[1])
             out, relu_b = layers.relu(out, out=out)
             if not plans[0].keep:
                 return a, out, None
             assert not cache_a.mid[..., off].any()
+            a = a.copy()  # block 2's dx overwrites its input planes
             grads_b = layers.sepconv2d_backward(layers.relu_backward(upstream.copy(), relu_b),
                                                 cache_b)
             assert grads_b[0].shape == a.shape
-            grads_a = layers.sepconv2d_backward(layers.relu_backward(grads_b[0], relu_a),
-                                                cache_a)
+            # block 2's dx is taken through block 1's ReLU already
+            grads_a = layers.sepconv2d_backward(grads_b[0], cache_a)
             return a, out, (grads_a, grads_b[1:])
 
         def keep_plans():

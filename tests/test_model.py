@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (block_output_elements, central_difference, infer_plan_bytes, max_rel_err,
-                     plane_elements, rewrite_sfm_header, set_sfm_value, train_cache_bytes)
+from helpers import (backward_bytes, central_difference, infer_plan_bytes, max_rel_err,
+                     rewrite_sfm_header, set_sfm_value, train_cache_bytes)
 from sliceforge import layers
 from sliceforge import model as M
 from sliceforge import training as T
@@ -177,19 +177,20 @@ class TestForward:
         """One 64x64 batch-16 train-mode forward plus backward, with the
         float32 logit gradient ``fit`` passes, peaks within the block caches,
         as ``train_cache_bytes`` counts them from the config (10,006,656 B),
-        plus 2.5 MiB for what one block's backward holds beside them;
-        measured 12,426,463 B. The forward runs in a ``plan_blocks(...,
-        keep=True)`` of its own, and each cache holds its plan, so the shared
-        tap stack and accumulator live until the last block's backward is
-        done. Each backward's tap stack is a view of that shared one. (While
-        the caches did not hold their plans, 11,901,599 B; with caches that
-        held them and a backward that allocated a tap stack of its own,
-        12,735,631 B, which fails here.) The caches are laid out as the next
-        block's phase planes, so they hold the padding too, and block 0's
-        keeps the input planes: compact, they were 7,710,720 B and the step
-        peaked at 9,744,421 B. ``backward`` frees each block's cache once that
-        block is done; holding all nine until it returns peaks at 14,320,737
-        B."""
+        the shared tap stack (``_CHUNK_BYTES``), and what the step holds above
+        a kept plan (``test_train_step_in_a_kept_plan_memory_peak``'s bound,
+        1,642,880 B): 12,173,824 B; measured 12,075,200 B. The forward runs in
+        a ``plan_blocks(..., keep=True)`` of its own, and each cache holds its
+        plan, so the shared tap stack and accumulator live until the last
+        block's backward is done. Each backward's tap stack is a view of that
+        shared one, and each block after the first writes its ``dx`` over its
+        input planes. With a fresh ``dx`` per block the step measured
+        12,426,239 B, which fails here (11,901,599 B before the caches held
+        their plans). The caches are laid out as the next block's phase
+        planes, so they hold the padding too, and block 0's keeps the input
+        planes: compact, they were 7,710,720 B and the step peaked at
+        9,744,421 B. ``backward`` frees each block's cache once that block is
+        done; holding all nine until it returns peaked at 14,320,737 B."""
         cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
@@ -206,26 +207,30 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= train_cache_bytes(cfg, len(x)) + (5 << 19)
+        dx, chunk = backward_bytes(cfg, len(x), layers._CHUNK_BYTES)
+        assert peak <= (train_cache_bytes(cfg, len(x)) + layers._CHUNK_BYTES + dx + chunk
+                        + (512 << 10))
 
-    def test_train_step_in_a_kept_plan_memory_peak(self):
-        """``fit`` runs every step in one ``plan_blocks(..., keep=True)``, so a
-        64x64 batch-16 step peaks above that plan only by what a backward
-        holds beside it: one block's ``dx`` and its ``dout``, the next block's
-        ``dx``, at most 2,907,136 B (block 1's, counted from the config), plus
-        768 KiB for the chunk's ``dmid`` pair and ``dm_pad`` (339,456 B at block
-        1), the gradients and the head's arrays; measured 3,587,353 B. The
-        backward's tap stack is a view of the plan's: with one of its own
-        (405,504 B at block 1) the step measured 3,993,105 B, which fails
-        here."""
-        cfg = M.ModelConfig(input_height=64, input_width=64, dropout_rate=0.0)
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_train_step_in_a_kept_plan_memory_peak(self, size):
+        """``fit`` runs every step of an epoch in one ``plan_blocks(...,
+        keep=True)``, so a batch-16 step peaks above that plan only by what a
+        backward holds beside it. Each block after the first writes its ``dx``
+        over its input planes, its producer's ReLU output, which nothing reads
+        after that backward. So the bound is what ``backward_bytes`` counts
+        from the config, block 0's ``dx`` and the largest chunk temporaries
+        of any block, plus 512 KiB for the pooling gradient, the per-sample
+        products of the pointwise gradient, the gradients and the head's
+        arrays. At 64x64: 545,152 B, block 5's 573,440 B, in all 1,642,880 B;
+        measured 1,153,328 B. At 128x128: 2,138,496 B, block 7's 573,440 B,
+        in all 3,236,224 B; measured 3,013,288 B, in block 0's backward. With
+        a fresh ``dx`` per block, which the caller took through the
+        producer's ReLU, the steps measured 3,586,585 B and 12,156,337 B,
+        which fail here."""
+        cfg = M.ModelConfig(input_height=size, input_width=size, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
-        x = np.random.default_rng(3).uniform(size=(16, 1, 64, 64)).astype(np.float32)
+        x = np.random.default_rng(3).uniform(size=(16, 1, size, size)).astype(np.float32)
         y = np.arange(16) % 2
-        channels, dims = (1, *cfg.channel_plan), [(64, 64), *cfg.spatial_dims()]
-        gradients = max(channels[b] * plane_elements(*dims[b], cfg.kernel, s)
-                        + channels[b + 1] * out for b, (s, out)
-                        in enumerate(zip(cfg.stride_plan, block_output_elements(cfg))))
 
         def step():
             _, caches = M.forward(model, x, "train", plan=plan)
@@ -240,7 +245,8 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= x.itemsize * len(x) * gradients + (768 << 10)
+        dx, chunk = backward_bytes(cfg, len(x), layers._CHUNK_BYTES)
+        assert peak <= dx + chunk + (512 << 10)
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
@@ -677,10 +683,13 @@ class TestMaximize:
 
 
 class TestWholeModelGradient:
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_matches_finite_differences(self, kernel):
         # float64 shadow of the full default model on a 2-sample 16x16 batch,
-        # dropout disabled; h=1e-5 keeps the probe inside one ReLU region
-        cfg = small_config(dropout_rate=0.0)
+        # dropout disabled; h=1e-5 keeps the probe inside one ReLU region. At
+        # kernel 1 three phases of each stride-2 block's input have no taps,
+        # and their dx, written over the input planes, must be zeroed.
+        cfg = small_config(dropout_rate=0.0, kernel=kernel)
         model = M.build_model(cfg, seed=7).astype(np.float64)
         rng = np.random.default_rng(3)
         x = rng.normal(0.5, 0.25, size=(2, 1, 16, 16))

@@ -297,13 +297,17 @@ class TestFit:
         pass). The sets themselves are not counted. The step runs as ``fit``
         runs each batch, in a train plan (``plan_blocks(..., keep=True)``),
         here built inside the step: the plan's buffers are the block caches,
-        so every batch reuses them, and the plan is alive for the whole fit.
-        Measured: step 14,903,849 B, fit 15,811,967 B. Before ``fit`` had a
-        plan, each block's cache was freed by its backward: step 11,904,735
-        B, fit 12,459,464 B, and 22,265,043 B with the previous batch's
-        caches kept alive through the next forward, which fails here too.
-        (With the caches compact, before blocks handed each other phase
-        planes: step 9,714,165 B, fit 10,289,790 B.)"""
+        so every batch of an epoch reuses them, and ``fit`` drops the plan
+        before the epoch's validation pass. Measured: step 12,081,888 B, fit
+        12,631,889 B. With the plan alive through the validation pass, fit
+        measured 15,859,739 B, which fails here: that pass's infer plan then
+        sat on top of the train plan. With the plan alive for the whole fit
+        and a fresh ``dx`` per block: step 14,903,849 B, fit 15,811,967 B.
+        Before ``fit`` had a plan, each block's cache was freed by its
+        backward: step 11,904,735 B, fit 12,459,464 B, and 22,265,043 B with
+        the previous batch's caches kept alive through the next forward,
+        which fails here too. (With the caches compact, before blocks handed
+        each other phase planes: step 9,714,165 B, fit 10,289,790 B.)"""
         model = M.build_model(M.ModelConfig(input_height=64, input_width=64), seed=6)
         train = make_slice_set(32, h=64, w=64, seed=25)
         val = make_slice_set(32, h=64, w=64, seed=26, prefix="v")

@@ -104,8 +104,9 @@ class DatasetManifest:
         return keys
 
 
-def scale_normalize(slice_arr: np.ndarray, ceiling: float = 255.0) -> np.ndarray:
-    """Divide by the intensity ceiling so values land in [0,1].
+def scale_normalize(slice_arr: np.ndarray, ceiling: float = 255.0, out=None) -> np.ndarray:
+    """Divide by the intensity ceiling so values land in [0,1], written to
+    ``out`` when given.
 
     Negative input intensities signal corrupt data; values above the ceiling
     are clipped to 1.
@@ -113,9 +114,10 @@ def scale_normalize(slice_arr: np.ndarray, ceiling: float = 255.0) -> np.ndarray
     if not 0 < ceiling < np.inf:
         raise ConfigError(f"ceiling must be positive and finite, got {ceiling}")
     arr = np.asarray(slice_arr)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DataError("negative intensities in slice")
-    return np.minimum(arr / arr.dtype.type(ceiling), arr.dtype.type(1.0))
+    out = np.divide(arr, arr.dtype.type(ceiling), out=out)
+    return np.minimum(out, arr.dtype.type(1.0), out=out)
 
 
 @dataclass
@@ -235,7 +237,7 @@ class SliceReader:
                 raw = read_array(path)
                 if raw.shape != self.shape[2:]:
                     raise DataError(f"dims {raw.shape}, manifest declares {self.shape[2:]}")
-                row[0] = scale_normalize(raw, self._ceiling)
+                scale_normalize(raw, self._ceiling, out=row[0])
             except FormatError as exc:  # its message starts with the path
                 raise FormatError(f"slice {key}: {exc}") from exc
             except DataError as exc:

@@ -26,7 +26,9 @@ and columns b, b+s, ..., row pitch wq = wo + (kw-1)//s for ho x wo outputs,
 plus one zero row. Depthwise tap (i, j) over all outputs is the contiguous run
 [off, off + ho*wq), off = (i//s)*wq + j//s, of phase (i % s, j % s). Per
 cache-sized batch chunk the forward copies the kh*kw runs into a tap stack
-[rows, C, taps, ho*wq], reduces it with one batched matmul against the kernel
+[rows, C, taps, ho*wq], one strided copy per phase (the phase's runs, as
+one overlapping view of the plane, onto its taps' slots), reduces it with
+one batched matmul against the kernel
 [C, 1, taps], and copies the pixels of these pitched sums (columns wo.. are
 junk) into ``mid``, laid out as the next block's input planes (the last
 block's compact) and 0 elsewhere. The pointwise stage multiplies [W | bias]
@@ -42,13 +44,18 @@ carries no gradient. Handed planes are the producer's ReLU output, which
 nothing reads after this backward, so ``dx`` overwrites them, taken through
 that ReLU: per band, the row dots and the mask x > 0 are read from ``x``
 before the product is written over it, and a phase without taps is zeroed.
-Only a compact input (block 0's) gets a fresh ``dx``, copied back compact.
+Only a compact input (block 0's) gets a fresh ``dx``, copied back compact,
+and only if the caller asks for it (``input_grad``): a train step does not.
 The backward reads the tap table (each phase's band of pixel rows, tap ids
 and shifts) of the plan its forward ran in, which works it out once, when it
 is built.
 
-Every buffer and chunk view comes from a ``SepConvPlan``, so a chunk issues
-only copies and products. What a reduction needs per sample (the Gram matrix
+Every buffer and chunk view comes from a ``SepConvPlan``, which keeps a
+batch's chunk views per batch size, so a call issues only copies and
+products. Past block 0 a block's input is its producer's output view, one
+per batch size: the plan checks it and makes the copy pairs of every chunk
+from it once, and a call that gets that very view again checks nothing.
+What a reduction needs per sample (the Gram matrix
 of [mid; 1] for a batchnorm, the depthwise row dots) is written per chunk into
 an [N, ...] buffer and summed in float64 once per call, so chunking changes no
 bit of any result. Every model pass runs in the plans ``model.plan_blocks``
@@ -76,7 +83,6 @@ batch normalization updates its running statistics during its forward.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,17 +242,24 @@ class SepConvPlan:
     lives in the tap stack's storage, so each chunk writes all of it. With
     ``keep`` it is the whole batch's, zeroed with its ones row set once, and
     each chunk writes its pixels only; ``sepconv2d`` then returns a cache.
-    Building a plan works out its geometry and ``sizes``, the elements of
-    its flat (tap stack, accumulator, output) buffers; ``bind`` attaches
-    them. The geometry includes the backward's: its chunk rows
-    (``back_rows``) and tap table (``phases``, ``tap_ids``, ``pre``). A keep
-    plan's tap stack, ``sizes[0]``, holds the larger of the forward's and the
-    backward's, which borrows it. ``weights``, the [W | bias] of calls
-    without a ``norm``, is cast once, when the plan is built."""
+    Building a plan checks the input shape against ``p`` and works out its
+    geometry and ``sizes``, the elements of its flat (tap stack,
+    accumulator, output) buffers; ``bind`` attaches them, and ``read``
+    checks an input and keeps its chunk views per batch size. A keep plan's
+    geometry includes the backward's: its chunk rows (``back_rows``) and tap
+    table (``phases``, ``tap_ids``, ``pre``), and its tap stack,
+    ``sizes[0]``, holds the larger of the forward's and the backward's,
+    which borrows it. ``weights``, the [W | bias], and ``depthwise``, the
+    [C_in, 1, taps] kernel, of calls without a ``norm`` (a folded model's
+    fixed convs) are cast once, when the plan is built."""
 
     def __init__(self, shape: tuple, dtype, p: SepConvParams, keep: bool = False,
                  layout: PlaneLayout | None = None, planes_in: bool = False):
+        if len(shape) != 4:
+            raise ShapeError(f"expected [N,C,H,W] input, got shape {tuple(shape)}")
         n, c_in, h, w = shape
+        if c_in != p.depthwise.shape[0]:
+            raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
         kh, kw = p.depthwise.shape[2], p.depthwise.shape[3]
         s = p.stride
         self.ins = ins = PlaneLayout(h, w, kh, kw, s)
@@ -254,12 +267,18 @@ class SepConvPlan:
         self.shape = (n, c_in, *(ins.shape if planes_in else (h, w)))
         self.dtype, self.params, self.keep, self.planes_in = np.dtype(dtype), p, keep, planes_in
         self.weights = _gemm_weights(p, dtype)
+        self.depthwise = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, -1)
         # tap (i, j) over every output row: its phase and its run's offset in the phase
         run = layout.h * ins.wq
-        self.taps = [((i % s) * s + j % s, (i // s) * ins.wq + j // s, run)
+        self.taps = [((i % s) * s + j % s, (i // s) * ins.wq + j // s)
                      for i in range(kh) for j in range(kw)]
         self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * len(self.taps) * run)
         stack = rows * c_in * len(self.taps) * run
+        # without keep, a chunk's mid lives in the tap stack's storage
+        self.sizes = (max(stack, rows * (c_in + 1) * layout.size), rows * c_in * run,
+                      n * p.pointwise.shape[0] * layout.size)
+        if not keep:
+            return
         # the backward's tap table, per phase with taps: the phase, its band of
         # rows with pixels, its tap ids, their slots in the depthwise row dots,
         # which group the taps by phase (``tap_ids``), and their dm_pad starts
@@ -275,11 +294,8 @@ class SepConvPlan:
                 self.tap_ids += ids
         most = max(len(ids) for _, _, ids, _, _ in self.phases)  # phase (0, 0)'s
         self.back_rows = _chunk_rows(n, self.dtype.itemsize * c_in * most * run)
-        # without keep, a chunk's mid lives in the tap stack's storage; with
-        # keep, the backward's tap stack does
-        self.sizes = (max(stack, self.back_rows * c_in * most * run) if keep
-                      else max(stack, rows * (c_in + 1) * layout.size),
-                      rows * c_in * run, n * p.pointwise.shape[0] * layout.size)
+        # mid is the batch's own, and the backward's tap stack lives in the storage
+        self.sizes = (max(stack, self.back_rows * c_in * most * run), *self.sizes[1:])
 
     def bind(self, store=None, acc=None, out=None) -> SepConvPlan:
         """Attach the flat (tap stack, accumulator, output) buffers, each at
@@ -290,33 +306,79 @@ class SepConvPlan:
                            for buf, size in zip((store, acc, out), self.sizes))
         self.store = store  # the backward's tap stack too, in a keep plan
         (n, c_in), rows, layout, ins = self.shape[:2], self.rows, self.layout, self.ins
-        taps, run, dtype, keep = len(self.taps), layout.h * ins.wq, self.dtype, self.keep
-        stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
-        acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
+        taps, run, dtype = len(self.taps), layout.h * ins.wq, self.dtype
+        self.stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
+        self.acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
         # mid's last row carries the bias through the GEMM: 1 at each pixel, else 0
         self.mask = layout.to_planes(np.ones((layout.h, layout.w), dtype))
-        if keep:
-            self.mid = mid = np.zeros((n, c_in + 1, *layout.shape), dtype=dtype)
-            mid[:, c_in] = self.mask
+        if self.keep:
+            self.mid = np.zeros((n, c_in + 1, *layout.shape), dtype=dtype)
+            self.mid[:, c_in] = self.mask
         else:
-            self.mid = mid = store[:rows * (c_in + 1) * layout.size].reshape(
-                rows, c_in + 1, *layout.shape)
-        self.out = out = out[:n * self.params.pointwise.shape[0] * layout.size].reshape(
-            n, -1, *layout.shape)
+            self.mid = store[:rows * (c_in + 1) * layout.size].reshape(rows, c_in + 1,
+                                                                        *layout.shape)
+        self.out = out[:n * len(self.weights) * layout.size].reshape(n, -1, *layout.shape)
         self.planes = None if self.planes_in else np.zeros((n, c_in, *ins.shape), dtype=dtype)
-
-        @functools.cache
-        def views(start, stop):  # the chunk's rows, tap slots, operands, mid's, output's
-            k = min(rows, stop - start)
-            b = slice(start, start + k)
-            m = mid[b] if keep else mid[:k]
-            valid = acc[:k].reshape(k, c_in, layout.h, ins.wq)[..., :layout.w]
-            return (b, [stack[:k, :, q] for q in range(taps)], stack[:k], acc[:k], m,
-                    m.reshape(k, c_in + 1, -1), layout.pairs(m[:, :c_in], valid),
-                    out[b].reshape(k, out.shape[1], -1))
-
-        self.views = views
+        self.batches = {}  # n: read's (input planes, chunk views, output) for n inputs
         return self
+
+    def read(self, x: np.ndarray) -> tuple:
+        """(input planes, chunk views, output) of the input ``x`` of n, checked
+        to fit the plan, and kept in ``batches`` under n, so that a forward of
+        that very input again issues only copies and products. A compact ``x``
+        is copied onto the plan's own planes, whose views are made once per
+        n; handed planes' views are made from ``x``, and so once per n when
+        ``x`` is the producer's output view. ShapeError unless ``x`` fits."""
+        if x.dtype != self.dtype or len(x) > self.shape[0] or x.shape[1:] != self.shape[1:] or (
+                self.planes_in and not x.flags.c_contiguous):
+            raise self.misfit(x)
+        n = len(x)
+        if self.planes_in or n not in self.batches:
+            self.batches[n] = self._views(x if self.planes_in else self.planes[:n])
+        got = self.batches[n]
+        if not self.planes_in:
+            for dst, pixels in self.ins.pairs(got[0], x):
+                dst[...] = pixels
+        return got
+
+    def _views(self, src: np.ndarray) -> tuple:
+        """``read``'s (src, chunk views, output) for the input planes
+        ``src`` of n inputs. Per chunk the views are: its rows; its tap
+        copies, one per phase with taps, a strided view of the tap stack's
+        slots of that phase and the matching overlapping view of its runs in
+        ``src``; the tap stack and accumulator; without keep the zeros and
+        the ones row of ``mid`` (else None); the (mid pixels, accumulator
+        pixels) copies; ``mid`` and the output as [rows, channels, pixels]."""
+        n, c_in, rows, layout, ins, mid = len(src), self.shape[1], self.rows, self.layout, \
+            self.ins, self.mid
+        kh, kw, s, item = *self.params.depthwise.shape[2:], ins.s, self.dtype.itemsize
+        phases = src.reshape(n, c_in, s * s, -1)
+        slots = self.stack.reshape(rows, c_in, kh, kw, -1)  # slot i * kw + j: tap (i, j)
+        # tap (i, j) = (s*u + a, s*v + b) reads phase (a, b) from u * wq + v on
+        grids = [(a, b, len(range(a, kh, s)), len(range(b, kw, s)))
+                 for a in range(s) for b in range(s)]
+        out, chunks = self.out[:n], []
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            r = slice(start, start + k)
+            m = mid[r] if self.keep else mid[:k]
+            valid = self.acc[:k].reshape(k, c_in, layout.h, ins.wq)[..., :layout.w]
+            copies = []
+            for a, b, nu, nv in grids:
+                if nu and nv:  # a kernel narrower than the stride leaves a phase without taps
+                    runs = np.ndarray((k, c_in, nu, nv, layout.h * ins.wq), self.dtype, phases,
+                                      start * phases.strides[0] + (a * s + b) * phases.strides[2],
+                                      (*phases.strides[:2], ins.wq * item, item, item))
+                    copies.append((slots[:k, :, a::s, b::s], runs))
+            chunks.append((r, copies, self.stack[:k], self.acc[:k],
+                           None if self.keep else (m[:, :c_in], m[:, c_in]),
+                           layout.pairs(m[:, :c_in], valid), m.reshape(k, c_in + 1, -1),
+                           out[r].reshape(k, len(self.weights), -1)))
+        return src, chunks, out
+
+    def misfit(self, x: np.ndarray) -> ShapeError:
+        return ShapeError(f"a plan for up to {self.shape} {self.dtype} inputs (keep={self.keep}) "
+                          f"does not fit these params and a {x.shape} {x.dtype} input")
 
 
 def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = None,
@@ -336,57 +398,52 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     for inputs like ``x``, or from a keep plan built for this call, compact
     in and out. ``x`` is [n, C_in, h, w], or [n, C_in, *plan.ins.shape] if
     the plan says so; the output, [n, C_out, *plan.layout.shape] and 0 off
-    its pixels, is a view of the plan's buffer, valid until its consumer's
-    backward, which writes its ``dx`` there, or the plan's next use. The
-    cache is None unless the plan keeps, and then it too keeps views of the
-    plan's ``mid`` and planes. A ``norm`` needs a keep plan.
+    its pixels, is the plan's one view of its buffer for n inputs, valid
+    until its consumer's backward, which writes its ``dx`` there, or the
+    plan's next use. Handed planes that the plan has read for their n (the
+    producer's output view, once per n) are not checked again. The cache is None
+    unless the plan keeps, and then it too keeps views of the plan's ``mid``
+    and planes. A ``norm`` needs a keep plan.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    n, c_in = x.shape[:2]
-    if c_in != p.depthwise.shape[0]:
-        raise ShapeError(f"input has {c_in} channels, depthwise expects {p.depthwise.shape[0]}")
     if plan is None:
         plan = SepConvPlan(x.shape, x.dtype, p, keep=True).bind()
-    elif (norm is not None and not plan.keep) or plan.params is not p or (
-            plan.dtype != x.dtype or n > plan.shape[0] or x.shape[1:] != plan.shape[1:]):
-        raise ShapeError(f"a plan for up to {plan.shape} {plan.dtype} inputs (keep={plan.keep}) "
-                         f"does not fit these params and a {x.shape} {x.dtype} input")
-    weights, planes = plan.weights, x if plan.planes is None else plan.planes[:n]
-    if plan.planes is not None:
-        for dst, pixels in plan.ins.pairs(planes, x):
-            dst[...] = pixels
-    src = planes.reshape(n, c_in, plan.ins.s ** 2, -1)
-    runs = [src[:, :, ph, off:off + run] for ph, off, run in plan.taps]
-    depthwise = p.depthwise.astype(x.dtype, copy=False).reshape(c_in, 1, -1)
-    # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
-    gram = None if norm is None else np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
-    for start in range(0, n, plan.rows):
-        b, slots, stk, ac, m, m3, fills, out = plan.views(start, n)
-        for dst, tap in zip(slots, runs):
-            dst[...] = tap[b]
+    if plan.params is not p or (norm is not None and not plan.keep):
+        raise plan.misfit(x)
+    n, c_in = x.shape[:2]
+    planes, chunks, out = plan.batches.get(n, (None, None, None))
+    if planes is not x:  # a compact input, or handed planes not read before
+        planes, chunks, out = plan.read(x)
+    weights, depthwise, gram = plan.weights, plan.depthwise, None
+    if norm is not None:  # trained params: cast per call
+        depthwise = p.depthwise.astype(x.dtype, copy=False).reshape(depthwise.shape)
+        # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
+        gram = np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
+    for r, copies, stk, ac, blank, fills, m3, out3 in chunks:
+        for dst, taps in copies:
+            dst[...] = taps
         np.matmul(depthwise, stk, out=ac)
-        if not plan.keep:  # the tap copies overwrote mid's zeros and ones row
-            m[:, :c_in] = 0
-            m[:, c_in] = plan.mask
+        if blank is not None:  # the tap copies overwrote mid's zeros and ones row
+            blank[0][...] = 0
+            blank[1][...] = plan.mask
         for dst, pixels in fills:
             dst[...] = pixels
         if norm is not None:
-            np.matmul(m3, m3.transpose(0, 2, 1), out=gram[b])
+            np.matmul(m3, m3.transpose(0, 2, 1), out=gram[r])
         else:
-            np.matmul(weights, m3, out=out)
-    mid, out = plan.mid[:n], plan.out[:n]
-    bn_cache = None
+            np.matmul(weights, m3, out=out3)
+    if not plan.keep:
+        return out, None
+    mid, bn_cache = plan.mid[:n], None
     if norm is not None:
         folded, bn_cache = batchnorm(gram.sum(axis=0, dtype=np.float64), p, norm)
         weights = _gemm_weights(folded, x.dtype)
         np.matmul(weights, mid.reshape(n, c_in + 1, -1), out=out.reshape(n, len(weights), -1))
-
-    cache = SepConvCache(planes, mid, weights, bn_cache, plan) if plan.keep else None
-    return out, cache
+    return out, SepConvCache(planes, mid, weights, bn_cache, plan)
 
 
-def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
+def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache, input_grad: bool = True):
     """Gradients of sepconv2d: returns (dx, d_depthwise, d_pointwise, d_bias),
     then (d_gamma, d_beta) if a batchnorm was folded in with batch statistics.
     ``dout`` and ``dx`` are laid out like the forward's output and input, and
@@ -394,6 +451,8 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     planes must be a ReLU output that nothing reads after this call: ``dx``
     is written over it and is the gradient of that ReLU's input, 0 where the
     ReLU output is not > 0. A compact input's ``dx`` is fresh, with no ReLU.
+    Without ``input_grad`` no ``dx`` is formed, the input is left as it is,
+    and dx is None: the parameter gradients are the same bits.
 
     P = sum dout [mid; 1]^T is the gradient of [W | bias], or what
     ``batchnorm_backward`` turns into the gradients and the correction A of
@@ -405,8 +464,8 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     other position of ``dx``, and a phase without taps, is 0. The tap stack
     is a view of the plan's: the pass's forwards, its only other users, are
     done by then. So the call allocates only its chunk temporaries (the
-    ``dmid`` pair and ``dm_pad``), the row dots and, for a compact input,
-    ``dx``.
+    ``dmid`` pair and ``dm_pad``), the row dots and, for a compact input's
+    ``input_grad``, ``dx``.
     """
     plan, x, mid = cache.plan, cache.x, cache.mid
     if dout.dtype != plan.dtype:  # the tap stack it borrows is in the plan's dtype
@@ -426,7 +485,8 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     corr = corr.astype(dtype, copy=False)
     dw = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, -1)
     # each phase's taps, made C-contiguous: on a fancy index's result numpy's matmul leaves BLAS
-    kernels = [np.ascontiguousarray(dw[:, :, ids]) for _, _, ids, _, _ in plan.phases]
+    kernels = [np.ascontiguousarray(dw[:, :, ids]) if input_grad else None
+               for _, _, ids, _, _ in plan.phases]
     ho, wo, wq, plane = layout.h, layout.w, ins.wq, ins.size // (s * s)
     rows, pre = plan.back_rows, plan.pre
     dmid = np.empty((2, rows, c_in, *layout.shape), dtype=dtype)  # W'^T dout, A [mid; 1]
@@ -441,8 +501,8 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
     # zeroed. A compact input's planes are the plan's, whose padding no
     # forward rewrites, so it gets a fresh dx.
     handed = plan.planes is None
-    dx = xs if handed else np.zeros_like(xs)
-    if handed:
+    dx = None if not input_grad else xs if handed else np.zeros_like(xs)
+    if handed and input_grad:
         for ph in {*range(s * s)} - {ph for ph, *_ in plan.phases}:
             dx[:, :, ph] = 0
     # each sample's depthwise row dots, grouped by phase: slot t holds tap plan.tap_ids[t]
@@ -463,6 +523,8 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
             for q, t in enumerate(starts):
                 stk[:, :, q] = dm_pad[:k, :, t:t + length]
             np.matmul(stk, xs[b, :, ph, band, None], out=dots[b, :, slot])
+            if dx is None:
+                continue
             dst = dx[b, :, ph, None, band]
             live = dst > 0 if handed else None  # where the producer's ReLU passed x
             # for one tap numpy's matmul leaves BLAS for a loop 6x slower than multiply
@@ -472,10 +534,12 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache):
                 np.multiply(dst, live, out=dst)
     d_dw = np.empty((c_in, len(plan.tap_ids)))
     d_dw[:, plan.tap_ids] = dots.sum(axis=0, dtype=np.float64)[..., 0]
-    dx = dx.reshape(n, c_in, *ins.shape)
+    if dx is not None:
+        dx = dx.reshape(n, c_in, *ins.shape)
+        dx = dx if handed else ins.to_compact(dx)  # a compact input's dx goes back compact
 
     return (
-        dx if handed else ins.to_compact(dx),  # a compact input's dx goes back compact
+        dx,
         d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
         d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
         d_weights[:, c_in].astype(dtype),
@@ -582,7 +646,8 @@ def global_avg_pool(x: np.ndarray):
     """Mean over the spatial dims: [N,C,H,W] -> [N,C]. The cache is ``x.shape``."""
     if x.ndim != 4:
         raise ShapeError(f"expected [N,C,H,W] input, got shape {x.shape}")
-    out = x.mean(axis=(2, 3), dtype=np.float64)
+    # the float64 sum over the count, as ``x.mean`` computes it, without its Python wrapper
+    out = np.add.reduce(x, axis=(2, 3), dtype=np.float64) / (x.shape[2] * x.shape[3])
     return out.astype(x.dtype, copy=False), x.shape
 
 
@@ -647,5 +712,5 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     module docstring)."""
     x64 = x.astype(np.float64, copy=False)
     t = np.exp(-np.abs(x64))
-    out = np.where(x64 >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = np.where(x64 >= 0, 1.0, t) / (1.0 + t)  # 1 / (1 + t) or t / (1 + t)
     return out.astype(x.dtype, copy=False)

@@ -198,10 +198,11 @@ class Model:
         """This model for infer-mode passes, and the only fold of the running
         statistics: each block's batchnorm folded into its conv, its ``norm``
         None. A folded model is its own fold, so ``forward`` refolds nothing
-        after ``predict``'s one fold. Shares the depthwise kernels; the head's
-        arrays are cast to the float64 that ``layers.dense`` computes in,
-        exactly, once for every pass."""
-        if all(b.norm is None for b in self.blocks):
+        after ``predict``'s one fold: a model's blocks are folded all
+        together, so its first block tells. Shares the depthwise kernels; the
+        head's arrays are cast to the float64 that ``layers.dense`` computes
+        in, exactly, once for every pass."""
+        if self.blocks[0].norm is None:
             return self
         blocks = [Block(layers.fold_batchnorm(b.conv, b.norm), None) for b in self.blocks]
         head = [DenseParams(d.weight.astype(np.float64), d.bias.astype(np.float64))
@@ -262,7 +263,10 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
     of up to ``n`` inputs of ``dtype``, built once for every batch they run,
     and the only source of a pass's sepconv buffers. Block b > 0 takes its
     input in its own phase planes, which block b - 1 writes as its output, so
-    only block 0 copies its (compact) input onto planes of its own; the last
+    only block 0 copies its (compact) input onto planes of its own. A plan
+    returns one output view per batch size, so its consumer's plan makes its
+    chunk views of that view once, and checks it by identity on every later
+    batch of that size (``layers.SepConvPlan.read``). The last
     block's output is compact, for pooling, or for ``extract_activation`` and
     ``maximize_activation``, which plan the folded model cut after the block
     they read. All share one tap stack and one accumulator, which in a keep
@@ -317,7 +321,9 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     through cached conv blocks; fills ``grads`` when given, which needs
     train-mode caches (a block of ``Model.folded`` is a conv with fixed
     folded weights and yields no batchnorm gradients). Returns the input's
-    gradient, compact.
+    gradient, compact, when no ``grads`` are asked for
+    (``maximize_activation`` climbs it); a pass that fills ``grads`` has no
+    use for it, so block 0 forms none and None is returned.
 
     Only the last block's ReLU is taken here, on ``dout`` in place. Each
     other block's ReLU is taken by its consumer's
@@ -331,7 +337,7 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     g = layers.relu_backward(dout, caches[-1][1])
     for b in range(len(caches) - 1, -1, -1):
         conv_cache, _ = caches.pop()
-        g, *d_block = layers.sepconv2d_backward(g, conv_cache)
+        g, *d_block = layers.sepconv2d_backward(g, conv_cache, input_grad=b > 0 or grads is None)
         if grads is not None:
             names = _grad_names("conv", f"block{b}") + _grad_names("norm", f"block{b}")
             grads.update(zip(names, d_block, strict=True))
@@ -366,7 +372,7 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     train = mode == "train"
-    if plan is not None and any(blk_plan.keep != train for blk_plan in plan):
+    if plan is not None and plan[0].keep != train:  # plan_blocks keeps in all blocks or none
         raise ConfigError(f"{mode} mode needs plans built {'with' if train else 'without'} keep")
     cfg = model.config
     _check_input(cfg, batch)
@@ -381,7 +387,7 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     logits2d, output_cache = layers.dense(out, net.output)
     logits = logits2d[:, 0]
     # a logit of +-inf has a finite probability, 1 or 0, so check the logits
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
     caches = ForwardCaches(
         block_caches=block_caches,

@@ -166,7 +166,8 @@ def _encode_array(arr: np.ndarray, label) -> bytes:
 
 def read_array(path) -> np.ndarray:
     """Read a TSR1 file back into a float32 array, bit-exactly."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     arr, used = _decode_array(blob, path)
     if used != len(blob):
         raise FormatError(f"{path}: {len(blob) - used} trailing bytes after payload")
@@ -199,7 +200,7 @@ def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]
     if len(blob) < end:
         raise FormatError(f"{label}: truncated payload ({len(blob) - need} of {4 * count} bytes)")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=need)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FormatError(f"{label}: non-finite values in payload")
     return arr.reshape(dims).copy(), end
 

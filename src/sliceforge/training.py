@@ -18,7 +18,9 @@ from cache. ``predict`` folds the batchnorms and builds one plan
 planes, the only ones, since each block writes its output as the next block's
 planes; one shared tap stack and accumulator; and two alternating output
 buffers. Each micro-batch runs in the plan, so none allocates a block buffer,
-and the budget can be a few slices without the allocator's cost. When ``x`` is a
+and each block's chunk views are made once per micro-batch size, so a forward
+replays only copies and products. The budget is then one slice at 128x128
+(four at 64x64) without the allocator's cost or much per-call cost. When ``x`` is a
 ``SliceReader`` (``sliceforge evaluate``), each micro-batch is read from disk
 as it is forwarded, so the peak is the plan plus one micro-batch's input and
 does not grow with the set. A slice's infer logit depends on that slice
@@ -162,31 +164,42 @@ def _batched(indices, size):
 
 
 # Bytes of the largest block output per infer micro-batch. predict runs every
-# micro-batch in one plan, so a smaller budget costs no allocation, only the
-# Python calls of one more forward (about 0.25 ms for nine blocks and the head).
-# Sweep with the plan, 128 slices, one BLAS thread, 2-vCPU Xeon: median ms of 30
-# predicts interleaved with per-call buffers at 4 MiB in one process /
-# tracemalloc peak MiB / minor faults per predict in a fresh process, by budget:
-#   64x64   256K 56.1/1.55/1  512K 51.7/2.35/2  1M 46.8/3.25/3  2M 46.3/4.64/0  4M 45.8/7.18/0
-#   128x128 256K 128/3.60/0   512K 126/3.60/0   1M 122/4.32/0   2M 120/5.66/0   4M 116/8.17/0
-# Per-call buffers at 4 MiB: 64x64 47.1 ms, 5.56 MiB; 128x128 133 ms, 6.88 MiB.
-# Whole `evaluate` runs of 128 slices at 128x128, 30 rounds: 512K +6% wall
-# (faster in 4/30), 1M +3% (13/30), 2M -2% (18/30), at 34.3, 35.4 and 37.0 MB
-# peak RSS against 38.4 MB. 2 MiB (four slices at 128x128, sixteen at 64x64)
-# is the smallest budget whose `evaluate` is no slower. That sweep ran with
-# phase planes of every block's own; since blocks hand each other planes, the
-# four-slice 128x128 plan holds 4.30 MiB instead of 5.37, and the sweep was
-# not repeated.
-_INFER_BUDGET_BYTES = 2 << 20
+# micro-batch in one plan, whose blocks make their chunk views once per
+# micro-batch size, so a smaller budget costs no allocation, only the Python
+# calls of one more forward: about 0.12 ms for nine blocks and the head, against
+# 0.20 ms when each call made its own views.
+# Sweep at this code, 128 slices, one BLAS thread, 2-vCPU Xeon: median ms of 60
+# interleaved predicts in one process / tracemalloc peak MiB of a predict /
+# median ms of 24 interleaved whole `evaluate` children / their VmHWM MB:
+#            256K                512K                1M                  2M
+#   64x64    28.0/1.07/195/32.2  27.4/1.67/190/32.4  26.7/2.47/196/33.4  27.2/4.09/194/35.2
+#   128x128  89.5/2.47/266/33.4  88.5/2.47/273/33.4  85.2/3.20/261/34.3  85.4/4.68/257/36.0
+# Interleaved with them, the 2 MiB budget with per-call views (before plans
+# kept their views) took 204 ms at 35.6 MB (64x64) and 270 ms at 36.1 MB
+# (128x128). 512 KiB (one slice at 128x128, four at 64x64) is no slower than
+# that: faster in 17 of 24 rounds at 64x64, and 12 of 24 at 128x128, where 256K
+# runs the same one-slice plan and read 266 ms, so a few ms is noise. Below
+# 512K only the 64x64 plan shrinks, and there it gets slower for 0.2 MB: 256K
+# was faster than 512K in 13 of 60 predicts and 7 of 24 `evaluate` children
+# (12 of 24 in a second run). So 512K is kept: it is no slower than the budget
+# it replaced, and the smaller budget that changes a plan is slower than it.
+_INFER_BUDGET_BYTES = 1 << 19
+
+
+def micro_batch(config: model_mod.ModelConfig, itemsize: int) -> int:
+    """Slices per ``predict`` micro-batch of ``itemsize``-byte values: as many
+    (one at least) as keep the largest block output within _INFER_BUDGET_BYTES."""
+    largest = max(c * h * w for c, (h, w) in zip(config.channel_plan, config.spatial_dims()))
+    return max(1, _INFER_BUDGET_BYTES // (largest * itemsize))
 
 
 def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     """Infer-mode logits for every slice of ``dataset``, in dataset order.
 
-    Runs micro-batches of as many slices (one at least) as keep the largest
-    block output within _INFER_BUDGET_BYTES, each taken as ``dataset.x[b:b +
-    step]``: a view of an array, or, from a ``SliceReader``, the only rows of
-    the set in memory. Infer mode uses the running statistics and no dropout,
+    Runs micro-batches of ``micro_batch`` slices, each taken as
+    ``dataset.x[b:b + step]``: a view of an array, or, from a
+    ``SliceReader``, the only rows of the set in memory. Infer mode uses the
+    running statistics and no dropout,
     and every kernel computes a slice's output from that slice alone, so a
     logit does not depend on the micro-batch. The batchnorms are folded into
     their convs and the head is cast to float64 (``Model.folded``), and the
@@ -196,9 +209,7 @@ def predict(model: Model, dataset: SliceSet) -> np.ndarray:
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
-    cfg = model.config
-    largest = max(c * h * w for c, (h, w) in zip(cfg.channel_plan, cfg.spatial_dims()))
-    step = max(1, _INFER_BUDGET_BYTES // (largest * dataset.x.itemsize))
+    step = micro_batch(model.config, dataset.x.itemsize)
     fixed, plan, chunks = model.folded(), None, []
     for b in range(0, len(dataset), step):
         x = dataset.x[b:b + step]

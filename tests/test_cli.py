@@ -92,6 +92,35 @@ def test_train_reproduces_the_folds_of_run(tmp_path, manifest_path):
             assert got.read_bytes() == want.read_bytes(), (i, name)
 
 
+def test_evaluate_one_slice_at_a_time_reproduces_a_fold_of_run(tmp_path, manifest_path, capsys,
+                                                                monkeypatch):
+    """``run`` scores fold 1's best model on the logits of its validation
+    pass, micro-batched at the default budget (the whole 6-slice set at
+    16x16). ``evaluate`` over that fold's validation subjects, one slice per
+    micro-batch, gives its metrics.json confusion counts and mean loss
+    exactly: a slice's infer logit depends on that slice alone."""
+    config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
+    assert cli.main(["run", "--config", config]) == cli.EXIT_OK
+    run = tmp_path / "run"
+    val = json.loads((run / "split.json").read_text())["folds"][0]["val"]
+    record = json.loads((run / "fold-1" / "metrics.json").read_text())
+    forwards = []
+
+    def counted(model, x, *args, **kwargs):
+        forwards.append(len(x))
+        return forward(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_INFER_BUDGET_BYTES", 1)  # one slice at least
+    monkeypatch.setattr(training, "forward", counted)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--model", str(run / "fold-1" / "best_model.sfm"),
+                     "--manifest", str(manifest_path), "--subjects", ",".join(val)]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert forwards == [1] * sum(doc["confusion"].values()) and len(forwards) > 1
+    assert doc["confusion"] == record["confusion_slice_level"]
+    assert doc["mean_loss"] == record["val_loss_best_model"]
+
+
 def test_run_slice_granularity_leak_exits_3(tmp_path, manifest_path, capsys):
     config = _write(tmp_path / "c.json", json.dumps(_config(tmp_path, manifest_path)))
     assert cli.main(["run", "--config", config, "--granularity", "slice"]) == cli.EXIT_LEAKAGE

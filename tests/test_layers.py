@@ -323,6 +323,28 @@ class TestSepConv:
         with pytest.raises(ShapeError, match="does not fit"):
             layers.sepconv2d(*args, plan=plan)
 
+    def test_handed_planes_are_read_once_per_size(self):
+        """A plan for handed planes keeps the chunk views of the last planes
+        it read for each batch size, so sizes can alternate, and that very
+        input again replays them. Other planes of a size are read afresh, and
+        each gives the output of a compact input; planes that do not fit are
+        a ShapeError."""
+        rng = np.random.default_rng(16)
+        p = random_sepconv(rng, 2, 3, stride=2)
+        ins = layers.PlaneLayout(6, 6, 3, 3, 2)
+        plan = layers.SepConvPlan((3, 2, 6, 6), np.float64, p, planes_in=True).bind()
+        xs = [rng.normal(size=(n, 2, 6, 6)) for n in (3, 2, 3)]
+        handed = [ins.to_planes(x) for x in xs]
+        for i in (0, 1, 0, 1, 2):
+            out = layers.sepconv2d(handed[i], p, plan=plan)[0]
+            want = layers.sepconv2d(xs[i], p, plan=layers.SepConvPlan(
+                xs[i].shape, np.float64, p).bind())[0]
+            assert out.tobytes() == want.tobytes(), i
+        assert plan.batches[3][0] is handed[2] and plan.batches[2][0] is handed[1]
+        for misfit in (ins.to_planes(rng.normal(size=(4, 2, 6, 6))), handed[2][..., ::-1]):
+            with pytest.raises(ShapeError, match="does not fit"):
+                layers.sepconv2d(misfit, p, plan=plan)
+
 
 def _relu64(a):
     return np.maximum(a, 0.0)

@@ -449,17 +449,19 @@ class TestPredict:
         assert built == {4: len(model.blocks), 16: len(model.blocks)}
 
     def test_memory_peak_is_one_micro_batch(self):
-        """The budget holds at most four 128x128 slices per micro-batch, so 64
-        slices peak at most at a four-slice plan, as ``infer_plan_bytes``
-        counts it from the config, plus 640 KiB: the folded kernels and their
-        cast copies in the plan, the head's float64 products and the plan's
-        views and objects. Measured 4,925,976 B for a 4,504,096 B plan; with
-        phase planes of every block's own, 5,933,792 B for a 5,628,504 B plan;
-        with per-call buffers and 8-slice micro-batches, 7,212,752 B. The
-        set's own ``x`` is not counted."""
+        """64 128x128 slices peak at most at a plan for the slices the budget
+        gives one micro-batch, as ``infer_plan_bytes`` counts it from the
+        config, plus 640 KiB: the folded kernels and their cast copies in the
+        plan, the head's float64 products and the plan's views and objects.
+        The set's own ``x`` is not counted. At 512 KiB that is one slice:
+        measured 2,572,056 B for a 2,227,864 B plan. At 2 MiB, four slices:
+        4,925,976 B for a 4,504,096 B plan; with phase planes of every
+        block's own, 5,933,792 B for a 5,628,504 B plan; with per-call
+        buffers and 8-slice micro-batches, 7,212,752 B."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         ds = make_slice_set(64, h=128, w=128, seed=3)
+        step = max(1, T._INFER_BUDGET_BYTES // _slice_bytes(model, ds))
         T.predict(model, ds)
         tracemalloc.start()
         try:
@@ -467,7 +469,7 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= infer_plan_bytes(cfg, 4, layers._CHUNK_BYTES) + (640 << 10)
+        assert peak <= infer_plan_bytes(cfg, step, layers._CHUNK_BYTES) + (640 << 10)
 
     def test_failure_names_slices_of_micro_batch(self):
         model = M.build_model(M.ModelConfig(input_height=8, input_width=8), seed=8)
@@ -500,15 +502,16 @@ class TestStreamedEvaluate:
     def test_memory_peak_is_one_micro_batch(self, manifest_128):
         """Loading and evaluating 16 or 64 slices peak alike: one micro-batch's
         plan, as ``TestPredict`` bounds it, plus its input and a few slices'
-        read buffers; the set's size adds nothing. Measured 5,584,040 and
-        5,597,424 B; with phase planes of every block's own, 6,583,456 and
-        6,599,168 B."""
+        read buffers; the set's size adds nothing. At 512 KiB (one slice per
+        micro-batch) measured 2,760,760 and 2,786,608 B; at 2 MiB (four
+        slices), 5,584,040 and 5,597,424 B; with phase planes of every
+        block's own, 6,583,456 and 6,599,168 B."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         keys = manifest_128.slice_keys()
         warm = load_slice_set(manifest_128, keys[:1], materialize=False)
         per_slice, slice_bytes = _slice_bytes(model, warm), warm.x.itemsize * 128 * 128
-        step = T._INFER_BUDGET_BYTES // per_slice
+        step = max(1, T._INFER_BUDGET_BYTES // per_slice)
         T.evaluate(model, warm)
         peaks = {}
         for n in (16, 64):
@@ -519,7 +522,7 @@ class TestStreamedEvaluate:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[64] - peaks[16]) < step * slice_bytes
-        plan = infer_plan_bytes(cfg, 4, layers._CHUNK_BYTES)
+        plan = infer_plan_bytes(cfg, step, layers._CHUNK_BYTES)
         assert peaks[64] <= plan + (640 << 10) + (step + 4) * slice_bytes
 
     @settings(max_examples=30, deadline=None)

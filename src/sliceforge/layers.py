@@ -27,11 +27,16 @@ plus one zero row. Depthwise tap (i, j) over all outputs is the contiguous run
 [off, off + ho*wq), off = (i//s)*wq + j//s, of phase (i % s, j % s). Per
 cache-sized batch chunk the forward copies the kh*kw runs into a tap stack
 [rows, C, taps, ho*wq], one strided copy per phase (the phase's runs, as
-one overlapping view of the plane, onto its taps' slots), reduces it with
-one batched matmul against the kernel
-[C, 1, taps], and copies the pixels of these pitched sums (columns wo.. are
-junk) into ``mid``, laid out as the next block's input planes (the last
-block's compact) and 0 elsewhere. The pointwise stage multiplies [W | bias]
+one overlapping view of the plane, onto its taps' slots), and reduces it
+with one batched matmul against the kernel [C, 1, taps] into the chunk's
+accumulator. Where one sample's tap stack overflows ``_CHUNK_BYTES`` a chunk
+is one sample, and its channels are tiled: each group of as many channels as
+fit gets its own tap copies and matmul, into its channels of the
+accumulator. A depthwise filter acts on each channel alone, so the tiles
+form the same products, bit for bit. Once every group is done the chunk
+copies the pixels of these pitched sums (columns wo.. are junk) into
+``mid``, laid out as the next block's input planes (the last block's
+compact) and 0 elsewhere. The pointwise stage multiplies [W | bias]
 with ``mid`` and a row of ones that is 0 off the pixels too, so the bias is
 added inside the GEMM, the output is already the next block's planes, and
 ReLU keeps their padding 0: only a compact input (block 0's) is copied onto
@@ -93,10 +98,12 @@ BN_EPSILON = 1e-3
 # 0.9 keeps running statistics usable within the first few dozen updates;
 # 0.99 needs ~100x more steps than a desk-scale run performs.
 BN_MOMENTUM = 0.9
-# bytes of tap stack per batch chunk of sepconv (forward: all kh*kw taps;
-# backward: the taps of phase (0, 0), the most of any phase). A chunk holds at
-# least one sample; with its phase planes it stays within about a 2 MiB L2 for
-# every block of a 128x128 model.
+# bytes of tap stack per chunk of sepconv. Forward: all kh*kw taps of as many
+# samples as fit or, where one sample does not, of as many of its channels as
+# fit (a tile), one channel of one sample at least. Backward: the taps of phase
+# (0, 0), the most of any phase, of as many samples as fit, one at least. With
+# its phase planes a chunk stays within about a 2 MiB L2 for every block of a
+# 128x128 model.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -170,10 +177,10 @@ class DenseCache:
     params: DenseParams
 
 
-def _chunk_rows(n: int, sample_bytes: int) -> int:
-    """Samples per chunk: as many of ``n`` as fit ``_CHUNK_BYTES`` of tap stack
-    at ``sample_bytes`` each, one at least."""
-    return max(1, min(n, _CHUNK_BYTES // sample_bytes))
+def _per_chunk(n: int, each: int) -> int:
+    """As many of ``n`` samples, or of one sample's ``n`` channels, as fit
+    ``_CHUNK_BYTES`` of tap stack at ``each`` bytes each, one at least."""
+    return max(1, min(n, _CHUNK_BYTES // each))
 
 
 class PlaneLayout:
@@ -222,9 +229,15 @@ class PlaneLayout:
 
 def _row_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float64 [A, B] sum over samples of a_n b_n^T for [N, A, L] and [N, B, L]
-    arrays: one BLAS product per sample in the arrays' dtype, then the N
-    products in float64. A row of ones in ``b`` makes a column of row sums."""
-    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+    arrays: one BLAS product per sample in the arrays' dtype, added into the
+    float64 sum in sample order, as ``sum(axis=0, dtype=float64)`` adds an
+    [N, A, B] stack of them, with one product held at a time. A row of ones
+    in ``b`` makes a column of row sums."""
+    product = np.matmul(a[0], b[0].T)
+    total = product.astype(np.float64)
+    for an, bn in zip(a[1:], b[1:]):
+        total += np.matmul(an, bn.T, out=product)
+    return total
 
 
 def _gemm_weights(p: SepConvParams, dtype) -> np.ndarray:
@@ -238,10 +251,14 @@ class SepConvPlan:
     inputs of ``dtype``, ``shape`` = [n, C_in, h, w].
     The input arrives in its phase planes ``ins`` if ``planes_in``, else
     compact, to be copied onto the plan's zeroed planes. ``mid`` and the
-    output are in ``layout`` (compact if None). Without ``keep``, ``mid``
-    lives in the tap stack's storage, so each chunk writes all of it. With
-    ``keep`` it is the whole batch's, zeroed with its ones row set once, and
-    each chunk writes its pixels only; ``sepconv2d`` then returns a cache.
+    output are in ``layout`` (compact if None). A forward chunk is ``rows``
+    samples or, where one sample's tap stack overflows ``_CHUNK_BYTES``, one
+    sample in tiles of ``group`` channels, the last maybe fewer, which the
+    plan's tap stack holds in turn; the backward's chunks are ``back_rows``
+    samples. Without ``keep``, ``mid`` lives in the tap stack's storage, so
+    each chunk writes all of it, after its last tile. With ``keep`` it is
+    the whole batch's, zeroed with its ones row set once, and each chunk
+    writes its pixels only; ``sepconv2d`` then returns a cache.
     Building a plan checks the input shape against ``p`` and works out its
     geometry and ``sizes``, the elements of its flat (tap stack,
     accumulator, output) buffers; ``bind`` attaches them, and ``read``
@@ -272,8 +289,10 @@ class SepConvPlan:
         run = layout.h * ins.wq
         self.taps = [((i % s) * s + j % s, (i // s) * ins.wq + j // s)
                      for i in range(kh) for j in range(kw)]
-        self.rows = rows = _chunk_rows(n, self.dtype.itemsize * c_in * len(self.taps) * run)
-        stack = rows * c_in * len(self.taps) * run
+        channel = self.dtype.itemsize * len(self.taps) * run  # one channel's tap stack
+        self.rows = rows = _per_chunk(n, c_in * channel)
+        self.group = group = _per_chunk(c_in, channel)
+        stack = rows * group * len(self.taps) * run
         # without keep, a chunk's mid lives in the tap stack's storage
         self.sizes = (max(stack, rows * (c_in + 1) * layout.size), rows * c_in * run,
                       n * p.pointwise.shape[0] * layout.size)
@@ -293,7 +312,7 @@ class SepConvPlan:
                                     [pre - self.taps[q][1] + band.start for q in ids]))
                 self.tap_ids += ids
         most = max(len(ids) for _, _, ids, _, _ in self.phases)  # phase (0, 0)'s
-        self.back_rows = _chunk_rows(n, self.dtype.itemsize * c_in * most * run)
+        self.back_rows = _per_chunk(n, self.dtype.itemsize * c_in * most * run)
         # mid is the batch's own, and the backward's tap stack lives in the storage
         self.sizes = (max(stack, self.back_rows * c_in * most * run), *self.sizes[1:])
 
@@ -307,7 +326,7 @@ class SepConvPlan:
         self.store = store  # the backward's tap stack too, in a keep plan
         (n, c_in), rows, layout, ins = self.shape[:2], self.rows, self.layout, self.ins
         taps, run, dtype = len(self.taps), layout.h * ins.wq, self.dtype
-        self.stack = store[:rows * c_in * taps * run].reshape(rows, c_in, taps, run)
+        self.stack = store[:rows * self.group * taps * run].reshape(rows, self.group, taps, run)
         self.acc = acc[:rows * c_in * run].reshape(rows, c_in, 1, run)
         # mid's last row carries the bias through the GEMM: 1 at each pixel, else 0
         self.mask = layout.to_planes(np.ones((layout.h, layout.w), dtype))
@@ -343,17 +362,20 @@ class SepConvPlan:
 
     def _views(self, src: np.ndarray) -> tuple:
         """``read``'s (src, chunk views, output) for the input planes
-        ``src`` of n inputs. Per chunk the views are: its rows; its tap
-        copies, one per phase with taps, a strided view of the tap stack's
-        slots of that phase and the matching overlapping view of its runs in
-        ``src``; the tap stack and accumulator; without keep the zeros and
-        the ones row of ``mid`` (else None); the (mid pixels, accumulator
-        pixels) copies; ``mid`` and the output as [rows, channels, pixels]."""
-        n, c_in, rows, layout, ins, mid = len(src), self.shape[1], self.rows, self.layout, \
-            self.ins, self.mid
+        ``src`` of n inputs. Per chunk the views are: its rows; per tile of
+        ``group`` channels (one tile of all of them unless one sample
+        overflows the tap stack), its channels, its tap copies, one per
+        phase with taps, a strided view of the tap stack's slots of that
+        phase and the matching overlapping view of its runs in ``src``, and
+        its tap stack and its channels of the accumulator; without keep the
+        zeros and the ones row of ``mid`` (else None); the (mid pixels,
+        accumulator pixels) copies; ``mid`` and the output as [rows,
+        channels, pixels]."""
+        n, c_in, rows, group, layout, ins, mid = len(src), self.shape[1], self.rows, self.group, \
+            self.layout, self.ins, self.mid
         kh, kw, s, item = *self.params.depthwise.shape[2:], ins.s, self.dtype.itemsize
         phases = src.reshape(n, c_in, s * s, -1)
-        slots = self.stack.reshape(rows, c_in, kh, kw, -1)  # slot i * kw + j: tap (i, j)
+        slots = self.stack.reshape(rows, group, kh, kw, -1)  # slot i * kw + j: tap (i, j)
         # tap (i, j) = (s*u + a, s*v + b) reads phase (a, b) from u * wq + v on
         grids = [(a, b, len(range(a, kh, s)), len(range(b, kw, s)))
                  for a in range(s) for b in range(s)]
@@ -363,15 +385,19 @@ class SepConvPlan:
             r = slice(start, start + k)
             m = mid[r] if self.keep else mid[:k]
             valid = self.acc[:k].reshape(k, c_in, layout.h, ins.wq)[..., :layout.w]
-            copies = []
-            for a, b, nu, nv in grids:
-                if nu and nv:  # a kernel narrower than the stride leaves a phase without taps
-                    runs = np.ndarray((k, c_in, nu, nv, layout.h * ins.wq), self.dtype, phases,
-                                      start * phases.strides[0] + (a * s + b) * phases.strides[2],
-                                      (*phases.strides[:2], ins.wq * item, item, item))
-                    copies.append((slots[:k, :, a::s, b::s], runs))
-            chunks.append((r, copies, self.stack[:k], self.acc[:k],
-                           None if self.keep else (m[:, :c_in], m[:, c_in]),
+            groups = []
+            for c0 in range(0, c_in, group):
+                g, copies = min(group, c_in - c0), []
+                for a, b, nu, nv in grids:
+                    if nu and nv:  # a kernel narrower than the stride leaves a phase without taps
+                        runs = np.ndarray((k, g, nu, nv, layout.h * ins.wq), self.dtype, phases,
+                                          start * phases.strides[0] + c0 * phases.strides[1]
+                                          + (a * s + b) * phases.strides[2],
+                                          (*phases.strides[:2], ins.wq * item, item, item))
+                        copies.append((slots[:k, :g, a::s, b::s], runs))
+                groups.append((slice(c0, c0 + g), copies, self.stack[:k, :g],
+                               self.acc[:k, c0:c0 + g]))
+            chunks.append((r, groups, None if self.keep else (m[:, :c_in], m[:, c_in]),
                            layout.pairs(m[:, :c_in], valid), m.reshape(k, c_in + 1, -1),
                            out[r].reshape(k, len(self.weights), -1)))
         return src, chunks, out
@@ -389,7 +415,7 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
     No nonlinearity between the two stages. Padding is "same": symmetric
     zero-padding of floor(k/2), so the output is ceil(H/stride) per side.
     Everything is computed in ``x.dtype`` (parameters are cast to it), per
-    cache-sized batch chunk as the module docstring says. With a ``norm`` the
+    cache-sized chunk or tile as the module docstring says. With a ``norm`` the
     pointwise stage runs once ``batchnorm`` has folded in the statistics of
     the chunks' Gram matrices and updated ``norm``'s running statistics.
     Running statistics are folded into ``p`` by the caller.
@@ -420,10 +446,11 @@ def sepconv2d(x: np.ndarray, p: SepConvParams, norm: BatchNormParams | None = No
         depthwise = p.depthwise.astype(x.dtype, copy=False).reshape(depthwise.shape)
         # each sample's Gram matrix of [mid; 1], formed while its chunk is in cache
         gram = np.empty((n, c_in + 1, c_in + 1), dtype=x.dtype)
-    for r, copies, stk, ac, blank, fills, m3, out3 in chunks:
-        for dst, taps in copies:
-            dst[...] = taps
-        np.matmul(depthwise, stk, out=ac)
+    for r, groups, blank, fills, m3, out3 in chunks:
+        for c, copies, stk, ac in groups:
+            for dst, taps in copies:
+                dst[...] = taps
+            np.matmul(depthwise[c], stk, out=ac)
         if blank is not None:  # the tap copies overwrote mid's zeros and ones row
             blank[0][...] = 0
             blank[1][...] = plan.mask

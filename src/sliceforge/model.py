@@ -270,7 +270,10 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
     block's output is compact, for pooling, or for ``extract_activation`` and
     ``maximize_activation``, which plan the folded model cut after the block
     they read. All share one tap stack and one accumulator, which in a keep
-    plan also holds each backward's tap stack.
+    plan also holds each backward's tap stack. The tap stack is the largest
+    chunk's: a block whose one sample overflows ``layers._CHUNK_BYTES`` runs
+    its forward in tiles of that sample's channels, so at 128x128 and one
+    slice it is block 0's one channel (blocks 1-4 tile theirs).
 
     Without ``keep``, the infer plans of a folded ``model``: block b writes
     output buffer b % 2, so a block never writes the buffer it reads. With
@@ -332,9 +335,13 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     rewrites them. Consumes ``caches``: each block's
     cache is popped off the list, so its ``mid``, its output and its
     batchnorm cache are freed once that block's backward is done, and the
-    list is empty on return.
+    list is empty on return. It consumes ``dout`` too, which the last
+    block's backward alone reads: a caller that hands it over without a
+    reference of its own (``backward``'s pooling gradient) has it freed
+    after that backward.
     """
     g = layers.relu_backward(dout, caches[-1][1])
+    del dout  # g is dout: the last block's backward is its only reader
     for b in range(len(caches) - 1, -1, -1):
         conv_cache, _ = caches.pop()
         g, *d_block = layers.sepconv2d_backward(g, conv_cache, input_grad=b > 0 or grads is None)
@@ -415,8 +422,9 @@ def backward(model: Model, caches: ForwardCaches, dlogits: np.ndarray) -> dict:
     g = layers.relu_backward(g, caches.hidden_relu_cache)
     g, *d_hidden = layers.dense_backward(g, caches.hidden_cache)
     grads.update(zip(_grad_names("hidden"), d_hidden, strict=True))
-    g = layers.global_avg_pool_backward(g, caches.pool_cache)
-    _backward_blocks(g, caches.block_caches, grads)
+    # handed on, not kept: only the last block's backward reads the pooling gradient
+    _backward_blocks(layers.global_avg_pool_backward(g, caches.pool_cache), caches.block_caches,
+                     grads)
     return grads
 
 
@@ -458,7 +466,7 @@ def load_model(path) -> Model:
         arr, offset = _decode_array(blob, f"{path}[{slot.name}]", offset)
         if arr.shape != slot.shape:
             raise FormatError(f"{path}: {slot.name} has shape {arr.shape}, expected {slot.shape}")
-        return arr
+        return arr.copy()  # writable: SGD and the running statistics update it in place
 
     try:
         model = _assemble(header.config, decode, epsilon=header.bn_epsilon,

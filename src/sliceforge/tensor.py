@@ -165,7 +165,10 @@ def _encode_array(arr: np.ndarray, label) -> bytes:
 
 
 def read_array(path) -> np.ndarray:
-    """Read a TSR1 file back into a float32 array, bit-exactly."""
+    """Read a TSR1 file back into a float32 array, bit-exactly. The array is
+    a read-only view of the file's bytes, not a copy: its callers only read
+    it (``SliceReader`` scales it into its row, ``inspect`` into a new
+    array), and a caller that writes copies it first."""
     with open(path, "rb") as fh:
         blob = fh.read()
     arr, used = _decode_array(blob, path)
@@ -193,7 +196,8 @@ def _decode_header(blob: bytes, label, offset: int = 0) -> tuple[tuple[int, ...]
 
 
 def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode the TSR1 record at ``offset``; returns it and the offset past it."""
+    """Decode the TSR1 record at ``offset``; returns it, a read-only view of
+    ``blob``, and the offset past it."""
     dims, need = _decode_header(blob, label, offset)
     count = int(np.prod(dims))
     end = need + 4 * count
@@ -202,7 +206,7 @@ def _decode_array(blob: bytes, label, offset: int = 0) -> tuple[np.ndarray, int]
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=need)
     if not np.isfinite(arr).all():
         raise FormatError(f"{label}: non-finite values in payload")
-    return arr.reshape(dims).copy(), end
+    return arr.reshape(dims), end
 
 
 def read_header(path) -> tuple[int, ...]:

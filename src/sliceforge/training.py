@@ -168,17 +168,20 @@ def _batched(indices, size):
 # micro-batch size, so a smaller budget costs no allocation, only the Python
 # calls of one more forward: about 0.12 ms for nine blocks and the head, against
 # 0.20 ms when each call made its own views.
-# Sweep at this code, 128 slices, one BLAS thread, 2-vCPU Xeon: median ms of 60
+# Sweep, 128 slices, one BLAS thread, 2-vCPU Xeon: median ms of 60
 # interleaved predicts in one process / tracemalloc peak MiB of a predict /
-# median ms of 24 interleaved whole `evaluate` children / their VmHWM MB:
+# median ms of 24 interleaved whole `evaluate` children / their VmHWM MB. The
+# 64x64 row predates channel tiles, which form none at 64x64; the 128x128 row
+# is re-measured with them (before them, children in the same rotation read
+# 266/264/270/262 ms at 34.0/34.0/35.0/36.8 MB):
 #            256K                512K                1M                  2M
 #   64x64    28.0/1.07/195/32.2  27.4/1.67/190/32.4  26.7/2.47/196/33.4  27.2/4.09/194/35.2
-#   128x128  89.5/2.47/266/33.4  88.5/2.47/273/33.4  85.2/3.20/261/34.3  85.4/4.68/257/36.0
-# Interleaved with them, the 2 MiB budget with per-call views (before plans
-# kept their views) took 204 ms at 35.6 MB (64x64) and 270 ms at 36.1 MB
-# (128x128). 512 KiB (one slice at 128x128, four at 64x64) is no slower than
-# that: faster in 17 of 24 rounds at 64x64, and 12 of 24 at 128x128, where 256K
-# runs the same one-slice plan and read 266 ms, so a few ms is noise. Below
+#   128x128  84.1/1.89/264/33.2  83.5/1.89/269/33.2  81.2/2.62/260/34.2  81.6/4.13/266/36.0
+# Before tiles, interleaved with that sweep, the 2 MiB budget with per-call
+# views (before plans kept their views) took 204 ms at 35.6 MB (64x64) and 270
+# ms at 36.1 MB (128x128). 512 KiB (one slice at 128x128, four at 64x64) was no
+# slower than that: faster in 17 of 24 rounds at 64x64, and 12 of 24 at
+# 128x128, where 256K runs the same one-slice plan, so a few ms is noise. Below
 # 512K only the 64x64 plan shrinks, and there it gets slower for 0.2 MB: 256K
 # was faster than 512K in 13 of 60 predicts and 7 of 24 `evaluate` children
 # (12 of 24 in a second run). So 512K is kept: it is no slower than the budget

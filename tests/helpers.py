@@ -215,7 +215,9 @@ def infer_plan_bytes(cfg, n, chunk_bytes, itemsize=4):
     output of the even and of the odd blocks; and each block's ones row of
     ``mid``. Outputs and ``mid`` are in the next block's planes, the last
     block's compact. A chunk holds ``rows`` samples, as many as fit
-    ``chunk_bytes`` of tap stack, one at least."""
+    ``chunk_bytes`` of tap stack, one at least; where one sample does not
+    fit, its tap stack is one sample's ``group`` channels, as many as fit,
+    one at least."""
     channels = (cfg.input_channels, *cfg.channel_plan)
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     k = cfg.kernel
@@ -225,8 +227,10 @@ def infer_plan_bytes(cfg, n, chunk_bytes, itemsize=4):
     for b, s in enumerate(cfg.stride_plan):
         c_in, c_out, (h, w) = channels[b], channels[b + 1], dims[b]
         ho, wq = -(-h // s), -(-w // s) + (k - 1) // s
-        rows = max(1, min(n, chunk_bytes // (itemsize * c_in * k * k * ho * wq)))
-        stacks.append(max(rows * c_in * k * k * ho * wq, rows * (c_in + 1) * sizes[b]))
+        channel = k * k * ho * wq  # one channel's tap stack
+        rows = max(1, min(n, chunk_bytes // (itemsize * c_in * channel)))
+        group = max(1, min(c_in, chunk_bytes // (itemsize * channel)))
+        stacks.append(max(rows * group * channel, rows * (c_in + 1) * sizes[b]))
         accs.append(rows * c_in * ho * wq)
         outs[b % 2].append(n * c_out * sizes[b])
     return itemsize * (planes + max(stacks) + max(accs) + max(outs[0]) + max(outs[1])

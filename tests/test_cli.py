@@ -390,7 +390,7 @@ def test_evaluate_streams_to_a_bad_slice_and_writes_nothing(tmp_path, own_manife
     """One slice per micro-batch: the eleven slices ahead of the last are forwarded
     before its negative second half stops the command with exit 2."""
     bad = own_manifest_path.parent / "slices" / "ad-002" / "s001.tsr"
-    raw = read_array(bad)
+    raw = read_array(bad).copy()  # read_array returns a read-only view
     raw[8:] = -1.0
     write_array(bad, raw)
     forwards = []

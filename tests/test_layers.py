@@ -261,6 +261,87 @@ class TestSepConv:
             scale = np.abs(d_beta if i == 3 else ref).max()
             assert got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_channel_tiles_are_invisible(self, k, stride, monkeypatch):
+        """Where one sample's tap stack overflows ``_CHUNK_BYTES``, a forward
+        chunk is a tile of one sample's channels: at two channels' taps, 5
+        channels form groups of 2, 2 and 1. For a compact input and for
+        handed planes, in infer plans (without a batchnorm and with the
+        running statistics folded in) and in keep plans (without a batchnorm
+        and with one on the batch's statistics), the outputs, each cache's
+        ``mid`` and the gradients are bit for bit those of the default plans,
+        whose one chunk is the whole batch. The backward keeps its sample
+        chunks, one sample each here."""
+        rng = np.random.default_rng(70 + 10 * k + stride)
+        x = np.maximum(rng.normal(size=(3, 5, 9, 7)), 0.0).astype(np.float32)  # a ReLU output
+        p = TestPlaneHandOff.params(rng, 5, 4, k, stride, np.float32)
+        upstream = rng.normal(size=(3, 4, -(-9 // stride), -(-7 // stride))).astype(np.float32)
+
+        def norm():
+            return layers.BatchNormParams(
+                gamma=np.linspace(0.5, 1.5, 4), beta=np.linspace(-1.0, 1.0, 4),
+                running_mean=np.linspace(-0.5, 0.5, 4), running_var=np.linspace(0.5, 2.0, 4))
+
+        def run():
+            got = []
+            for planes_in in (False, True):
+                def call(params, bn=None, keep=False):
+                    plan = layers.SepConvPlan(x.shape, x.dtype, params, keep,
+                                              planes_in=planes_in).bind()
+                    # fresh planes: a keep plan's backward writes its dx over them
+                    return layers.sepconv2d(plan.ins.to_planes(x) if planes_in else x, params,
+                                            bn, plan=plan)
+
+                got += [call(params)[0] for params in (p, layers.fold_batchnorm(p, norm()))]
+                for bn in (None, norm()):
+                    out, cache = call(p, bn, keep=True)
+                    got += [out, cache.mid, *layers.sepconv2d_backward(upstream, cache)]
+            return got
+
+        whole = run()
+        plan = layers.SepConvPlan(x.shape, x.dtype, p)
+        assert (plan.rows, plan.group) == (3, 5)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 2 * x.itemsize * len(plan.taps)
+                            * plan.layout.h * plan.ins.wq)
+        plan = layers.SepConvPlan(x.shape, x.dtype, p, keep=True)
+        assert (plan.rows, plan.group, plan.back_rows) == (1, 2, 1)
+        for got, ref in zip(run(), whole, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_channel_tiles_leave_a_model_unchanged(self, k, monkeypatch):
+        """A 17x23 model's infer logits and train gradients are those of the
+        default plans bit for bit when every block's forward runs in
+        one-channel tiles, and when block 1's runs in tiles of 3, 3 and 2 of
+        its 8 channels. The output weight is drawn, so that the logits differ
+        and every gradient but the conv biases', which the batchnorms cancel,
+        is nonzero."""
+        model = M.build_model(M.ModelConfig(input_height=17, input_width=23, kernel=k,
+                                            dropout_rate=0.0), seed=k)
+        rng = np.random.default_rng(k)
+        model.output.weight[...] = rng.normal(size=model.output.weight.shape)
+        x = rng.uniform(size=(3, 1, 17, 23)).astype(np.float32)
+
+        def passes():
+            trained = model.copy()  # a train forward updates the running statistics
+            _, caches = M.forward(trained, x, "train")
+            grads = M.backward(trained, caches, np.linspace(-1.0, 0.5, len(x)))
+            return [M.forward(model, x)[1].logits, *grads.values()], grads
+
+        whole, grads = passes()
+        assert len(set(whole[0])) == len(x)
+        assert {name for name, g in grads.items() if not g.any()} == {
+            f"block{b}.bias" for b in range(9)}
+        block1 = M.plan_blocks(model, len(x), x.dtype)[1]
+        for chunk_bytes in (1, 3 * x.itemsize * len(block1.taps) * block1.layout.h
+                            * block1.ins.wq):
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", chunk_bytes)
+            groups = [plan.group for plan in M.plan_blocks(model, len(x), x.dtype)]
+            assert groups[1] == (1 if chunk_bytes == 1 else 3)
+            for got, ref in zip(passes()[0], whole, strict=True):
+                assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("block", range(4))
     def test_depthwise_gradient_at_model_shapes(self, block):
         """Float32 d_depthwise of a batch-16 64x64 model's blocks 0-3 (both

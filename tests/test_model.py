@@ -144,11 +144,13 @@ class TestForward:
     def test_infer_memory_peak(self):
         """Infer mode keeps no cache and allocates its buffers once, in a plan.
         For two 128x128 slices the plan holds the bytes ``infer_plan_bytes``
-        counts from the config (2,986,608 B: no phase planes after block 0's,
-        each block writing its output as the next block's planes), plus the
-        cast [W | bias] kernels and its views and objects; measured 3,086,072
-        B (3,103,720 B before infer plans dropped the backward's tap table),
-        against 4,348,656 B when every block filled planes of its own. A
+        counts from the config (2,369,136 B: no phase planes after block 0's,
+        each block writing its output as the next block's planes, and blocks
+        1-4 forming channel tiles), plus the cast [W | bias] kernels and its
+        views and objects; measured 2,467,576 B. Before channel tiles the
+        plan counted 2,986,608 B and measured 3,085,048 B (3,103,720 B before
+        infer plans dropped the backward's tap table), against 4,348,656 B
+        when every block filled planes of its own. A
         pass in that plan allocates only the head's and the pool's small
         arrays: the head's float64 weights are cast once, by
         ``Model.folded``, where each ``dense`` call cast its weight (65,536 B
@@ -175,6 +177,26 @@ class TestForward:
             assert built <= infer_plan_bytes(cfg, len(x), layers._CHUNK_BYTES) + (128 << 10)
             assert reuse < bound, size
 
+    def test_one_slice_128_plan_tiles_channels(self):
+        """At 128x128, one sample's tap stack overflows ``_CHUNK_BYTES`` in
+        blocks 1-4, so their forwards run in tiles of 3, 3, 13 and 13
+        channels, and the shared store is block 0's one-channel tap stack, 9
+        taps of 128 x 130 floats: 599,040 B, where block 2's whole sample
+        took 1,216,512 B. ``infer_plan_bytes`` counts the plan's buffers
+        exactly: 1,610,392 B for one slice (2,227,864 B before tiles)."""
+        cfg = M.ModelConfig(input_height=128, input_width=128)
+        plans = M.plan_blocks(M.build_model(cfg, seed=6).folded(), 1, np.float32)
+        assert [plan.group for plan in plans] == [1, 3, 3, 13, 13, 32, 32, 64, 64]
+        assert plans[0].store.nbytes == 4 * 9 * 128 * 130 == 599_040
+
+        def owner(a):
+            return a if a.base is None else owner(a.base)
+
+        buffers = {id(owner(a)): owner(a) for plan in plans
+                   for a in (plan.store, plan.acc, plan.out, plan.mask)}
+        held = sum(a.nbytes for a in buffers.values()) + plans[0].planes.nbytes
+        assert held == infer_plan_bytes(cfg, 1, layers._CHUNK_BYTES) == 1_610_392
+
     def test_train_step_memory_peak(self):
         """One 64x64 batch-16 train-mode forward plus backward, with the
         float32 logit gradient ``fit`` passes, peaks within the block caches,
@@ -182,8 +204,10 @@ class TestForward:
         the shared tap stack (``_CHUNK_BYTES``), block 0's ``dx`` (which
         ``backward`` no longer forms; the bound still counts it) and the
         largest chunk temporaries (``backward_bytes``) and 512 KiB:
-        12,173,824 B; measured 12,025,352 B, and 12,075,200 B while block 0
-        formed its ``dx``. The forward runs in
+        12,173,824 B; measured 11,885,688 B, with the pointwise gradient's
+        products formed one sample at a time; 12,025,352 B with all of them
+        at once, and 12,075,200 B while block 0 also formed its ``dx``. The
+        forward runs in
         a ``plan_blocks(..., keep=True)`` of its own, and each cache holds its
         plan, so the shared tap stack and accumulator live until the last
         block's backward is done. Each backward's tap stack is a view of that
@@ -224,17 +248,22 @@ class TestForward:
         after that backward, and block 0 forms no ``dx``: ``backward`` has no
         use for it. So the bound is the largest chunk temporaries of any
         block, as ``backward_bytes`` counts them from the config, plus the
-        pooling gradient, which lives through every block's backward, plus
-        640 KiB for the chunk's other temporaries (its ReLU mask, the row
-        dots), the per-sample products of the pointwise gradient, the
-        gradients, the cached arrays of the blocks not yet done and the
-        head's arrays. At 64x64: block 5's 573,440 B and 131,072 B, in all
-        1,359,872 B; measured 1,153,088 B, in block 8's backward. At
-        128x128: block 7's 573,440 B and 524,288 B, in all 1,753,088 B;
-        measured 1,611,231 B, in block 7's backward. Forming block 0's
-        ``dx`` (2,138,496 B at 128x128) the step measured 3,013,344 B there,
-        and with a fresh ``dx`` per block, which the caller took through the
-        producer's ReLU, 3,586,585 B and 12,156,337 B; each fails here."""
+        pooling gradient, plus 384 KiB for the chunk's other temporaries (its
+        ReLU mask, the row dots), one sample's product of the pointwise
+        gradient, the batchnorm gradient's float64 products, the gradients,
+        the cached arrays of the blocks not yet done and the head's arrays.
+        The pooling gradient is held through block 8's backward only, its
+        one reader, but at 128x128 that is where the step peaks. At 64x64:
+        block 5's 573,440 B and 131,072 B, in all 1,097,728 B; measured
+        1,004,544 B, in block 8's backward. At 128x128: block 7's 573,440 B
+        and 524,288 B, in all 1,490,944 B; measured 1,322,680 B, in block
+        8's backward. Holding the pooling gradient through every block's
+        backward, and the pointwise gradient's products of all samples at
+        once, the step measured 1,153,088 B (in block 8's backward) and
+        1,611,231 B (in block 7's). Forming block 0's ``dx`` (2,138,496 B
+        at 128x128) it measured 3,013,344 B there, and with a fresh ``dx``
+        per block, which the caller took through the producer's ReLU,
+        3,586,585 B and 12,156,337 B. Each fails here."""
         cfg = M.ModelConfig(input_height=size, input_width=size, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, size, size)).astype(np.float32)
@@ -255,7 +284,7 @@ class TestForward:
             tracemalloc.stop()
         _, chunk = backward_bytes(cfg, len(x), layers._CHUNK_BYTES)
         pool = x.itemsize * len(x) * cfg.channel_plan[-1] * math.prod(cfg.spatial_dims()[-1])
-        assert peak <= chunk + pool + (640 << 10)
+        assert peak <= chunk + pool + (384 << 10)
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
@@ -445,6 +474,7 @@ class TestSaveLoad:
         for (na, a), (nb, b) in zip(model.state_arrays(), loaded.state_arrays()):
             assert na == nb
             assert a.tobytes() == b.tobytes()
+            assert b.flags.writeable  # SGD and the running statistics write it in place
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.sfm"
@@ -609,8 +639,9 @@ class TestActivations:
         cut after the block they read, folded, whose output is then compact.
         At block 0 of a 128x128 model they so peak below what a plan of all
         nine blocks holds, counted from the config: an infer plan's buffers
-        (``infer_plan_bytes``, 2,227,864 B) for ``extract_activation``,
-        measured 1,402,336 B; the caches of a keep plan (``train_cache_bytes``,
+        (``infer_plan_bytes``, 1,610,392 B, with blocks 1-4 forming channel
+        tiles; 2,227,864 B before) for ``extract_activation``, measured
+        1,402,336 B; the caches of a keep plan (``train_cache_bytes``,
         2,235,768 B), plus one chunk's tap stack, for two steps of
         ``maximize_activation``, measured 2,526,492 B. Planning all nine
         blocks and running the first, they measured 2,471,256 B and

@@ -85,6 +85,7 @@ class TestFileFormat:
         back = tensor.read_array(path)
         assert back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()
+        assert not back.flags.writeable  # a view of the file's bytes, not a copy
 
 
 class TestPgm:

@@ -454,8 +454,10 @@ class TestPredict:
         config, plus 640 KiB: the folded kernels and their cast copies in the
         plan, the head's float64 products and the plan's views and objects.
         The set's own ``x`` is not counted. At 512 KiB that is one slice:
-        measured 2,572,056 B for a 2,227,864 B plan. At 2 MiB, four slices:
-        4,925,976 B for a 4,504,096 B plan; with phase planes of every
+        measured 1,962,704 B for a 1,610,392 B plan, whose blocks 1-4 form
+        channel tiles; before tiles, 2,572,056 B for a 2,227,864 B plan,
+        which fails here. At 2 MiB and before tiles, four slices: 4,925,976
+        B for a 4,504,096 B plan; with phase planes of every
         block's own, 5,933,792 B for a 5,628,504 B plan; with per-call
         buffers and 8-slice micro-batches, 7,212,752 B."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
@@ -503,9 +505,11 @@ class TestStreamedEvaluate:
         """Loading and evaluating 16 or 64 slices peak alike: one micro-batch's
         plan, as ``TestPredict`` bounds it, plus its input and a few slices'
         read buffers; the set's size adds nothing. At 512 KiB (one slice per
-        micro-batch) measured 2,760,760 and 2,786,608 B; at 2 MiB (four
-        slices), 5,584,040 and 5,597,424 B; with phase planes of every
-        block's own, 6,583,456 and 6,599,168 B."""
+        micro-batch) measured 2,105,682 and 2,136,242 B, with channel tiles
+        and each slice read from a view of its file's bytes; before them,
+        2,760,760 and 2,786,608 B, which fail here. At 2 MiB (four slices)
+        and before them, 5,584,040 and 5,597,424 B; with phase planes of every block's own,
+        6,583,456 and 6,599,168 B."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         keys = manifest_128.slice_keys()

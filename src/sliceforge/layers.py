@@ -69,12 +69,17 @@ or a ``maximize_activation``: the blocks share one tap stack and
 accumulator. An infer plan alternates between two output buffers and keeps a
 chunk's ``mid`` in the tap stack's storage, dead once the depthwise products
 are formed. A plan that keeps a cache (train mode, ``maximize_activation``)
-has a whole-batch ``mid`` and output of its own, and the input's planes: a
-compact input is copied onto them once, by the forward, and only its ``dx``
-is copied back. Its padding and ones row are written once, so a keep plan
+has a whole-batch ``mid`` of its own, and the input's planes: a compact
+input is copied onto them once, by the forward, and only its ``dx`` is
+copied back. Its padding and ones row are written once, so a keep plan
 reused for many batches rewrites only their pixels. Its cache holds the plan,
 and so these and the shared tap stack, which each backward borrows: the
-pass's forwards are done by then.
+pass's forwards are done by then. The keep plans' outputs share one buffer,
+where blocks 0 and 1's lie over later blocks' outputs: between the forward
+of block 2 (for block 0) or block 3 (for block 1) and the backward, which
+rebuilds them from their kept ``mid`` first, the outputs of blocks 0 and 1
+hold other blocks' outputs, and so do their ReLU caches and their
+consumers' ``cache.x``.
 
 A block's batchnorm is folded into the pointwise stage of the sepconv before
 it (``fold_batchnorm``), so no block makes its pre-norm output: by
@@ -508,6 +513,10 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache, input_grad: bool =
     corr = np.zeros((c_in, c_in + 1))
     if cache.norm is not None:
         d_weights, corr, *d_norm = batchnorm_backward(d_weights, cache.norm)
+    # cast now, so that no float64 gradient is held through the chunks
+    d_params = (d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
+                d_weights[:, c_in].astype(dtype), *(d.astype(dtype) for d in d_norm))
+    del d_weights, d_norm
     pw_t = cache.weights[:, :c_in].astype(dtype, copy=False).T
     corr = corr.astype(dtype, copy=False)
     dw = p.depthwise.astype(dtype, copy=False).reshape(c_in, 1, -1)
@@ -565,13 +574,7 @@ def sepconv2d_backward(dout: np.ndarray, cache: SepConvCache, input_grad: bool =
         dx = dx.reshape(n, c_in, *ins.shape)
         dx = dx if handed else ins.to_compact(dx)  # a compact input's dx goes back compact
 
-    return (
-        dx,
-        d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False),
-        d_weights[:, :c_in].reshape(p.pointwise.shape).astype(dtype),
-        d_weights[:, c_in].astype(dtype),
-        *(d.astype(dtype) for d in d_norm),
-    )
+    return (dx, d_dw.reshape(p.depthwise.shape).astype(dtype, copy=False), *d_params)
 
 
 def fold_batchnorm(conv: SepConvParams, norm: BatchNormParams, mean=None,
@@ -637,18 +640,30 @@ def batchnorm_backward(d_weights: np.ndarray, cache: BatchNormCache):
     dy = s * (dout - d_beta / m - x_hat * d_gamma / m) gives the conv gradient
     s * (P - d_beta g^T - t V C), and ``mid``'s W^T dy = W'^T dout + A [mid; 1]
     with A = -W^T diag(s t / m) V plus W^T (s (t mean - d_beta) / m) in its
-    last column. Returns float64 (conv gradient, A, d_gamma, d_beta).
+    last column. Returns float64 (conv gradient, A, d_gamma, d_beta); the
+    conv gradient is written over ``d_weights``, which the caller does not
+    read again. The products are formed in place where they can be, in the
+    order of the formulas above, and each is dropped once read.
     """
     v, mean, inv_std = cache.weights, cache.mean, cache.inv_std
     m = cache.gram[-1, -1]
     g = cache.gram[:, -1] / m
-    d_beta = d_weights[:, -1]
+    d_beta = d_weights[:, -1].copy()  # a view would hold all of P
     d_gamma = inv_std * (np.sum(v * d_weights, axis=1) - mean * d_beta)
     s, t = cache.gamma.astype(np.float64) * inv_std, d_gamma * inv_std
-    cov = cache.gram / m - np.outer(g, g)
-    d_conv = s[:, None] * (d_weights - np.outer(d_beta, g) - t[:, None] * (v @ cov))
+    # in place, in the order of s * (P - d_beta g^T - t * (V @ (gram / m - g g^T)))
+    cov = cache.gram / m
+    cov -= np.outer(g, g)
+    d_conv = d_weights  # P's storage: P is not read again
+    d_conv -= np.outer(d_beta, g)
+    v_cov = v @ cov
+    v_cov *= t[:, None]
+    d_conv -= v_cov
+    d_conv *= s[:, None]
+    del cov, v_cov
     w_t = v[:, :-1].T
-    corr = -(w_t * (s * t / m)) @ v
+    scaled = w_t * (s * t / m)
+    corr = np.negative(scaled, out=scaled) @ v
     corr[:, -1] += w_t @ (s * (t * mean - d_beta) / m)
     return d_conv, corr, d_gamma, d_beta
 

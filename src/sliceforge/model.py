@@ -249,7 +249,9 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 @dataclass
 class ForwardCaches:
-    block_caches: list  # per block: (conv_cache, ReLU output); batchnorm's is conv_cache.norm
+    # per block: (conv_cache, ReLU output); batchnorm's is conv_cache.norm. Blocks 0
+    # and 1's ReLU outputs hold later blocks' outputs until ``backward`` rebuilds them
+    block_caches: list
     pool_cache: tuple  # the last block output's shape
     hidden_cache: layers.DenseCache
     hidden_relu_cache: np.ndarray  # the hidden ReLU's output
@@ -278,11 +280,21 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
     Without ``keep``, the infer plans of a folded ``model``: block b writes
     output buffer b % 2, so a block never writes the buffer it reads. With
     ``keep``, plans whose passes keep their caches (train mode, or
-    ``maximize_activation``): each block has a whole-batch ``mid`` and output
-    of its own, whose padding and ones row are written once. A block's cache
-    holds its plan, and its views of these are valid until the plans' next
-    use; the backward writes each block's ``dx`` over its producer's
-    output."""
+    ``maximize_activation``): each block has a whole-batch ``mid`` of its
+    own, whose padding and ones row are written once, and the outputs share
+    one buffer. Those of blocks 2 onwards lie back to back from its start.
+    Block 0's output lies at its start too, over block 2's, and block 1's
+    past the larger of block 0's and block 2's, over block 3's or later
+    ones where they reach it. Each of the two is read by its consumer's
+    forward and then not until its consumer's backward, and the blocks it
+    lies under are done with their outputs before that backward, which
+    rebuilds it first (``_backward_blocks``). So between the forward of
+    block 2 (for block 0) or block 3 (for block 1) and the backward, the
+    outputs of blocks 0 and 1 hold other blocks' outputs, and so do their
+    ReLU caches and their consumers' ``cache.x``. A plan of one or two
+    blocks lays no output over another. A block's cache holds its plan,
+    and its views of these are valid until the plans' next use; the
+    backward writes each block's ``dx`` over its producer's output."""
     cfg = model.config
     dims = [(cfg.input_height, cfg.input_width), *cfg.spatial_dims()]
     layouts = [layers.PlaneLayout(*hw, *blk.conv.depthwise.shape[2:], blk.conv.stride)
@@ -291,10 +303,15 @@ def plan_blocks(model: Model, n: int, dtype, keep: bool = False) -> list:
                                 layout, planes_in=b > 0)
              for b, (hw, blk, layout) in enumerate(zip(dims, model.blocks, [*layouts, None]))]
     store, acc = (np.empty(max(plan.sizes[i] for plan in plans), dtype) for i in (0, 1))
-    outs = [None if keep else np.empty(max((plan.sizes[2] for plan in plans[parity::2]),
-                                           default=0), dtype)
-            for parity in (0, 1)]
-    return [plan.bind(store, acc, outs[b % 2]) for b, plan in enumerate(plans)]
+    sizes = [plan.sizes[2] for plan in plans]
+    if keep:  # blocks 2.. back to back; block 0 at 0, block 1 past blocks 0 and 2
+        starts = [0, max(sizes[:1] + sizes[2:3]), *np.cumsum([0, *sizes[2:-1]])][:len(plans)]
+        shared = np.empty(max(a + size for a, size in zip(starts, sizes)), dtype)
+        outs = [shared[a:] for a in starts]
+    else:  # block b writes buffer b % 2
+        pair = [np.empty(max(sizes[parity::2], default=0), dtype) for parity in (0, 1)]
+        outs = [pair[b % 2] for b in range(len(plans))]
+    return [plan.bind(store, acc, out) for plan, out in zip(plans, outs)]
 
 
 def _forward_blocks(model: Model, x: np.ndarray, plan: list):
@@ -307,7 +324,11 @@ def _forward_blocks(model: Model, x: np.ndarray, plan: list):
     running statistics), then ReLU in place on the fresh output. Each block
     keeps its cache exactly when its plan keeps: with ``plan_blocks(...,
     keep=True)`` each cache holds its plan and views of its buffers, and
-    without ``keep`` the returned cache list is empty.
+    without ``keep`` the returned cache list is empty. In a keep plan of
+    three or more blocks, the forward of block 2 writes over block 0's
+    output, and that of block 3 or a later one over block 1's, so those
+    outputs, their ReLU caches and their consumers' ``cache.x`` hold other
+    blocks' outputs until ``_backward_blocks`` rebuilds them.
     """
     caches = []
     out = x
@@ -332,18 +353,28 @@ def _backward_blocks(dout: np.ndarray, caches: list, grads: dict | None = None):
     other block's ReLU is taken by its consumer's
     ``layers.sepconv2d_backward``, which writes its ``dx`` over that block's
     output, so the plan's outputs hold gradients until the next forward
-    rewrites them. Consumes ``caches``: each block's
-    cache is popped off the list, so its ``mid``, its output and its
-    batchnorm cache are freed once that block's backward is done, and the
-    list is empty on return. It consumes ``dout`` too, which the last
-    block's backward alone reads: a caller that hands it over without a
-    reference of its own (``backward``'s pooling gradient) has it freed
-    after that backward.
+    rewrites them. Blocks 0 and 1's outputs hold other blocks' outputs from
+    the forward of block 2 (for block 0) or block 3 (for block 1) on
+    (``plan_blocks``), so before the backward of block 2, and again before
+    block 1's, the producer's output is rebuilt: its forward's pointwise
+    GEMM, ``cache.weights`` times its kept ``mid``, reruns into it, then its
+    ReLU, which gives the forward's bits. Consumes ``caches``: each block's
+    cache is popped off the list, so its ``mid`` and its batchnorm cache are
+    freed once that block's backward is done (the outputs' one buffer with
+    the last), and the list is empty on return. It consumes ``dout`` too,
+    which the last block's backward alone reads: a caller that hands it
+    over without a reference of its own (``backward``'s pooling gradient)
+    has it freed after that backward.
     """
     g = layers.relu_backward(dout, caches[-1][1])
     del dout  # g is dout: the last block's backward is its only reader
     for b in range(len(caches) - 1, -1, -1):
         conv_cache, _ = caches.pop()
+        if b in (1, 2):  # the input planes held later outputs: rerun the producer's GEMM
+            prev, x = caches[-1]
+            np.matmul(prev.weights, prev.mid.reshape(*prev.mid.shape[:2], -1),
+                      out=x.reshape(*x.shape[:2], -1))
+            layers.relu(x, out=x)
         g, *d_block = layers.sepconv2d_backward(g, conv_cache, input_grad=b > 0 or grads is None)
         if grads is not None:
             names = _grad_names("conv", f"block{b}") + _grad_names("norm", f"block{b}")
@@ -371,7 +402,9 @@ def forward(model: Model, batch: np.ndarray, mode: str = "infer", dropout_rng=No
     ``dropout_rng`` (one batch stream with a row per sample) when positive;
     its blocks run in ``plan`` (``plan_blocks(model, ..., keep=True)``), and
     their caches are valid until its next use or ``backward``, which
-    consumes them. Infer mode runs
+    consumes them; blocks 0 and 1's ReLU caches and their consumers'
+    ``cache.x`` hold later blocks' outputs until ``backward`` rebuilds them
+    (``_forward_blocks``). Infer mode runs
     ``model.folded()`` in ``plan`` (``plan_blocks`` of that folded model)
     with no per-block caches, so ``backward`` needs a train-mode pass, and
     dropout at rate 0. Either mode builds a ``plan`` for this call if None.

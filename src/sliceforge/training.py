@@ -302,6 +302,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
                 _, caches = forward(model, x, "train", dropout_rng, plan=plan)
             except NumericError as exc:
                 raise NumericError(f"{exc} {where}") from exc
+            del x  # block 0's input planes hold the batch now
             loss, dlogits = bce_loss(caches.logits, y)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {where}")
@@ -310,6 +311,7 @@ def fit(model: Model, train_set: SliceSet, val_set: SliceSet, config: TrainConfi
             grads = model_mod.backward(model, caches, dlogits)
             grads = clip_gradients(grads, config.clip_value, config.clip_norm)
             sgd_step(model, grads, lr)
+            del grads, caches  # not held through the next step's backward
         del plan  # the validation pass runs without the train plan beside it
 
         try:

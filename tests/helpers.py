@@ -242,12 +242,17 @@ def train_cache_bytes(cfg, n, itemsize=4):
     from the config alone: per block its [mid; 1] (C_in + 1 channels) and
     its ReLU'd output (C_out channels), in the next block's planes or, for
     the last block, compact. A block's input is its producer's output, or,
-    for block 0, the phase planes its plan copies the batch onto."""
+    for block 0, the phase planes its plan copies the batch onto. The
+    outputs share one buffer: those of blocks 2 onwards back to back, block
+    0's at its start and block 1's after the larger of block 0's and block
+    2's, so the buffer is the longer of their sum and block 1's end."""
     channels = (cfg.input_channels, *cfg.channel_plan)
     planes = channels[0] * plane_elements(cfg.input_height, cfg.input_width, cfg.kernel,
                                           cfg.stride_plan[0])
-    return itemsize * n * (planes + sum((channels[b] + 1 + channels[b + 1]) * size
-                                        for b, size in enumerate(block_output_elements(cfg))))
+    sizes = block_output_elements(cfg)
+    outs = [c * size for c, size in zip(channels[1:], sizes)]
+    mids = sum((c + 1) * size for c, size in zip(channels, sizes))
+    return itemsize * n * (planes + mids + max(sum(outs[2:]), max(outs[0], outs[2]) + outs[1]))
 
 
 def backward_bytes(cfg, n, chunk_bytes, itemsize=4):

@@ -200,14 +200,16 @@ class TestForward:
     def test_train_step_memory_peak(self):
         """One 64x64 batch-16 train-mode forward plus backward, with the
         float32 logit gradient ``fit`` passes, peaks within the block caches,
-        as ``train_cache_bytes`` counts them from the config (10,006,656 B),
-        the shared tap stack (``_CHUNK_BYTES``), block 0's ``dx`` (which
+        as ``train_cache_bytes`` counts them from the config (7,099,520 B,
+        blocks 0 and 1's outputs laid over later blocks' outputs), the
+        shared tap stack (``_CHUNK_BYTES``), block 0's ``dx`` (which
         ``backward`` no longer forms; the bound still counts it) and the
         largest chunk temporaries (``backward_bytes``) and 512 KiB:
-        12,173,824 B; measured 11,885,688 B, with the pointwise gradient's
-        products formed one sample at a time; 12,025,352 B with all of them
-        at once, and 12,075,200 B while block 0 also formed its ``dx``. The
-        forward runs in
+        9,266,688 B; measured 8,878,195 B. When each block owned its output
+        the caches counted 10,006,656 B and the bound 12,173,824 B; the step
+        measured 11,885,688 B, with the pointwise gradient's products formed
+        one sample at a time; 12,025,352 B with all of them at once, and
+        12,075,200 B while block 0 also formed its ``dx``. The forward runs in
         a ``plan_blocks(..., keep=True)`` of its own, and each cache holds its
         plan, so the shared tap stack and accumulator live until the last
         block's backward is done. Each backward's tap stack is a view of that
@@ -246,24 +248,30 @@ class TestForward:
         backward holds beside it. Each block after the first writes its ``dx``
         over its input planes, its producer's ReLU output, which nothing reads
         after that backward, and block 0 forms no ``dx``: ``backward`` has no
-        use for it. So the bound is the largest chunk temporaries of any
-        block, as ``backward_bytes`` counts them from the config, plus the
-        pooling gradient, plus 384 KiB for the chunk's other temporaries (its
-        ReLU mask, the row dots), one sample's product of the pointwise
-        gradient, the batchnorm gradient's float64 products, the gradients,
-        the cached arrays of the blocks not yet done and the head's arrays.
-        The pooling gradient is held through block 8's backward only, its
-        one reader, but at 128x128 that is where the step peaks. At 64x64:
-        block 5's 573,440 B and 131,072 B, in all 1,097,728 B; measured
-        1,004,544 B, in block 8's backward. At 128x128: block 7's 573,440 B
-        and 524,288 B, in all 1,490,944 B; measured 1,322,680 B, in block
-        8's backward. Holding the pooling gradient through every block's
-        backward, and the pointwise gradient's products of all samples at
-        once, the step measured 1,153,088 B (in block 8's backward) and
-        1,611,231 B (in block 7's). Forming block 0's ``dx`` (2,138,496 B
-        at 128x128) it measured 3,013,344 B there, and with a fresh ``dx``
-        per block, which the caller took through the producer's ReLU,
-        3,586,585 B and 12,156,337 B. Each fails here."""
+        use for it. Blocks 0 and 1's outputs, laid over later blocks', are
+        rebuilt in place, in the plan. So the bound is the largest chunk
+        temporaries of any block, as ``backward_bytes`` counts them from the
+        config, plus the pooling gradient, plus a slack for the chunk's
+        other temporaries (its ReLU mask, the row dots and numpy's iteration
+        buffers), one sample's product of the pointwise gradient, the
+        batchnorm gradient's float64 arrays, the gradients, the cached arrays
+        of the blocks not yet done and the head's arrays. The pooling gradient
+        is held through block 8's backward only, its one reader, but at
+        128x128 that is where the step peaks. At 64x64: block 5's 573,440 B
+        and 131,072 B, with 272 KiB in all 983,040 B; measured 953,623 B, in
+        block 8's backward. At 128x128: block 7's 573,440 B and 524,288 B,
+        with 160 KiB in all 1,261,568 B; measured 1,225,168 B, in block 8's
+        backward. Both had 384 KiB of slack, and measured 1,004,544 B and
+        1,322,680 B, while ``batchnorm_backward`` kept P alive through
+        ``d_beta``, a view of it, and wrote its conv gradient and
+        ``v @ cov`` to fresh arrays, and ``sepconv2d_backward`` held the
+        float64 gradients through its chunks. Holding the pooling gradient
+        through every block's backward, and the pointwise gradient's products
+        of all samples at once, the step measured 1,153,088 B (in block 8's
+        backward) and 1,611,231 B (in block 7's). Forming block 0's ``dx``
+        (2,138,496 B at 128x128) it measured 3,013,344 B there, and with a
+        fresh ``dx`` per block, which the caller took through the producer's
+        ReLU, 3,586,585 B and 12,156,337 B. Each fails here."""
         cfg = M.ModelConfig(input_height=size, input_width=size, dropout_rate=0.0)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(16, 1, size, size)).astype(np.float32)
@@ -284,7 +292,7 @@ class TestForward:
             tracemalloc.stop()
         _, chunk = backward_bytes(cfg, len(x), layers._CHUNK_BYTES)
         pool = x.itemsize * len(x) * cfg.channel_plan[-1] * math.prod(cfg.spatial_dims()[-1])
-        assert peak <= chunk + pool + (384 << 10)
+        assert peak <= chunk + pool + {64: 272 << 10, 128: 160 << 10}[size]
 
     def test_train_step_gradients_repeat_bitwise(self):
         model = M.build_model(M.ModelConfig(input_height=32, input_width=32), seed=8)
@@ -437,6 +445,113 @@ class TestPlaneHandOff:
         # one step and the final objective: two passes, each climbing block 0's dx
         M.maximize_activation(model, 2, 0, steps=1, step_size=0.5, seed=1)
         assert seen == {"fill": [0] * 3, "backward fill": [], "backward scatter": [0, 0]}
+
+
+class TestOutputOverlay:
+    """A keep plan of three or more blocks lays blocks 0 and 1's outputs over
+    later blocks' outputs, which are live only while those two are dead, and
+    the backward rebuilds each by rerunning its producer's pointwise GEMM
+    and ReLU, so every result is the bits of plans whose blocks own their
+    outputs."""
+
+    @staticmethod
+    def owned_plans(model, n, dtype, keep=True, plan_blocks=M.plan_blocks):
+        """``plan_blocks(model, n, dtype, keep=True)``'s plans, each block's
+        output in a buffer of its own."""
+        plans = [layers.SepConvPlan((n, p.shape[1], p.ins.h, p.ins.w), dtype, blk.conv, True,
+                                    p.layout, p.planes_in)
+                 for p, blk in zip(plan_blocks(model, n, dtype, keep=True), model.blocks)]
+        store, acc = (np.empty(max(p.sizes[i] for p in plans), dtype) for i in (0, 1))
+        return [p.bind(store, acc) for p in plans]
+
+    @staticmethod
+    def drawn(cfg, seed):
+        """A model whose output weight and betas are drawn, so that every
+        block gradient is nonzero and each folded conv has a bias."""
+        model = M.build_model(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        model.output.weight[...] = rng.normal(0.0, 0.5, size=model.output.weight.shape)
+        for blk in model.blocks:
+            blk.norm.beta[...] = rng.normal(0.3, 0.1, size=blk.norm.beta.shape)
+        return model
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("hw, tile_bytes", [((17, 23), None), ((17, 23), 1 << 11),
+                                                ((64, 64), None), ((64, 64), 1 << 13)],
+                             ids=["17x23", "17x23-tiles", "64x64", "64x64-tiles"])
+    def test_train_steps_match_owned_outputs(self, monkeypatch, kernel, hw, tile_bytes):
+        """Three SGD steps, the second on a smaller batch, in one plan, give
+        the logits, gradients and parameters of plans that own their outputs,
+        bit for bit; with ``tile_bytes`` as ``_CHUNK_BYTES``, some blocks'
+        forwards run in tiles of channels."""
+        if tile_bytes:
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", tile_bytes)
+        cfg = M.ModelConfig(input_height=hw[0], input_width=hw[1], kernel=kernel)
+        rng = np.random.default_rng(kernel)
+        batches = [rng.uniform(size=(n, 1, *hw)).astype(np.float32) for n in (4, 3, 4)]
+        runs = []
+        for make in (M.plan_blocks, self.owned_plans):
+            model = self.drawn(cfg, 9)
+            plan = make(model, 4, np.float32, keep=True)
+            overlaid = [np.shares_memory(a.out, b.out) for i, a in enumerate(plan)
+                        for b in plan[i + 1:]]
+            assert overlaid[1] == any(overlaid) == (make is M.plan_blocks)  # block 0's and 2's
+            assert any(p.group < p.shape[1] for p in plan) or not tile_bytes
+            steps = []
+            for x in batches:
+                stream = SplitMixStream(0, TAG_DROPOUT, 0, np.arange(len(x)))
+                _, caches = M.forward(model, x, "train", stream, plan=plan)
+                grads = M.backward(model, caches,
+                                   T.bce_loss(caches.logits, np.arange(len(x)) % 2)[1])
+                assert all(np.any(grads[f"block{b}.pointwise"]) for b in range(M.N_BLOCKS))
+                steps.append([caches.logits.tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
+                T.sgd_step(model, grads, 0.5)
+            runs.append((steps, [a.tobytes() for _, a in model.state_arrays()]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_maximize_matches_owned_outputs(self, monkeypatch, kernel, block):
+        """``maximize_activation`` plans the model cut after the block it
+        reads: at block 2, three blocks, with block 0's output laid over
+        block 2's; at blocks 0 and 1, one or two, with no output laid over
+        another. Each gives the image and trace of plans that own their
+        outputs, bit for bit."""
+        model = self.drawn(M.ModelConfig(input_height=17, input_width=23, kernel=kernel), 13)
+        runs = []
+        for make in (M.plan_blocks, self.owned_plans):
+            monkeypatch.setattr(M, "plan_blocks", make)
+            image, trace = M.maximize_activation(model, block, 1, steps=3, step_size=0.5, seed=5)
+            runs.append((image.tobytes(), trace))
+        assert len(set(runs[0][1])) == 4  # every step moves the objective
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_keep_plan_holds_train_cache_bytes(self, size):
+        """A batch-16 keep plan holds exactly the block caches that
+        ``train_cache_bytes`` counts from the config: block 0's input planes,
+        every block's ``mid`` and one buffer of outputs, 7,099,520 B at 64x64
+        and 24,722,304 B at 128x128 (10,006,656 B and 35,772,288 B when each
+        block owned its output). Block 0's output overlays block 2's, and
+        block 1's starts past both, so at 64x64 it overlays block 4's; block
+        1's overlays neither block 0's, its input, nor block 2's, its
+        consumer's output."""
+        cfg = M.ModelConfig(input_height=size, input_width=size)
+        plans = M.plan_blocks(M.build_model(cfg, seed=6), 16, np.float32, keep=True)
+
+        def owner(a):
+            return a if a.base is None else owner(a.base)
+
+        buffers = {id(owner(a)): owner(a) for plan in plans for a in (plan.mid, plan.out)}
+        held = sum(a.nbytes for a in buffers.values()) + plans[0].planes.nbytes
+        assert held == train_cache_bytes(cfg, 16) == {64: 7_099_520, 128: 24_722_304}[size]
+        out = [plan.out for plan in plans]
+        assert np.shares_memory(out[0], out[2])
+        assert not np.shares_memory(out[0], out[1]) and not np.shares_memory(out[1], out[2])
+        if size == 64:
+            assert np.shares_memory(out[1], out[4])
+        # blocks 2 onwards lie back to back: each of them owns its bytes among them
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(out[2:]) for b in out[3 + i:])
 
 
 class TestPredictLabels:
@@ -642,10 +757,14 @@ class TestActivations:
         (``infer_plan_bytes``, 1,610,392 B, with blocks 1-4 forming channel
         tiles; 2,227,864 B before) for ``extract_activation``, measured
         1,402,336 B; the caches of a keep plan (``train_cache_bytes``,
-        2,235,768 B), plus one chunk's tap stack, for two steps of
-        ``maximize_activation``, measured 2,526,492 B. Planning all nine
-        blocks and running the first, they measured 2,471,256 B and
-        4,473,256 B."""
+        1,545,144 B, with blocks 0 and 1's outputs laid over later blocks'
+        outputs; 2,235,768 B before), plus one chunk's tap stack and the
+        objective's gradient of block 0's compact output (524,288 B each),
+        for two steps of ``maximize_activation``: 2,593,720 B, measured
+        2,524,339 B. Before the overlay the bound held no gradient:
+        2,760,056 B. Planning all nine blocks and running the first, they
+        measured 2,471,256 B and 3,445,507 B (3,942,512 B before the
+        overlay)."""
         cfg = M.ModelConfig(input_height=128, input_width=128)
         model = M.build_model(cfg, seed=6)
         x = np.random.default_rng(3).uniform(size=(1, 1, 128, 128)).astype(np.float32)
@@ -653,7 +772,7 @@ class TestActivations:
                 (lambda: M.extract_activation(model, x, 0, 0),
                  infer_plan_bytes(cfg, 1, layers._CHUNK_BYTES)),
                 (lambda: M.maximize_activation(model, 0, 0, steps=2, step_size=0.5, seed=1),
-                 train_cache_bytes(cfg, 1) + layers._CHUNK_BYTES)):
+                 train_cache_bytes(cfg, 1) + layers._CHUNK_BYTES + cfg.channel_plan[0] * x.nbytes)):
             run()
             tracemalloc.start()
             try:
